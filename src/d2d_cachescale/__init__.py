@@ -59,16 +59,15 @@ from .phy import (
     reuse_factor,
 )
 from .placement import (
-    ContentPlacement,
     PlacementOutcome,
     PlacementVector,
     RelaxedSolution,
     ThroughputReport,
     check_optimality,
     evaluate_throughput,
+    guarantee_factor,
     guarantee_floor,
     optimize_placement,
-    place_contents,
     placement_document,
     placement_from_document,
     rebalance,

@@ -23,6 +23,7 @@ from .hierarchy import (
     multihop_envelope,
 )
 from .phy import PhyParams
+from .placement import guarantee_factor
 from .popularity import PopularityModel
 
 
@@ -124,8 +125,8 @@ def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel
                                     grid.M, pop.tau)
     r_up, up_branch = upper_bound(env.c_upper, env.gamma_upper, pop.L, l_c,
                                   grid.M, pop.tau)
-    factor = 1.0 / (grid.M * (1.0 + 2.0 ** pop.tau))
-    return BoundsResult(r_lower=r_low, r_upper=r_up, guarantee_factor=factor,
+    return BoundsResult(r_lower=r_low, r_upper=r_up,
+                        guarantee_factor=guarantee_factor(grid.M, pop.tau),
                         lower_branch=low_branch, upper_branch=up_branch,
                         side=side, envelope=env)
 

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import SCHEMA_VERSION
@@ -40,8 +39,8 @@ from .errors import (
 )
 from .exact import brute_force, solve_exact
 from .hierarchy import NetworkGrid, capacity_envelope, edge_capacities
-from .phy import PhyParams, cluster_rate
-from .placement import optimize_placement, placement_document
+from .phy import PhyParams, cluster_rate, exact_log4
+from .placement import guarantee_factor, optimize_placement, placement_document
 from .popularity import zipf_pmf
 
 _EXIT_OK = 0
@@ -170,6 +169,8 @@ _CONVERTERS = {
     "axis": str, "range_spec": str, "fmt": str, "out": str, "requests": int,
 }
 
+_CONFIG_ALIASES = {"M": "m_levels", "range": "range_spec", "format": "fmt"}
+
 
 def _read_config_file(path: str) -> dict:
     values = {}
@@ -182,16 +183,16 @@ def _read_config_file(path: str) -> dict:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key == "M":
-                key = "m_levels"
-            if key == "range":
-                key = "range_spec"
-            if key == "format":
-                key = "fmt"
+            key, val = key.strip().replace("-", "_"), val.strip()
+            key = _CONFIG_ALIASES.get(key, key)
             if key not in _CONVERTERS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONVERTERS[key](val.strip())
+            convert = _CONVERTERS[key]
+            try:
+                values[key] = convert(val)
+            except ValueError as exc:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: {key} expects {convert.__name__}, got {val!r}") from exc
     return values
 
 
@@ -208,8 +209,8 @@ def _resolve(args, overrides: dict | None = None):
             merged[key] = cli_val
     n = merged.get("n")
     if n is not None:
-        m = round(math.log(n, 4))
-        if 4 ** m != n:
+        m = exact_log4(n)
+        if m is None:
             raise InvalidParameterError(f"node count must be a power of 4, got {n}")
         merged["m_levels"] = m
     cfg = ExperimentConfig(
@@ -311,8 +312,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
               fmt: str, out: str | None) -> int:
     defaults = {"beta2": "0.1:0.8:0.1", "tau": "0:3:0.25", "alpha": "2.5:4:0.25"}
     values = _parse_range(range_spec or defaults[axis])
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(cfg, axis, v), values))
+    rows = [_sweep_point(cfg, axis, v) for v in values]
     header = ["axis_value", "R_proposed", "R_multihop_baseline", "R_nocache",
               "R_L_floor", "R_U"]
     if fmt == "json":
@@ -366,7 +366,7 @@ def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     algo = optimize_placement(grid, caps, pop, l_c)
     exact_x, exact_rate = solve_exact(grid, caps, pop, l_c)
     brute_x, brute_rate = brute_force(grid, caps, pop, l_c)
-    factor = 1.0 / (grid.M * (1.0 + 2.0 ** cfg.tau))
+    factor = guarantee_factor(grid.M, cfg.tau)
     rows = [
         ("algorithm1", algo.report.rate, ";".join(map(str, algo.placement.x))),
         ("exact", exact_rate, ";".join(map(str, exact_x.x))),

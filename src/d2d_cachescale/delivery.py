@@ -70,7 +70,11 @@ class EdgeLoadReport:
 
 
 def file_level(l: int, x: PlacementVector) -> int:
-    """Level whose block of the popularity order contains rank l."""
+    """Level whose block of the popularity order contains rank l.
+
+    Test reference, not a production path: simulate() maps every rank at
+    once with np.repeat.
+    """
     if not 1 <= l <= x.L:
         raise DomainError(f"rank must lie in [1, {x.L}], got {l!r}")
     cum = 0

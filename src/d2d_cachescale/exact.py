@@ -60,7 +60,8 @@ def indicator_matrix(t: ThresholdForm, L: int) -> np.ndarray:
     """Materialise the (M+2) x L binary indicator matrix of a threshold form.
 
     Row m has entry 1 at rank l iff l > theta[m]; rows are non-decreasing
-    left to right, columns non-increasing top to bottom.
+    left to right, columns non-increasing top to bottom. Test reference,
+    not a production path.
     """
     if t.theta[-1] > L:
         raise InvariantViolationError(f"thresholds exceed the library size {L}")

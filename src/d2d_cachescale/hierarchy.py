@@ -39,10 +39,6 @@ class NetworkGrid:
     def n(self) -> int:
         return 4 ** self.M
 
-    def phy_params(self, rc_fraction: float = 1.0) -> PhyParams:
-        """PHY constants consistent with this grid's path loss exponent."""
-        return PhyParams(alpha=self.alpha, rc_fraction=rc_fraction)
-
     def cluster_of(self, node: int, m: int) -> int:
         """Index of the level-m cluster containing a node (its Z-order ancestor).
 

@@ -149,7 +149,7 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
     not just the cluster. multihop_only=True rates the cluster as a
     multihop-only system (the baseline capacity profile).
     """
-    m = _exact_log4(N)
+    m = exact_log4(N)
     if m is None or m < 1 or N > grid.n:
         raise InvalidParameterError(
             f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
@@ -167,7 +167,8 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
     return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
 
 
-def _exact_log4(N: int) -> int | None:
+def exact_log4(N: int) -> int | None:
+    """m with 4^m == N, or None when N is not a positive power of 4."""
     if N < 1:
         return None
     m = (N.bit_length() - 1) // 2

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import (
     BracketError,
     InfeasibleProblemError,
@@ -105,14 +103,6 @@ class ThroughputReport:
 
 
 @dataclass(frozen=True)
-class ContentPlacement:
-    """Per-file level assignment plus the per-node cache load it induces."""
-
-    file_level: np.ndarray
-    per_node_load: float
-
-
-@dataclass(frozen=True)
 class PlacementOutcome:
     """Bundle returned by the full optimisation pipeline."""
 
@@ -168,7 +158,7 @@ def relaxed_rate(x_real, caps: LevelCapacities, pop: PopularityModel) -> float:
 
     No round-robin share here: the relaxation charges level m with its
     full cbar[m]. Used to check that no feasible fractional point beats
-    the relaxed optimum.
+    the relaxed optimum. Test reference, not a production path.
     """
     best = math.inf
     p = 0.0
@@ -449,16 +439,10 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
     return best
 
 
-def place_contents(x: PlacementVector, pop: PopularityModel) -> ContentPlacement:
-    """Assign files to levels in popularity order, lowest levels first.
-
-    file_level[l] is the level of rank l for l = 1..L (entry 0 unused);
-    the map is non-decreasing in l.
-    """
-    levels = np.zeros(pop.L + 1, dtype=np.int64)
-    levels[1:] = np.repeat(np.arange(len(x.x), dtype=np.int64), x.x)
-    levels.setflags(write=False)
-    return ContentPlacement(file_level=levels, per_node_load=x.cache_load())
+def guarantee_factor(M: int, tau: float) -> float:
+    """Rounding guarantee 1 / (M (1 + 2^tau)): the fraction of the relaxed
+    optimum that the integer placement provably keeps."""
+    return 1.0 / (M * (1.0 + 2.0 ** tau))
 
 
 def guarantee_floor(r_star: float, M: int, tau: float) -> float:

@@ -26,7 +26,7 @@ class PopularityModel:
     pmf[l] is the request probability of rank l (pmf[0] is unused and 0).
     prefix_mass[k] is the mass of ranks 1..k, suffix_mass[k] the mass of
     ranks k+1..L; prefix_mass[0] = 0 and prefix_mass[L] = 1 exactly.
-    Arrays are read-only so instances can be shared across workers.
+    Arrays are read-only so instances can be shared between callers.
     """
 
     L: int
@@ -35,10 +35,6 @@ class PopularityModel:
     pmf: np.ndarray
     prefix_mass: np.ndarray
     suffix_mass: np.ndarray
-
-    def tail_at(self, k: int) -> float:
-        """Tail mass of ranks strictly above k, i.e. f(k + 1), for k in [0, L]."""
-        return float(self.suffix_mass[k])
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:

@@ -61,6 +61,14 @@ class TestPlace:
         code, _, _ = run_cli(capsys, "place", "--alpha", "1.5")
         assert code == 3
 
+    @pytest.mark.parametrize("n", ["0", "-4", "2"])
+    def test_non_power_of_four_node_count(self, capsys, n):
+        code, out, err = run_cli(capsys, "place", "--n", n)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: node count must be a power of 4, got {n}\n"
+        assert "Traceback" not in err
+
     def test_node_count_flag_matches_depth_flag(self, capsys):
         _, by_n, _ = run_cli(capsys, "place", "--n", "256", "--l", "20", "--lc", "2.0")
         _, by_m, _ = run_cli(capsys, "place", "--M", "4", "--l", "20", "--lc", "2.0")
@@ -87,6 +95,17 @@ class TestSweep:
         assert code == 0
         rates = [float(line.split(",")[1]) for line in out.splitlines()[2:]]
         assert rates == sorted(rates)
+
+    def test_alpha_sweep_rows_in_axis_order(self, capsys):
+        argv = ("sweep", "--M", "3", "--axis", "alpha", "--range", "2.5:4:0.5",
+                "--l", "40", "--lc", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [float(r[0]) for r in rows] == [2.5, 3.0, 3.5, 4.0]
+        assert all(float(r[1]) > 0 for r in rows)
+        _, again, _ = run_cli(capsys, *argv)
+        assert again == out
 
 
 class TestScaling:
@@ -168,6 +187,16 @@ class TestConfigFile:
         conf.write_text("unknown_key=3\n")
         code, _, _ = run_cli(capsys, "place", "--config", str(conf))
         assert code == 3
+
+    @pytest.mark.parametrize("line", ["tau=abc", "M=2.5", "n=sixteen", "requests="])
+    def test_non_numeric_value_rejected(self, capsys, tmp_path, line):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"# header\n{line}\n")
+        code, out, err = run_cli(capsys, "place", "--config", str(conf))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {conf}:2: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from d2d_cachescale import (
     rate_hcoop,
     rate_multihop,
 )
+from d2d_cachescale.phy import exact_log4
 
 
 class TestPhyParams:
@@ -174,3 +175,12 @@ class TestClusterRate:
         for bad in (2, 8, 5, 256):
             with pytest.raises(InvalidParameterError):
                 cluster_rate(bad, grid, p)
+
+
+class TestExactLog4:
+    @pytest.mark.parametrize("n,expected", [
+        (1, 0), (4, 1), (256, 4), (4 ** 40, 40),
+        (0, None), (-4, None), (2, None), (100, None), (4 ** 40 + 1, None), (2 * 4 ** 40, None),
+    ])
+    def test_exact_log4(self, n, expected):
+        assert exact_log4(n) == expected

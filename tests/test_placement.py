@@ -12,9 +12,9 @@ from d2d_cachescale import (
     RelaxedSolution,
     check_optimality,
     evaluate_throughput,
+    guarantee_factor,
     guarantee_floor,
     optimize_placement,
-    place_contents,
     placement_document,
     placement_from_document,
     rebalance,
@@ -22,6 +22,7 @@ from d2d_cachescale import (
     relaxed_solution_at,
     round_to_feasible,
     solve_relaxed,
+    throughput_bounds,
     zipf_pmf,
 )
 from conftest import caps_for
@@ -286,24 +287,15 @@ class TestRebalance:
             assert after >= before * (1 - 1e-12)
 
 
-class TestPlaceContents:
-    def test_all_local(self):
-        pop = zipf_pmf(6, 1.0)
-        placed = place_contents(PlacementVector((6, 0)), pop)
-        assert placed.file_level[1:].tolist() == [0] * 6
-        assert placed.per_node_load == pytest.approx(6.0)
-
-    def test_all_top(self):
-        pop = zipf_pmf(6, 1.0)
-        placed = place_contents(PlacementVector((0, 0, 6)), pop)
-        assert placed.file_level[1:].tolist() == [2] * 6
-        assert placed.per_node_load == pytest.approx(6 * 4.0 ** -2)
-
-    def test_levels_non_decreasing(self):
-        pop = zipf_pmf(10, 1.0)
-        placed = place_contents(PlacementVector((2, 3, 5)), pop)
-        lv = placed.file_level[1:].tolist()
-        assert lv == sorted(lv)
+class TestGuaranteeFactor:
+    @pytest.mark.parametrize("m_levels,tau", [(2, 0.0), (5, 0.8), (9, 1.0), (11, 2.5)])
+    def test_bounds_and_floor_share_one_factor(self, m_levels, tau):
+        grid, params, _ = caps_for(m_levels, 0.0, 4.0)
+        pop = zipf_pmf(1000, tau)
+        factor = guarantee_factor(m_levels, tau)
+        bounds = throughput_bounds(grid, params, pop, 2.0)
+        assert bounds.guarantee_factor == factor
+        assert guarantee_floor(0.37, m_levels, tau) == pytest.approx(0.37 * factor, rel=1e-15)
 
 
 class TestPipeline:
