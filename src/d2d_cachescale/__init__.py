@@ -43,6 +43,7 @@ from .hierarchy import (
     CapacityEnvelope,
     LevelCapacities,
     NetworkGrid,
+    NetworkInterference,
     capacity_envelope,
     edge_capacities,
     multihop_envelope,

@@ -19,6 +19,7 @@ from .errors import DomainError, InvalidParameterError
 from .hierarchy import (
     CapacityEnvelope,
     NetworkGrid,
+    NetworkInterference,
     capacity_envelope,
     multihop_envelope,
 )
@@ -108,17 +109,20 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
 
 
 def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel,
-                      l_c: float, side: str = "proposed") -> BoundsResult:
+                      l_c: float, side: str = "proposed",
+                      interference: NetworkInterference | None = None) -> BoundsResult:
     """Throughput bracket for the cooperative scheme or the multihop baseline.
 
     side="proposed" uses the two-sided cooperative capacity envelope;
     side="baseline" the multihop profile, where both coefficient pairs
     coincide. Each bound selects its tau branch against its own gamma.
+    Pass the `interference` the capacity table was built with to reuse its
+    sums; it is built from (grid, params) when omitted.
     """
     if side == "proposed":
-        env = capacity_envelope(grid, params)
+        env = capacity_envelope(grid, params, interference)
     elif side == "baseline":
-        env = multihop_envelope(grid, params)
+        env = multihop_envelope(grid, params, interference)
     else:
         raise InvalidParameterError(f"side must be 'proposed' or 'baseline', got {side!r}")
     r_low, low_branch = lower_bound(env.c_lower, env.gamma_lower, pop.L, l_c,

@@ -28,7 +28,7 @@ from .analysis import (
     lower_bound,
     throughput_bounds,
 )
-from .delivery import SimConfig, report_csv_rows, simulate
+from .delivery import SimConfig, check_request_count, report_csv_rows, simulate
 from .errors import (
     CacheScaleError,
     DomainError,
@@ -38,8 +38,8 @@ from .errors import (
     SizeGuardError,
 )
 from .exact import brute_force, solve_exact
-from .hierarchy import NetworkGrid, capacity_envelope, edge_capacities
-from .phy import PhyParams, cluster_rate, exact_log4
+from .hierarchy import NetworkGrid, NetworkInterference, capacity_envelope, edge_capacities
+from .phy import PhyParams, exact_log4
 from .placement import guarantee_factor, optimize_placement, placement_document
 from .popularity import zipf_pmf
 
@@ -93,13 +93,33 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"L_C = {l_c} stores the whole library (L = {L}); nothing to optimise")
 
-    def build(self):
-        """Instantiate (grid, params, caps, pop) for this configuration."""
+    @property
+    def phy_key(self) -> tuple:
+        """The inputs of build_phy: configurations with equal keys share its outputs."""
+        return (self.m_levels, self.kappa, self.alpha, self.rc_fraction)
+
+    def build_phy(self):
+        """Instantiate (grid, params, interference, caps) for this configuration.
+
+        Building the capacity table computes the network's two interference
+        sums into `interference`; callers pass it on to the bounds.
+        """
         grid = NetworkGrid(self.m_levels, self.kappa, self.alpha)
         params = PhyParams(self.alpha, self.rc_fraction)
-        caps = edge_capacities(grid, params)
-        pop = zipf_pmf(self.library_size, self.tau)
-        return grid, params, caps, pop
+        interference = NetworkInterference(grid, params)
+        caps = edge_capacities(grid, params, interference=interference)
+        return grid, params, interference, caps
+
+    def build(self):
+        """Instantiate (grid, params, interference, caps, pop) for this configuration."""
+        return (*self.build_phy(), zipf_pmf(self.library_size, self.tau))
+
+
+# Default range of each sweep axis; its keys are the axis choices.
+_SWEEP_RANGES = {"beta2": "0.1:0.8:0.1", "tau": "0:3:0.25", "alpha": "2.5:4:0.25"}
+
+# Allowed values of the options that take a fixed set, for flags and config keys alike.
+_CHOICES = {"axis": tuple(_SWEEP_RANGES), "fmt": ("csv", "json")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,11 +164,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--rc-fraction", dest="rc_fraction", type=float, default=None,
                        help="cooperative spectral-efficiency fraction in (0, 1]")
         p.add_argument("--axis", type=str, default=None,
-                       choices=["beta2", "tau", "alpha"], help="sweep axis")
+                       choices=_CHOICES["axis"], help="sweep axis")
         p.add_argument("--range", dest="range_spec", type=str, default=None,
                        help="axis range lo:hi:step")
         p.add_argument("--format", dest="fmt", type=str, default=None,
-                       choices=["csv", "json"], help="output format")
+                       choices=_CHOICES["fmt"], help="output format")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         p.add_argument("--requests", type=int, default=None,
                        help="simulated request count")
@@ -182,9 +202,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip().replace("-", "_"), val.strip()
-            key = _CONFIG_ALIASES.get(key, key)
+            name, _, val = line.partition("=")
+            name, val = name.strip().replace("-", "_"), val.strip()
+            key = _CONFIG_ALIASES.get(name, name)
             if key not in _CONVERTERS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
             convert = _CONVERTERS[key]
@@ -193,6 +213,10 @@ def _read_config_file(path: str) -> dict:
             except ValueError as exc:
                 raise InvalidParameterError(
                     f"{path}:{lineno}: {key} expects {convert.__name__}, got {val!r}") from exc
+            choices = _CHOICES.get(key)
+            if choices is not None and val not in choices:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: {name} must be one of {', '.join(choices)}, got {val!r}")
     return values
 
 
@@ -267,10 +291,10 @@ def _parse_range(spec: str) -> list[float]:
 
 def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     cfg.validate()
-    grid, params, caps, pop = cfg.build()
+    grid, params, interference, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     outcome = optimize_placement(grid, caps, pop, l_c)
-    bounds = throughput_bounds(grid, params, pop, l_c, side="proposed")
+    bounds = throughput_bounds(grid, params, pop, l_c, interference=interference)
     bw = cfg.bandwidth_hz
     rep = outcome.report
     doc = placement_document(outcome.placement, l_c, rep.rate)
@@ -293,26 +317,42 @@ def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     return _EXIT_OK
 
 
-def _sweep_point(cfg: ExperimentConfig, axis: str, value: float) -> tuple:
-    point = replace(cfg, **{axis: value})
-    point.validate()
-    grid, params, caps, pop = point.build()
-    caps_mh = edge_capacities(grid, params, multihop_only=True)
-    l_c = point.cache_budget
-    r_prop = optimize_placement(grid, caps, pop, l_c).report.rate
-    r_mh = optimize_placement(grid, caps_mh, pop, l_c).report.rate
-    r_nocache = cluster_rate(point.n, grid, params).rate
-    bounds = throughput_bounds(grid, params, pop, l_c, side="proposed")
-    bw = point.bandwidth_hz
-    upper = bounds.r_upper * bw if bounds.r_upper is not None else None
-    return (value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper)
-
-
 def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
               fmt: str, out: str | None) -> int:
-    defaults = {"beta2": "0.1:0.8:0.1", "tau": "0:3:0.25", "alpha": "2.5:4:0.25"}
-    values = _parse_range(range_spec or defaults[axis])
-    rows = [_sweep_point(cfg, axis, v) for v in values]
+    """Tabulate the proposed, multihop and no-cache rates and the bounds along one axis.
+
+    Each point is validated on its own, in axis order. Points differ only
+    along `axis`, so a point reuses the models of the point before it when
+    their inputs are equal: the PHY side (grid, params, the network's two
+    interference sums, the full and multihop-only capacity tables) is
+    rebuilt only when `phy_key` changes, which is on the alpha axis, and
+    the Zipf model only when (L, tau) changes, which is on the tau axis.
+    R_nocache is the top level of the full table and the bounds take the
+    same interference sums. Nothing is kept beyond this call.
+    """
+    values = _parse_range(range_spec or _SWEEP_RANGES[axis])
+    rows = []
+    phy_key = pop_key = None
+    for value in values:
+        point = replace(cfg, **{axis: value})
+        point.validate()
+        if point.phy_key != phy_key:
+            grid, params, interference, caps = point.build_phy()
+            caps_mh = edge_capacities(grid, params, multihop_only=True,
+                                      interference=interference)
+            phy_key = point.phy_key
+        if (point.library_size, point.tau) != pop_key:
+            pop = None  # release the previous model before building the next
+            pop = zipf_pmf(point.library_size, point.tau)
+            pop_key = (point.library_size, point.tau)
+        l_c = point.cache_budget
+        r_prop = optimize_placement(grid, caps, pop, l_c).report.rate
+        r_mh = optimize_placement(grid, caps_mh, pop, l_c).report.rate
+        r_nocache = caps.rates[grid.M].rate
+        bounds = throughput_bounds(grid, params, pop, l_c, interference=interference)
+        bw = point.bandwidth_hz
+        upper = bounds.r_upper * bw if bounds.r_upper is not None else None
+        rows.append((value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper))
     header = ["axis_value", "R_proposed", "R_multihop_baseline", "R_nocache",
               "R_L_floor", "R_U"]
     if fmt == "json":
@@ -361,7 +401,7 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
 
 def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     cfg.validate()
-    grid, params, caps, pop = cfg.build()
+    grid, _, _, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     algo = optimize_placement(grid, caps, pop, l_c)
     exact_x, exact_rate = solve_exact(grid, caps, pop, l_c)
@@ -395,7 +435,8 @@ def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
 def cmd_simulate(cfg: ExperimentConfig, requests: int, fmt: str,
                  out: str | None) -> int:
     cfg.validate()
-    grid, params, caps, pop = cfg.build()
+    check_request_count(requests)
+    grid, _, _, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     outcome = optimize_placement(grid, caps, pop, l_c)
     report = simulate(SimConfig(grid, outcome.placement, pop, requests, cfg.seed))

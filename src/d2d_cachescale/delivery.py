@@ -18,10 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, InvariantViolationError
+from .errors import DomainError, InvalidParameterError, InvariantViolationError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector
 from .popularity import PopularityModel, tail_mass
+
+
+# Largest request count simulate accepts: it allocates four 8-byte arrays per
+# request, so the guard caps those at about 320 MB.
+MAX_REQUESTS = 10 ** 7
+
+
+def check_request_count(num_requests: int) -> None:
+    """Reject a request count simulate cannot run, before anything is allocated."""
+    if num_requests < 1:
+        raise InvalidParameterError(f"request count must be >= 1, got {num_requests!r}")
+    if num_requests > MAX_REQUESTS:
+        raise SizeGuardError(
+            f"{num_requests} requests exceed the simulation guard of {MAX_REQUESTS}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +49,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.num_requests < 1:
-            raise InvalidParameterError(
-                f"request count must be >= 1, got {self.num_requests!r}")
+        check_request_count(self.num_requests)
         if self.placement.L != self.pop.L:
             raise InvariantViolationError(
                 f"placement holds {self.placement.L} files, library has {self.pop.L}")

@@ -26,4 +26,4 @@ class BracketError(CacheScaleError):
 
 
 class SizeGuardError(CacheScaleError):
-    """An exhaustive search was requested above the instance-size guard."""
+    """A request exceeds a size guard: an exhaustive search or a simulation too large to run."""

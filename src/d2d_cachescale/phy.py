@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .hierarchy import NetworkGrid
+    from .hierarchy import NetworkGrid, NetworkInterference
 
 
 class PhyMode(enum.Enum):
@@ -139,25 +139,28 @@ def rate_multihop(n: int, params: PhyParams, p_i: float | None = None) -> float:
 
 
 def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
-                 *, multihop_only: bool = False) -> ClusterRate:
+                 interference: "NetworkInterference", *,
+                 multihop_only: bool = False) -> ClusterRate:
     """Best per-node rate for clusters of N = 4^m nodes inside the full grid.
 
     The cooperative candidate pays the average-power duty-cycle penalty
     min(N * A_c^{-alpha/2}, 1) for its cluster area A_c = N * n^{kappa-1}
     (node density is constant across the grid); the multihop candidate
     pays no area penalty. Interference is summed over the whole network,
-    not just the cluster. multihop_only=True rates the cluster as a
-    multihop-only system (the baseline capacity profile).
+    not just the cluster, so it does not depend on N: the caller computes
+    it once per (grid, params) with `hierarchy.NetworkInterference` and
+    passes the same sums for every level. multihop_only=True rates the
+    cluster as a multihop-only system (the baseline capacity profile).
     """
     m = exact_log4(N)
     if m is None or m < 1 or N > grid.n:
         raise InvalidParameterError(
             f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
-    p_i_m = interference_power(grid.n, params.snr_multihop, params.t_r_multihop, params.alpha)
+    p_i_m = interference.multihop
     r_m = rate_multihop(N, params, p_i_m)
     if multihop_only:
         return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
-    p_i_h = interference_power(grid.n, params.snr_hcoop, params.t_r_hcoop, params.alpha)
+    p_i_h = interference.hcoop
     s_star = optimal_stages(N, params, p_i_h)
     area = N * grid.n ** (grid.kappa - 1.0)
     penalty = min(N * area ** (-params.alpha / 2.0), 1.0)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from d2d_cachescale import placement_from_document
+from d2d_cachescale import cli, placement_from_document
 from d2d_cachescale.cli import main
 
 
@@ -168,6 +168,17 @@ class TestSimulate:
         assert lines[1] == "level,empirical_load,analytic_load,relative_error"
         assert len(lines) == 2 + 3
 
+    def test_request_count_above_guard(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulate ran past the request guard")
+        monkeypatch.setattr(cli, "simulate", never)
+        code, out, err = run_cli(capsys, "simulate", "--M", "3", "--l", "30", "--lc", "2.0",
+                                 "--requests", "10000000000000")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: 10000000000000 requests exceed the simulation guard")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_precedence(self, capsys, tmp_path):
@@ -197,6 +208,19 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith(f"error: {conf}:2: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, line, choices", [
+        ("sweep", "axis=foo", "beta2, tau, alpha"),
+        ("place", "format=xml", "csv, json"),
+    ])
+    def test_value_outside_choices_rejected(self, capsys, tmp_path, command, line, choices):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"# header\n{line}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(conf))
+        assert code == 3
+        assert out == ""
+        name, _, value = line.partition("=")
+        assert err == f"error: {conf}:2: {name} must be one of {choices}, got {value!r}\n"
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 from d2d_cachescale import (
     PlacementVector,
     SimConfig,
+    SizeGuardError,
     capacity_check,
     evaluate_throughput,
     file_level,
@@ -16,6 +17,7 @@ from d2d_cachescale import (
     simulate,
     zipf_pmf,
 )
+from d2d_cachescale.delivery import MAX_REQUESTS
 from conftest import caps_for
 
 
@@ -115,6 +117,14 @@ class TestSimulate:
             assert hist.shape == (4 ** (grid.M - m + 1),)
             assert hist.sum() == pytest.approx(
                 rep.empirical_load[i] * 4 ** (grid.M - m + 1))
+
+    def test_request_guard(self):
+        """The guard admits 1e7 requests and rejects one more than its limit
+        when the config is built, before any draw."""
+        assert MAX_REQUESTS >= 10 ** 7
+        grid, _, _ = caps_for(2, 0.0, 4.0)
+        with pytest.raises(SizeGuardError):
+            SimConfig(grid, PlacementVector((4, 0, 0)), zipf_pmf(4, 1.0), MAX_REQUESTS + 1, seed=1)
 
 
 class TestCapacityCheck:
