@@ -67,8 +67,13 @@ def lower_bound(c: float, gamma: float, L: int, l_c: float, M: int,
         val = c * (((e2l - L - 1.0) * 4.0 ** (-M) + l_c) / (4.0 * (e2l - 1.0))) ** gamma
         return val, "tau=1"
     if tau < gamma + 1.0:
-        ratio = (4.0 ** ((1.0 + gamma - tau) / (tau - 1.0)) - 1.0) \
-            / (4.0 ** ((gamma + tau - 1.0) / (tau - 1.0)) - 4.0)
+        a = (1.0 + gamma - tau) / (tau - 1.0)
+        try:
+            ratio = (4.0 ** a - 1.0) / (4.0 ** ((gamma + tau - 1.0) / (tau - 1.0)) - 4.0)
+        except OverflowError:
+            # Near tau = 1+ both powers overflow. Their exponents differ by
+            # exactly 2, so divide through by 4^a.
+            ratio = (1.0 - 4.0 ** -a) / (16.0 - 4.0 ** (1.0 - a))
         val = ratio ** gamma * c * l_c ** gamma * L ** (tau - 1.0 - gamma) / tau
         return val, "1<tau<gamma+1"
     if tau == gamma + 1.0:
@@ -76,7 +81,11 @@ def lower_bound(c: float, gamma: float, L: int, l_c: float, M: int,
         return val, "tau=gamma+1"
     q = 4.0 ** ((gamma + 1.0 - tau) / (tau - 1.0))
     denom = 3.0 * tau ** (1.0 / (tau - 1.0)) * q / (1.0 - q) + 4.0 * tau ** (1.0 / gamma)
-    val = c * l_c ** (tau - 1.0) / denom ** (tau - 1.0)
+    try:
+        val = c * l_c ** (tau - 1.0) / denom ** (tau - 1.0)
+    except OverflowError:
+        # For large tau the two powers overflow separately; their ratio does not.
+        val = c * (l_c / denom) ** (tau - 1.0)
     return val, "tau>gamma+1"
 
 

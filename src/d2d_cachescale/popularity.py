@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
+
+
+# Ranks per chunk of the Zipf build: the scratch (two float64 and one
+# extended-precision buffer of this length, about 1 MiB) stays in cache.
+CHUNK_RANKS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -24,46 +30,91 @@ class PopularityModel:
     """Truncated Zipf popularity over ranks 1..L.
 
     pmf[l] is the request probability of rank l (pmf[0] is unused and 0).
-    prefix_mass[k] is the mass of ranks 1..k, suffix_mass[k] the mass of
-    ranks k+1..L; prefix_mass[0] = 0 and prefix_mass[L] = 1 exactly.
-    Arrays are read-only so instances can be shared between callers.
+    suffix_mass[k] is the mass of ranks k+1..L and prefix_mass[k] the mass
+    of ranks 1..k; prefix_mass[0] = 0 and prefix_mass[L] = 1 exactly.
+    prefix_mass is computed on first use, as 1 - suffix_mass, and cached on
+    the instance: only the simulator's draws read it, so the solvers and
+    bounds never pay its 8 bytes per rank. Arrays are read-only so
+    instances can be shared between callers.
     """
 
     L: int
     tau: float
     z: float
     pmf: np.ndarray
-    prefix_mass: np.ndarray
     suffix_mass: np.ndarray
+
+    @cached_property
+    def prefix_mass(self) -> np.ndarray:
+        prefix = 1.0 - self.suffix_mass
+        prefix.setflags(write=False)
+        return prefix
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:
     """Build the Zipf model p_l = l^{-tau} / Z_tau(L) over ranks 1..L.
 
-    Normalisation and cumulative masses are accumulated in extended
-    precision, summing the largest terms first, so prefix/suffix masses
-    stay within 1e-12 of exact for L up to 1e7.
+    Normalisation and suffix masses are accumulated in extended precision,
+    summing from the tail (smallest terms first), so suffix masses stay
+    within 1e-12 of exact for L up to 1e7.
+
+    The build holds only the two returned float64 arrays plus one chunk of
+    CHUNK_RANKS ranks of scratch. Pass 1 walks the chunks from the tail
+    end, writes each chunk's weights into pmf, and accumulates them onto
+    the carry (the extended-precision sum of all later ranks), recording
+    the carry each chunk starts from; the last carry is Z. Pass 2
+    re-accumulates each chunk from its recorded carry, divides by Z and
+    writes suffix_mass, then divides the chunk's weights by Z in place.
+    Extended-precision accumulation is strictly sequential, so seeding
+    each chunk with its carry reproduces one cumulative sum over all L
+    ranks term for term: the result is bit-identical to building every
+    array at full length.
     """
     if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 1:
         raise InvalidParameterError(f"file count must be a positive integer, got {L!r}")
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau < 0:
         raise InvalidParameterError(f"skewness must be a finite real >= 0, got {tau!r}")
-    ranks = np.arange(1, L + 1, dtype=np.float64)
-    weights = ranks ** (-float(tau))
-    w_ext = weights.astype(np.longdouble)
-    tail = np.cumsum(w_ext[::-1])[::-1]  # tail[i] = sum of weights[i:]
-    z = tail[0]
-    pmf = np.zeros(L + 1)
-    pmf[1:] = (w_ext / z).astype(np.float64)
-    suffix = np.zeros(L + 1)
-    suffix[:L] = (tail / z).astype(np.float64)
-    prefix = 1.0 - suffix
-    for arr in (pmf, prefix, suffix):
-        arr.setflags(write=False)
-    return PopularityModel(
-        L=int(L), tau=float(tau), z=float(z),
-        pmf=pmf, prefix_mass=prefix, suffix_mass=suffix,
-    )
+    L = int(L)
+    pmf = np.empty(L + 1)
+    suffix = np.empty(L + 1)
+    pmf[0] = suffix[L] = 0.0
+    acc = np.empty(min(L, CHUNK_RANKS) + 1, dtype=np.longdouble)
+    # Chunk (lo, hi] holds ranks lo+1..hi: pmf[lo+1:hi+1] and suffix[lo:hi].
+    chunks = []
+    carry = np.longdouble(0.0)
+    for hi in range(L, 0, -CHUNK_RANKS):
+        lo = max(hi - CHUNK_RANKS, 0)
+        ranks = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        pmf[lo + 1:hi + 1] = ranks ** (-float(tau))
+        chunks.append((lo, hi, carry))
+        carry = _accumulate(acc, carry, pmf, lo, hi)[-1]
+    z = carry
+    for lo, hi, carry in chunks:
+        run = _accumulate(acc, carry, pmf, lo, hi)
+        run /= z
+        suffix[lo:hi] = run[::-1]
+        scaled = acc[:hi - lo]
+        scaled[:] = pmf[lo + 1:hi + 1]
+        scaled /= z
+        pmf[lo + 1:hi + 1] = scaled
+    pmf.setflags(write=False)
+    suffix.setflags(write=False)
+    return PopularityModel(L=L, tau=float(tau), z=float(z), pmf=pmf, suffix_mass=suffix)
+
+
+def _accumulate(acc: np.ndarray, carry: np.longdouble, pmf: np.ndarray,
+                lo: int, hi: int) -> np.ndarray:
+    """Running tail sums of the chunk's weights, seeded with `carry`.
+
+    Returns a view of `acc` whose entry j is the sum of the weights of
+    ranks hi-j..L, for j = 0..hi-lo-1: the chunk's tail sums in reverse
+    rank order.
+    """
+    run = acc[:hi - lo + 1]
+    run[0] = carry
+    run[1:] = pmf[hi:lo:-1]
+    np.add.accumulate(run, out=run)
+    return run[1:]
 
 
 def tail_mass(model: PopularityModel, x: float) -> float:

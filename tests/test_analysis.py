@@ -46,6 +46,27 @@ class TestBoundFormulas:
         expected = (3 * math.log(L, 4) + 4) ** -g * (c / 1.25) * lc ** 0.25
         assert val == pytest.approx(expected, rel=1e-14)
 
+    def test_near_one_overflow_uses_rearranged_ratio(self):
+        """Just above tau = 1 both powers of 4 overflow; the bound stays
+        finite and continues the direct form across the switch point."""
+        c, g, L, lc, M = 0.02, 0.25, 4096, 10.0, 6
+        for tau in (1.0 + 1e-4, 1.0 + 1e-9, math.nextafter(1.0, 2.0)):
+            val, branch = lower_bound(c, g, L, lc, M, tau)
+            assert branch == "1<tau<gamma+1"
+            assert math.isfinite(val) and val > 0.0
+        # 4^((g + tau - 1)/(tau - 1)) overflows once that exponent passes 512.
+        switch = 1.0 + g / (512.0 - 1.0)
+        direct, _ = lower_bound(c, g, L, lc, M, switch * (1 + 1e-9))
+        rearranged, _ = lower_bound(c, g, L, lc, M, switch * (1 - 1e-9))
+        assert rearranged == pytest.approx(direct, rel=1e-6)
+
+    def test_large_tau_overflow_gives_finite_bound(self):
+        c, g, L, lc, M = 0.02, 0.25, 4096, 10.0, 6
+        for tau in (60.0, 200.0, 1000.0):
+            val, branch = lower_bound(c, g, L, lc, M, tau)
+            assert branch == "tau>gamma+1"
+            assert math.isfinite(val) and val >= 0.0
+
     def test_upper_inapplicable_marker(self):
         """Small libraries can push the mid-branch denominator negative."""
         val, branch = upper_bound(1.0, 0.5, 4, 1.5, 2, 1.4)

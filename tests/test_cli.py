@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, formats, exit codes, config precedence."""
 
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,16 @@ class TestPlace:
         assert out == ""
         assert err == f"error: node count must be a power of 4, got {n}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tau", ["1.0001", "60"])
+    def test_extreme_skewness_has_finite_bounds(self, capsys, tau):
+        """The lower-bound powers overflow separately near tau = 1+ and at
+        large tau; the bound stays a finite number."""
+        code, out, err = run_cli(capsys, "place", "--tau", tau)
+        assert code == 0
+        assert "Traceback" not in err
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert math.isfinite(float(lines["lower_bound_floor_bits_per_s_hz"]))
 
     def test_node_count_flag_matches_depth_flag(self, capsys):
         _, by_n, _ = run_cli(capsys, "place", "--n", "256", "--l", "20", "--lc", "2.0")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,44 @@ import pytest
 from d2d_cachescale import (
     DomainError,
     InvalidParameterError,
+    SimConfig,
+    optimize_placement,
+    simulate,
+    solve_exact,
     tail_inverse,
     tail_inverse_bounds,
     tail_mass,
     zipf_pmf,
 )
+from d2d_cachescale.popularity import CHUNK_RANKS
+from conftest import caps_for
+
+
+def dense_zipf(L, tau):
+    """Reference build: every array at full length, one cumulative sum.
+
+    Returns (z, pmf, suffix_mass, prefix_mass); zipf_pmf must reproduce
+    each of them bit for bit.
+    """
+    ranks = np.arange(1, L + 1, dtype=np.float64)
+    weights = ranks ** (-float(tau))
+    w_ext = weights.astype(np.longdouble)
+    tail = np.cumsum(w_ext[::-1])[::-1]  # tail[i] = sum of weights[i:]
+    z = tail[0]
+    pmf = np.zeros(L + 1)
+    pmf[1:] = (w_ext / z).astype(np.float64)
+    suffix = np.zeros(L + 1)
+    suffix[:L] = (tail / z).astype(np.float64)
+    return float(z), pmf, suffix, 1.0 - suffix
+
+
+def assert_matches_dense(L, tau):
+    z, pmf, suffix, prefix = dense_zipf(L, tau)
+    pop = zipf_pmf(L, tau)
+    assert pop.z == z
+    assert pop.pmf.tobytes() == pmf.tobytes()
+    assert pop.suffix_mass.tobytes() == suffix.tobytes()
+    assert pop.prefix_mass.tobytes() == prefix.tobytes()
 
 
 class TestZipfPmf:
@@ -56,6 +90,43 @@ class TestZipfPmf:
             lo, hi = zipf_pmf(L, t_lo), zipf_pmf(L, t_hi)
             for k in range(1, L):
                 assert hi.prefix_mass[k] > lo.prefix_mass[k]
+
+
+class TestChunkedBuild:
+    B = CHUNK_RANKS
+
+    @pytest.mark.parametrize("L", [1, 2, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0, 1.5, 2.5])
+    def test_bit_identical_to_dense_build(self, L, tau):
+        """Every chunk edge, and the exponents numpy's ** serves by fast paths."""
+        assert_matches_dense(L, tau)
+
+    def test_peak_memory_per_rank(self):
+        """Only pmf and suffix_mass (16 B/rank) plus one chunk of scratch;
+        the dense build peaks at 88 B/rank."""
+        L = 2 ** 20
+        tracemalloc.start()
+        try:
+            zipf_pmf(L, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / L <= 20.0
+
+    def test_arrays_read_only(self):
+        pop = zipf_pmf(10, 1.0)
+        for arr in (pop.pmf, pop.suffix_mass, pop.prefix_mass):
+            assert not arr.flags.writeable
+
+    def test_prefix_mass_built_only_by_the_simulator(self):
+        grid, _, caps = caps_for(5, 0.0, 4.0)
+        pop = zipf_pmf(300, 1.0)
+        outcome = optimize_placement(grid, caps, pop, 8.0)
+        solve_exact(grid, caps, pop, 8.0)
+        assert "prefix_mass" not in pop.__dict__
+        simulate(SimConfig(grid, outcome.placement, pop, 1000, seed=3))
+        assert "prefix_mass" in pop.__dict__
+        assert not pop.prefix_mass.flags.writeable
 
 
 class TestTailMass:
