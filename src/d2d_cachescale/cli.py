@@ -8,7 +8,8 @@ simulation). Output is versioned CSV (default) or JSON; every command is
 deterministic given its flags and seed.
 
 Config precedence: CLI flags override config-file keys override defaults.
-The config file is flat ``key=value`` text using the long flag names.
+The config file is flat ``key=value`` text; a key is a flag name without
+its dashes or the option's dest (see `_OPTIONS`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import SCHEMA_VERSION
 from .analysis import (
@@ -118,8 +120,49 @@ class ExperimentConfig:
 # Default range of each sweep axis; its keys are the axis choices.
 _SWEEP_RANGES = {"beta2": "0.1:0.8:0.1", "tau": "0:3:0.25", "alpha": "2.5:4:0.25"}
 
-# Allowed values of the options that take a fixed set, for flags and config keys alike.
-_CHOICES = {"axis": tuple(_SWEEP_RANGES), "fmt": ("csv", "json")}
+# Largest number of points a --range may ask for; the default ranges have at most 61.
+_MAX_RANGE_POINTS = 10_000
+
+
+class _Option(NamedTuple):
+    """One option, for the flag and the config-file key alike."""
+
+    flag: str
+    dest: str
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every option but --config. A config-file key is a dest or a flag name
+# without its dashes, with '-' read as '_'.
+_OPTIONS = (
+    _Option("--M", "m_levels", int, 9, "hierarchy depth (n = 4^M)"),
+    _Option("--n", "n", int, None, "node count (must be a power of 4)"),
+    _Option("--kappa", "kappa", float, 0.0, "area exponent"),
+    _Option("--alpha", "alpha", float, 4.0, "path loss exponent"),
+    _Option("--beta1", "beta1", float, 0.9, "library growth order"),
+    _Option("--beta2", "beta2", float, 0.3, "cache growth order"),
+    _Option("--a1", "a1", float, 1.0, "library coefficient"),
+    _Option("--a2", "a2", float, 1.0, "cache coefficient"),
+    _Option("--tau", "tau", float, 1.0, "popularity skewness"),
+    _Option("--l", "l", int, None, "explicit library size (overrides a1 n^beta1)"),
+    _Option("--lc", "lc", float, None, "explicit cache budget (overrides a2 n^beta2)"),
+    _Option("--bandwidth-hz", "bandwidth_hz", float, 1.0,
+            "multiply rates by this bandwidth (default 1: bit/s/Hz)"),
+    _Option("--seed", "seed", int, 12345, "RNG seed"),
+    _Option("--rc-fraction", "rc_fraction", float, 1.0,
+            "cooperative spectral-efficiency fraction in (0, 1]"),
+    _Option("--axis", "axis", str, "beta2", "sweep axis", tuple(_SWEEP_RANGES)),
+    _Option("--range", "range_spec", str, None, "axis range lo:hi:step"),
+    _Option("--format", "fmt", str, "csv", "output format", ("csv", "json")),
+    _Option("--out", "out", str, None, "output path (default stdout)"),
+    _Option("--requests", "requests", int, 100000, "simulated request count"),
+)
+
+_CONFIG_KEYS = {key: opt for opt in _OPTIONS
+                for key in (opt.dest, opt.flag.lstrip("-").replace("-", "_"))}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,53 +186,11 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", type=str, default=None,
                        help="flat key=value config file")
-        p.add_argument("--M", dest="m_levels", type=int, default=None,
-                       help="hierarchy depth (n = 4^M)")
-        p.add_argument("--n", dest="n", type=int, default=None,
-                       help="node count (must be a power of 4)")
-        p.add_argument("--kappa", type=float, default=None, help="area exponent")
-        p.add_argument("--alpha", type=float, default=None, help="path loss exponent")
-        p.add_argument("--beta1", type=float, default=None, help="library growth order")
-        p.add_argument("--beta2", type=float, default=None, help="cache growth order")
-        p.add_argument("--a1", type=float, default=None, help="library coefficient")
-        p.add_argument("--a2", type=float, default=None, help="cache coefficient")
-        p.add_argument("--tau", type=float, default=None, help="popularity skewness")
-        p.add_argument("--l", dest="l", type=int, default=None,
-                       help="explicit library size (overrides a1 n^beta1)")
-        p.add_argument("--lc", dest="lc", type=float, default=None,
-                       help="explicit cache budget (overrides a2 n^beta2)")
-        p.add_argument("--bandwidth-hz", dest="bandwidth_hz", type=float, default=None,
-                       help="multiply rates by this bandwidth (default 1: bit/s/Hz)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--rc-fraction", dest="rc_fraction", type=float, default=None,
-                       help="cooperative spectral-efficiency fraction in (0, 1]")
-        p.add_argument("--axis", type=str, default=None,
-                       choices=_CHOICES["axis"], help="sweep axis")
-        p.add_argument("--range", dest="range_spec", type=str, default=None,
-                       help="axis range lo:hi:step")
-        p.add_argument("--format", dest="fmt", type=str, default=None,
-                       choices=_CHOICES["fmt"], help="output format")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--requests", type=int, default=None,
-                       help="simulated request count")
+        # default None: an unset flag must not override a config-file key
+        for opt in _OPTIONS:
+            p.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=None,
+                           choices=opt.choices, help=opt.help)
     return parser
-
-
-_DEFAULTS = {
-    "m_levels": 9, "kappa": 0.0, "alpha": 4.0, "beta1": 0.9, "beta2": 0.3,
-    "a1": 1.0, "a2": 1.0, "tau": 1.0, "bandwidth_hz": 1.0, "seed": 12345,
-    "rc_fraction": 1.0, "l": None, "lc": None, "axis": "beta2",
-    "range_spec": None, "fmt": "csv", "out": None, "requests": 100000,
-}
-
-_CONVERTERS = {
-    "m_levels": int, "n": int, "kappa": float, "alpha": float, "beta1": float,
-    "beta2": float, "a1": float, "a2": float, "tau": float, "l": int,
-    "lc": float, "bandwidth_hz": float, "seed": int, "rc_fraction": float,
-    "axis": str, "range_spec": str, "fmt": str, "out": str, "requests": int,
-}
-
-_CONFIG_ALIASES = {"M": "m_levels", "range": "range_spec", "format": "fmt"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -204,34 +205,40 @@ def _read_config_file(path: str) -> dict:
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             name, _, val = line.partition("=")
             name, val = name.strip().replace("-", "_"), val.strip()
-            key = _CONFIG_ALIASES.get(name, name)
-            if key not in _CONVERTERS:
-                raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            convert = _CONVERTERS[key]
+            opt = _CONFIG_KEYS.get(name)
+            if opt is None:
+                raise InvalidParameterError(f"{path}:{lineno}: unknown key {name!r}")
             try:
-                values[key] = convert(val)
+                values[opt.dest] = opt.type(val)
             except ValueError as exc:
                 raise InvalidParameterError(
-                    f"{path}:{lineno}: {key} expects {convert.__name__}, got {val!r}") from exc
-            choices = _CHOICES.get(key)
-            if choices is not None and val not in choices:
+                    f"{path}:{lineno}: {opt.dest} expects {opt.type.__name__}, "
+                    f"got {val!r}") from exc
+            if opt.choices is not None and val not in opt.choices:
                 raise InvalidParameterError(
-                    f"{path}:{lineno}: {name} must be one of {', '.join(choices)}, got {val!r}")
+                    f"{path}:{lineno}: {name} must be one of {', '.join(opt.choices)}, "
+                    f"got {val!r}")
     return values
 
 
 def _resolve(args, overrides: dict | None = None):
     """Apply CLI > config-file > defaults precedence and build the config."""
     fileconf = _read_config_file(args.config) if args.config else {}
-    merged = dict(_DEFAULTS)
+    merged = {opt.dest: opt.default for opt in _OPTIONS}
     if overrides:
         merged.update(overrides)
     merged.update(fileconf)
-    for key in _CONVERTERS:
-        cli_val = getattr(args, key, None)
+    for opt in _OPTIONS:
+        cli_val = getattr(args, opt.dest, None)
         if cli_val is not None:
-            merged[key] = cli_val
-    n = merged.get("n")
+            merged[opt.dest] = cli_val
+    for opt in _OPTIONS:
+        value = merged[opt.dest]
+        if opt.type is float and value is not None and not math.isfinite(value):
+            raise InvalidParameterError(f"{opt.flag} must be finite, got {value!r}")
+    if merged["seed"] < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {merged['seed']}")
+    n = merged["n"]
     if n is not None:
         m = exact_log4(n)
         if m is None:
@@ -256,18 +263,15 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit_csv(header: list[str], rows: list[tuple], out: str | None) -> None:
-    lines = [f"# {SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    _write("\n".join(lines) + "\n", out)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _write(json.dumps(payload, indent=2) + "\n", out)
-
-
-def _write(text: str, out: str | None) -> None:
+def _emit(fmt: str, out: str | None, header: list[str], rows: list[tuple],
+          doc: dict) -> None:
+    """Write `rows` under `header` as versioned CSV, or `doc` as versioned JSON."""
+    if fmt == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+    else:
+        lines = [f"# {SCHEMA_VERSION}", ",".join(header)]
+        lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
+        text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -283,10 +287,15 @@ def _parse_range(spec: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InvalidParameterError(f"range must be numeric lo:hi:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InvalidParameterError(f"range must be finite lo:hi:step, got {spec!r}")
     if step <= 0 or hi < lo:
         raise InvalidParameterError(f"range needs step > 0 and hi >= lo, got {spec!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_RANGE_POINTS:  # `not <` also catches a span that overflows to inf
+        raise SizeGuardError(
+            f"range {spec!r} exceeds the guard of {_MAX_RANGE_POINTS} points")
+    return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
 def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
@@ -308,12 +317,8 @@ def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
         "lower_bound_floor_bits_per_s_hz": bounds.floor,
         "upper_bound_bits_per_s_hz": bounds.r_upper,
     })
-    if fmt == "json":
-        _emit_json(doc, out)
-    else:
-        rows = [(k, ";".join(str(v) for v in doc["x"]) if k == "x" else doc[k])
-                for k in doc]
-        _emit_csv(["key", "value"], rows, out)
+    rows = [(k, ";".join(str(v) for v in doc["x"]) if k == "x" else doc[k]) for k in doc]
+    _emit(fmt, out, ["key", "value"], rows, doc)
     return _EXIT_OK
 
 
@@ -355,11 +360,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
         rows.append((value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper))
     header = ["axis_value", "R_proposed", "R_multihop_baseline", "R_nocache",
               "R_L_floor", "R_U"]
-    if fmt == "json":
-        _emit_json({"axis": axis, "columns": header,
-                    "rows": [list(r) for r in rows]}, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(fmt, out, header, rows, {"axis": axis, "columns": header, "rows": rows})
     return _EXIT_OK
 
 
@@ -392,10 +393,7 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
             rows.append(("lower_bound", t, n, None, None, None, val, None, None, None))
     header = ["record", "tau", "n", "achievable", "baseline", "converse",
               "lower_bound", "tau_a", "tau_b_proposed", "tau_b_baseline"]
-    if fmt == "json":
-        _emit_json({"columns": header, "rows": [list(r) for r in rows]}, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(fmt, out, header, rows, {"columns": header, "rows": rows})
     return _EXIT_OK
 
 
@@ -413,11 +411,8 @@ def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
         ("brute_force", brute_rate, ";".join(map(str, brute_x.x))),
         ("brute_floor", brute_rate * factor, ""),
     ]
-    if fmt == "json":
-        _emit_json({"columns": ["scheme", "rate_bits_per_s_hz", "x"],
-                    "rows": [list(r) for r in rows]}, out)
-    else:
-        _emit_csv(["scheme", "rate_bits_per_s_hz", "x"], rows, out)
+    header = ["scheme", "rate_bits_per_s_hz", "x"]
+    _emit(fmt, out, header, rows, {"columns": header, "rows": rows})
     violations = []
     if exact_rate != brute_rate:
         violations.append(f"exact rate {exact_rate} != brute-force rate {brute_rate}")
@@ -442,11 +437,8 @@ def cmd_simulate(cfg: ExperimentConfig, requests: int, fmt: str,
     report = simulate(SimConfig(grid, outcome.placement, pop, requests, cfg.seed))
     rows = report_csv_rows(report)
     header = ["level", "empirical_load", "analytic_load", "relative_error"]
-    if fmt == "json":
-        _emit_json({"columns": header, "rows": [list(r) for r in rows],
-                    "local_hit_fraction": report.local_hit_fraction}, out)
-    else:
-        _emit_csv(header, rows, out)
+    _emit(fmt, out, header, rows, {"columns": header, "rows": rows,
+                                   "local_hit_fraction": report.local_hit_fraction})
     return _EXIT_OK
 
 

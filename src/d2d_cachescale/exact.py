@@ -14,6 +14,7 @@ that machinery and serves as the oracle for it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,8 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
         if L * 4.0 ** (-m_b) > l_c + 1e-12:
             continue  # even the top-heavy placement cannot fit
         lo = 0.0
-        hi = caps.cbar[1] / (m_b * float(pop.pmf[L]))
+        # min: when pmf[L] is subnormal the quotient overflows to inf
+        hi = min(caps.cbar[1] / (m_b * float(pop.pmf[L])), sys.float_info.max)
         tol = 1e-12 * caps.cbar[1]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError, InvalidParameterError
-from .phy import ClusterRate, PhyMode, PhyParams, cluster_rate, interference_power
+from .phy import ClusterRate, PhyParams, cluster_rate, interference_power
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,6 @@ class LevelCapacities:
 
     M: int
     cbar: tuple[float, ...]
-    modes: tuple[PhyMode | None, ...]
     rates: tuple[ClusterRate | None, ...]
 
     def cm(self, m: int, m_b: int) -> float:
@@ -155,8 +154,7 @@ def edge_capacities(grid: NetworkGrid, params: PhyParams, *, multihop_only: bool
         rates.append(cluster_rate(4 ** m, grid, params, interference,
                                   multihop_only=multihop_only))
     cbar = (math.inf,) + tuple(4.0 * r.rate / 3.0 for r in rates[1:])
-    modes = (None,) + tuple(r.mode for r in rates[1:])
-    return LevelCapacities(M=grid.M, cbar=cbar, modes=modes, rates=tuple(rates))
+    return LevelCapacities(M=grid.M, cbar=cbar, rates=tuple(rates))
 
 
 @dataclass(frozen=True)

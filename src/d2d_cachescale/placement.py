@@ -49,11 +49,7 @@ class PlacementVector:
     @property
     def m_b(self) -> int:
         """Highest occupied level (0 when everything is cached locally)."""
-        top = 0
-        for m, v in enumerate(self.x):
-            if v:
-                top = m
-        return top
+        return _highest_occupied(self.x)
 
     def prefix(self, m: int) -> int:
         """Number of files cached strictly below level m."""
@@ -61,7 +57,7 @@ class PlacementVector:
 
     def cache_load(self) -> float:
         """Per-node cache usage in file-size units: sum_m x_m 4^{-m}."""
-        return math.fsum(v * 4.0 ** (-m) for m, v in enumerate(self.x))
+        return _load(self.x)
 
     def validate(self, L: int, l_c: float) -> None:
         """Raise unless the vector places exactly L files within budget l_c."""
@@ -332,8 +328,7 @@ def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
     cap = caps.cbar[sol.m_star]
     res.append(max(0.0, (sol.r_star - cap) / cap) if math.isfinite(cap) else 0.0)
     res.append(abs(math.fsum(sol.x_star) - L) / L)
-    load = math.fsum(v * 4.0 ** (-m) for m, v in enumerate(sol.x_star))
-    res.append(abs(load - l_c) / l_c)
+    res.append(abs(_load(sol.x_star) - l_c) / l_c)
     return res
 
 
@@ -406,7 +401,8 @@ def rebalance(x: PlacementVector, caps: LevelCapacities, pop: PopularityModel,
     raise InvariantViolationError("rebalance failed to terminate within its iteration cap")
 
 
-def _highest_occupied(xs: list[int]) -> int:
+def _highest_occupied(xs) -> int:
+    """Highest level m with xs[m] > 0 (0 when there is none)."""
     top = 0
     for m, v in enumerate(xs):
         if v:
@@ -421,7 +417,8 @@ def _lowest_multi(xs: list[int]) -> int | None:
     return None
 
 
-def _load(xs: list[int]) -> float:
+def _load(xs) -> float:
+    """Per-node cache usage sum_m xs[m] 4^{-m} of (possibly fractional) occupancies."""
     return math.fsum(v * 4.0 ** (-m) for m, v in enumerate(xs))
 
 
@@ -441,13 +438,21 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
 
 def guarantee_factor(M: int, tau: float) -> float:
     """Rounding guarantee 1 / (M (1 + 2^tau)): the fraction of the relaxed
-    optimum that the integer placement provably keeps."""
-    return 1.0 / (M * (1.0 + 2.0 ** tau))
+    optimum that the integer placement provably keeps; 0.0 once 2^tau
+    overflows."""
+    try:
+        return 1.0 / (M * (1.0 + 2.0 ** tau))
+    except OverflowError:
+        return 0.0
 
 
 def guarantee_floor(r_star: float, M: int, tau: float) -> float:
-    """Provable fraction of the relaxed optimum that rounding preserves."""
-    return r_star / (M * (1.0 + 2.0 ** tau))
+    """Provable fraction of the relaxed optimum that rounding preserves;
+    0.0 once 2^tau overflows."""
+    try:
+        return r_star / (M * (1.0 + 2.0 ** tau))
+    except OverflowError:
+        return 0.0
 
 
 def optimize_placement(grid: NetworkGrid, caps: LevelCapacities,

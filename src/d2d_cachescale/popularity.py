@@ -69,6 +69,10 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     each chunk with its carry reproduces one cumulative sum over all L
     ranks term for term: the result is bit-identical to building every
     array at full length.
+
+    Raises DomainError when the probability of rank L rounds to 0.0 (large
+    tau): the solvers invert the tail mass, which must decrease strictly
+    over every rank.
     """
     if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 1:
         raise InvalidParameterError(f"file count must be a positive integer, got {L!r}")
@@ -97,6 +101,9 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
         scaled[:] = pmf[lo + 1:hi + 1]
         scaled /= z
         pmf[lo + 1:hi + 1] = scaled
+    if pmf[L] == 0.0:
+        raise DomainError(
+            f"skewness {tau!r} leaves rank L = {L} with zero probability in double precision")
     pmf.setflags(write=False)
     suffix.setflags(write=False)
     return PopularityModel(L=L, tau=float(tau), z=float(z), pmf=pmf, suffix_mass=suffix)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from d2d_cachescale import cli, placement_from_document
-from d2d_cachescale.cli import main
+from d2d_cachescale import InvalidParameterError, SizeGuardError, cli, placement_from_document
+from d2d_cachescale.cli import _OPTIONS, _parse_range, _read_config_file, main
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +46,6 @@ class TestPlace:
     def test_pinned_dense_grid_point(self, capsys):
         """n=4^9, beta1=0.9, beta2=0.3, tau=1, alpha=4 at 200 MHz: frozen
         after the first verified run."""
-        from pathlib import Path
         code, out, _ = run_cli(capsys, "place", "--M", "9", "--alpha", "4",
                                "--beta1", "0.9", "--beta2", "0.3", "--tau", "1",
                                "--bandwidth-hz", "2e8", "--format", "json")
@@ -189,6 +190,122 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: 10000000000000 requests exceed the simulation guard")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv, conf, message", [
+        (("place", "--lc", "nan"), None, "--lc must be finite, got nan"),
+        (("place", "--beta2", "nan"), None, "--beta2 must be finite, got nan"),
+        (("place", "--kappa", "inf"), None, "--kappa must be finite, got inf"),
+        (("place", "--tau=-inf"), None, "--tau must be finite, got -inf"),
+        (("sweep", "--alpha", "inf"), None, "--alpha must be finite, got inf"),
+        (("simulate", "--seed", "-1"), None, "--seed must be >= 0, got -1"),
+        (("place",), "kappa=inf", "--kappa must be finite, got inf"),
+        (("place",), "bandwidth-hz=nan", "--bandwidth-hz must be finite, got nan"),
+        (("oracle",), "lc=-inf", "--lc must be finite, got -inf"),
+        (("simulate",), "seed=-3", "--seed must be >= 0, got -3"),
+    ])
+    def test_non_finite_or_negative_seed_rejected(self, capsys, monkeypatch, tmp_path,
+                                                  argv, conf, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a model was built from a rejected input")
+        monkeypatch.setattr(cli, "zipf_pmf", never)
+        if conf is not None:
+            path = tmp_path / "bad.conf"
+            path.write_text(conf + "\n")
+            argv = (*argv, "--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_zero_probability_rank_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "place", "--tau", "200")
+        assert code == 3 and out == ""
+        assert err.startswith("error: skewness 200.0 leaves rank L = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        code, out, err = run_cli(capsys, "sweep", "--M", "5", "--axis", "tau",
+                                 "--range", "0:300:100")
+        assert code == 3 and out == "" and "zero probability" in err
+
+    @pytest.mark.parametrize("tau", ["355", "358"])
+    def test_oracle_agrees_with_subnormal_last_rank(self, capsys, tau):
+        code, out, err = run_cli(capsys, "oracle", "--M", "2", "--l", "8",
+                                 "--lc", "1.0", "--tau", tau)
+        assert code == 0 and err == ""
+        rows = dict((r.split(",")[0], r.split(",")[1]) for r in out.splitlines()[2:])
+        assert rows["exact"] == rows["brute_force"]
+
+    def test_guarantee_floor_past_overflow(self, capsys):
+        code, out, err = run_cli(capsys, "place", "--M", "1", "--l", "1",
+                                 "--lc", "0.5", "--tau", "1200")
+        assert code == 0 and err == ""
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert lines["guarantee_floor_bits_per_s_hz"] == "0.0"
+
+
+class TestRange:
+    def test_guard_counts_points(self):
+        values = _parse_range("0:9999:1")
+        assert len(values) == 10000 and values[-1] == 9999.0
+        assert len(_parse_range("0:3:0.05")) == 61
+        for spec in ("0:10000:1", "0:1e9:1e-9", "-1e308:1e308:1e-300"):
+            with pytest.raises(SizeGuardError, match="guard of 10000 points"):
+                _parse_range(spec)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:1e9:1e-9", "error: range '0:1e9:1e-9' exceeds the guard of 10000 points\n"),
+        ("0:inf:1", "error: range must be finite lo:hi:step, got '0:inf:1'\n"),
+        ("nan:1:1", "error: range must be finite lo:hi:step, got 'nan:1:1'\n"),
+    ])
+    def test_bad_range_exits_3_before_any_work(self, capsys, monkeypatch, spec, message):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep ran past the range check")
+        monkeypatch.setattr(cli, "zipf_pmf", never)
+        code, out, err = run_cli(capsys, "sweep", "--M", "3", "--range", spec)
+        assert code == 3 and out == ""
+        assert err == message
+
+
+class TestOptionTable:
+    # Dests and flag names without dashes ('-' read as '_').
+    CONFIG_KEYS = {
+        "m_levels", "M", "n", "kappa", "alpha", "beta1", "beta2", "a1", "a2", "tau",
+        "l", "lc", "bandwidth_hz", "seed", "rc_fraction", "axis", "range_spec",
+        "range", "fmt", "format", "out", "requests",
+    }
+
+    def test_config_keys_are_dests_and_flag_names(self, tmp_path):
+        assert set(cli._CONFIG_KEYS) == self.CONFIG_KEYS
+        values = {"axis": "tau", "fmt": "json", "range_spec": "0:1:1", "out": "x.csv"}
+        for key in self.CONFIG_KEYS | {"bandwidth-hz", "rc-fraction", "range-spec"}:
+            opt = cli._CONFIG_KEYS[key.replace("-", "_")]
+            path = tmp_path / "ok.conf"
+            path.write_text(f"{key}={values.get(opt.dest, '2')}\n")
+            assert list(_read_config_file(str(path))) == [opt.dest]
+        for key in ("config", "m", "Format", "command", "help"):
+            path = tmp_path / "bad.conf"
+            path.write_text(f"{key}=1\n")
+            with pytest.raises(InvalidParameterError, match="unknown key"):
+                _read_config_file(str(path))
+
+    def test_every_flag_in_readme(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        common = readme[readme.index("Common flags:"):]
+        common = common[:common.index("\n\n")]
+        for flag in [opt.flag for opt in _OPTIONS] + ["--config"]:
+            assert re.search(f"`{re.escape(flag)}[` /]", common), flag
+
+    def test_json_and_csv_carry_the_same_rows(self, capsys):
+        argv = ("sweep", "--M", "3", "--axis", "tau", "--range", "0:1:0.5")
+        _, csv_out, _ = run_cli(capsys, *argv)
+        _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        doc = json.loads(json_out)
+        lines = csv_out.splitlines()
+        assert lines[0] == f"# {doc['schema_version']}"
+        assert lines[1].split(",") == doc["columns"]
+        assert [line.split(",") for line in lines[2:]] == [
+            [cli._fmt_cell(v) for v in row] for row in doc["rows"]]
 
 
 class TestConfigFile:

@@ -127,6 +127,19 @@ class TestSolveExactVsBruteForce:
         assert x.x == (0, 2)
         assert rate == pytest.approx(caps.cbar[1], rel=1e-15)
 
+    @pytest.mark.parametrize("tau", [355.0, 358.0])
+    def test_subnormal_last_rank(self, tau):
+        """pmf[L] is subnormal here, so the top of the rate bracket overflows
+        to inf unless it is clamped; the bisection must still find the optimum."""
+        grid, _, caps = caps_for(2, 0.0, 4.0)
+        pop = zipf_pmf(8, tau)
+        assert pop.pmf[8] < np.finfo(float).tiny
+        assert math.isinf(caps.cbar[1] / float(pop.pmf[8]))
+        ex, erate = solve_exact(grid, caps, pop, 1.0)
+        bx, brate = brute_force(grid, caps, pop, 1.0)
+        assert erate == brate
+        assert ex.x == bx.x
+
     @pytest.mark.parametrize("m_levels,L,tau,l_c", [
         (2, 8, 0.0, 2.0),
         (3, 16, 1.5, 1.0),

@@ -298,6 +298,13 @@ class TestGuaranteeFactor:
         assert guarantee_floor(0.37, m_levels, tau) == pytest.approx(0.37 * factor, rel=1e-15)
 
 
+    def test_zero_once_two_to_the_tau_overflows(self):
+        assert guarantee_factor(1, 1000.0) > 0.0
+        assert guarantee_floor(0.5, 1, 1000.0) > 0.0
+        assert guarantee_factor(3, 1024.0) == 0.0
+        assert guarantee_floor(0.5, 3, 1200.0) == 0.0
+
+
 class TestPipeline:
     def test_guarantee_floor_away_from_saturation(self):
         """The relaxed-optimum floor holds whenever the budget leaves at least

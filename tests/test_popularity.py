@@ -83,6 +83,20 @@ class TestZipfPmf:
         with pytest.raises(InvalidParameterError):
             zipf_pmf(4, -0.1)
 
+    @pytest.mark.parametrize("L, tau", [(75281, 200.0), (512, 200.0), (8, 1200.0), (2, 1e6)])
+    def test_zero_probability_rank_rejected(self, L, tau):
+        """A rank whose probability underflows to 0.0 breaks the strictly
+        decreasing tail every solver inverts."""
+        assert L ** (-tau) == 0.0
+        with pytest.raises(DomainError, match="zero probability"):
+            zipf_pmf(L, tau)
+
+    @pytest.mark.parametrize("L, tau", [(8, 355.0), (8, 358.0), (1, 1e6)])
+    def test_subnormal_last_rank_accepted(self, L, tau):
+        pop = zipf_pmf(L, tau)
+        assert pop.pmf[L] > 0.0
+        assert np.all(np.diff(pop.suffix_mass) < 0)
+
     def test_stochastic_dominance(self):
         """Raising tau moves mass toward the head: every proper prefix grows."""
         L = 50
