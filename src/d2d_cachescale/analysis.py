@@ -35,8 +35,9 @@ class BoundsResult:
     r_lower bounds the relaxed optimum from below; dividing it by
     M (1 + 2^tau) (the guarantee_factor) floors the integer solution.
     r_upper is None when its branch formula degenerates for small
-    libraries (non-positive denominator). Each side uses its own
-    envelope coefficient pair, recorded in `envelope` and `side`.
+    libraries (a non-positive denominator, or log L = 0 at tau = 1).
+    Each side uses its own envelope coefficient pair, recorded in
+    `envelope` and `side`.
     """
 
     r_lower: float
@@ -94,7 +95,8 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
     """Piecewise upper bound on the relaxed optimum, with its branch label.
 
     The 1 < tau < gamma+1 branch returns None when its denominator is
-    non-positive (possible for small L, where the formula is vacuous).
+    non-positive (possible for small L, where the formula is vacuous), and
+    the tau = 1 branch when L = 1, where its 1/log L exponent is undefined.
     """
     if tau < 1.0:
         val = c / (1.0 - tau) \
@@ -102,6 +104,8 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
             * (l_c / L) ** gamma
         return val, "tau<1"
     if tau == 1.0:
+        if L == 1:
+            return None, "tau=1"
         val = c * (4.0 * math.e * (4.0 ** M * l_c + L + 1.0)
                    / (3.0 * 4.0 ** M * L ** (1.0 - 1.0 / math.log(L)))) ** gamma \
             * math.log(L)

@@ -73,17 +73,26 @@ class ExperimentConfig:
     def n(self) -> int:
         return 4 ** self.m_levels
 
+    def _growth(self, name: str, coef: float, order: float) -> float:
+        """coef * n^order; a value past the float range is a bad argument."""
+        try:
+            if (value := coef * self.n ** order) < math.inf:
+                return value
+        except OverflowError:
+            pass
+        raise InvalidParameterError(f"{name} = {coef!r} * {self.n}^{order!r} overflows a float")
+
     @property
     def library_size(self) -> int:
         if self.l_override is not None:
             return self.l_override
-        return max(1, math.floor(self.a1 * self.n ** self.beta1))
+        return max(1, math.floor(self._growth("L", self.a1, self.beta1)))
 
     @property
     def cache_budget(self) -> float:
         if self.lc_override is not None:
             return self.lc_override
-        return self.a2 * self.n ** self.beta2
+        return self._growth("L_C", self.a2, self.beta2)
 
     def validate(self) -> None:
         L, l_c = self.library_size, self.cache_budget
@@ -238,20 +247,14 @@ def _resolve(args, overrides: dict | None = None):
             raise InvalidParameterError(f"{opt.flag} must be finite, got {value!r}")
     if merged["seed"] < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {merged['seed']}")
-    n = merged["n"]
+    n = merged.pop("n")
     if n is not None:
         m = exact_log4(n)
         if m is None:
             raise InvalidParameterError(f"node count must be a power of 4, got {n}")
         merged["m_levels"] = m
-    cfg = ExperimentConfig(
-        m_levels=merged["m_levels"], kappa=merged["kappa"], alpha=merged["alpha"],
-        beta1=merged["beta1"], beta2=merged["beta2"], a1=merged["a1"],
-        a2=merged["a2"], tau=merged["tau"], bandwidth_hz=merged["bandwidth_hz"],
-        seed=merged["seed"], rc_fraction=merged["rc_fraction"],
-        l_override=merged["l"], lc_override=merged["lc"],
-    )
-    extras = {k: merged[k] for k in ("axis", "range_spec", "fmt", "out", "requests")}
+    extras = {k: merged.pop(k) for k in ("axis", "range_spec", "fmt", "out", "requests")}
+    cfg = ExperimentConfig(l_override=merged.pop("l"), lc_override=merged.pop("lc"), **merged)
     return cfg, extras
 
 
@@ -326,14 +329,13 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
               fmt: str, out: str | None) -> int:
     """Tabulate the proposed, multihop and no-cache rates and the bounds along one axis.
 
-    Each point is validated on its own, in axis order. Points differ only
-    along `axis`, so a point reuses the models of the point before it when
-    their inputs are equal: the PHY side (grid, params, the network's two
-    interference sums, the full and multihop-only capacity tables) is
-    rebuilt only when `phy_key` changes, which is on the alpha axis, and
-    the Zipf model only when (L, tau) changes, which is on the tau axis.
-    R_nocache is the top level of the full table and the bounds take the
-    same interference sums. Nothing is kept beyond this call.
+    Each point is validated on its own, in axis order, and reuses the
+    models of the point before it when their inputs are equal: the PHY
+    side (grid, params, the two interference sums, the full and
+    multihop-only capacity tables) is rebuilt only when `phy_key` changes
+    (the alpha axis), the Zipf model only when (L, tau) changes (the tau
+    axis). R_nocache is the top level of the full table, and the bounds
+    take the same sums. Nothing is kept beyond this call.
     """
     values = _parse_range(range_spec or _SWEEP_RANGES[axis])
     rows = []
@@ -383,14 +385,12 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
                      None, int(t == tau_a), int(t == tau_b_prop), int(t == tau_b_base)))
     params = PhyParams(cfg.alpha, cfg.rc_fraction)
     for m_levels in range(8, 13):
-        n = 4 ** m_levels
-        grid = NetworkGrid(m_levels, cfg.kappa, cfg.alpha)
-        env = capacity_envelope(grid, params)
-        big_l = max(1, math.floor(cfg.a1 * n ** cfg.beta1))
-        l_c = cfg.a2 * n ** cfg.beta2
+        point = replace(cfg, m_levels=m_levels, l_override=None, lc_override=None)
+        env = capacity_envelope(NetworkGrid(m_levels, cfg.kappa, cfg.alpha), params)
+        big_l, l_c = point.library_size, point.cache_budget
         for t in taus:
             val, _ = lower_bound(env.c_lower, env.gamma_lower, big_l, l_c, m_levels, t)
-            rows.append(("lower_bound", t, n, None, None, None, val, None, None, None))
+            rows.append(("lower_bound", t, point.n, None, None, None, val, None, None, None))
     header = ["record", "tau", "n", "achievable", "baseline", "converse",
               "lower_bound", "tau_a", "tau_b_proposed", "tau_b_baseline"]
     _emit(fmt, out, header, rows, {"columns": header, "rows": rows})
@@ -448,17 +448,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         overrides = {"kappa": 1.0} if args.command == "scaling" else None
         cfg, extras = _resolve(args, overrides)
+        fmt, out = extras["fmt"], extras["out"]
         if args.command == "place":
-            return cmd_place(cfg, extras["fmt"], extras["out"])
+            return cmd_place(cfg, fmt, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, extras["axis"], extras["range_spec"],
-                             extras["fmt"], extras["out"])
+            return cmd_sweep(cfg, extras["axis"], extras["range_spec"], fmt, out)
         if args.command == "scaling":
-            return cmd_scaling(cfg, extras["range_spec"], extras["fmt"], extras["out"])
+            return cmd_scaling(cfg, extras["range_spec"], fmt, out)
         if args.command == "oracle":
-            return cmd_oracle(cfg, extras["fmt"], extras["out"])
+            return cmd_oracle(cfg, fmt, out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, extras["requests"], extras["fmt"], extras["out"])
+            return cmd_simulate(cfg, extras["requests"], fmt, out)
         raise InvalidParameterError(f"unknown command {args.command!r}")
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

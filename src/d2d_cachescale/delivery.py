@@ -4,11 +4,14 @@ Requests are (node, file) pairs drawn independently: nodes uniform, files
 from the popularity model. A request for a file cached at level m is
 served by the node's level-m ancestor cluster and the delivered flow
 crosses exactly one tree edge per level on its way down (none for a local
-hit at level 0). The simulator counts those crossings per level and
-compares them with the closed-form expectation that the capacity
-constraints charge. Scheduling overheads (the 1/3 intra-cluster share and
-the 1/M_b round-robin across levels) already live inside the capacity
-constants, so the simulator tracks loads, not time slots.
+hit at level 0). Only the serving level of a request matters, so the
+simulator draws the level directly, by inverting the M masses at the
+placement's level boundaries, and never draws a file rank. It counts
+those crossings per level and compares them with the closed-form
+expectation that the capacity constraints charge. Scheduling overheads
+(the 1/3 intra-cluster share and the 1/M_b round-robin across levels)
+already live inside the capacity constants, so the simulator tracks
+loads, not time slots.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .placement import PlacementVector
 from .popularity import PopularityModel, tail_mass
 
 
-# Largest request count simulate accepts: it allocates four 8-byte arrays per
-# request, so the guard caps those at about 320 MB.
+# Largest request count simulate accepts: it allocates three 8-byte arrays per
+# request (nodes, uniforms, levels), so the guard caps those at about 240 MB.
 MAX_REQUESTS = 10 ** 7
 
 
@@ -84,8 +87,8 @@ class EdgeLoadReport:
 def file_level(l: int, x: PlacementVector) -> int:
     """Level whose block of the popularity order contains rank l.
 
-    Test reference, not a production path: simulate() maps every rank at
-    once with np.repeat.
+    Test reference, not a production path: simulate() draws each request's
+    level without drawing a rank.
     """
     if not 1 <= l <= x.L:
         raise DomainError(f"rank must lie in [1, {x.L}], got {l!r}")
@@ -100,23 +103,27 @@ def file_level(l: int, x: PlacementVector) -> int:
 def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
     """Run the request-level simulation and attach analytic expectations.
 
-    Deterministic for a fixed seed (counter-based generator). File draws
-    invert the popularity prefix masses exactly; the analytic column is
-    evaluated from the tail-mass formula, never from the sampled counts.
-    verbose=True additionally retains per-edge crossing histograms.
+    Deterministic for a fixed seed (counter-based generator). Each request's
+    serving level is drawn by inverting its uniform over the M boundary
+    masses 1 - suffix_mass[x.prefix(m)], m = 1..M; the level is the number
+    of boundaries at or below the uniform. Prefix masses are nondecreasing,
+    so this is exactly the level of the file rank that inverting all L
+    prefix masses would draw, ties and empty levels included, in O(M)
+    memory rather than O(L). The analytic column is evaluated from the
+    tail-mass formula, never from the sampled counts. verbose=True
+    additionally retains per-edge crossing histograms.
     """
     grid, x, pop = cfg.grid, cfg.placement, cfg.pop
     M, n, L = grid.M, grid.n, pop.L
+    levels = tuple(range(1, M + 1))
+    tails = tuple(tail_mass(pop, min(x.prefix(m), L) + 1.0) for m in levels)
+    bounds = 1.0 - np.asarray(tails)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     nodes = rng.integers(0, n, size=cfg.num_requests)
-    files = np.searchsorted(pop.prefix_mass, rng.random(cfg.num_requests), side="right")
-    level_of_rank = np.repeat(np.arange(M + 1, dtype=np.int64), x.x)
-    lv = level_of_rank[files - 1]
+    lv = np.searchsorted(bounds, rng.random(cfg.num_requests), side="right")
     counts = np.bincount(lv, minlength=M + 1).astype(np.int64)
     crossings = np.cumsum(counts[::-1])[::-1]  # crossings[m] = requests from level >= m
-    levels = tuple(range(1, M + 1))
     empirical = tuple(float(crossings[m]) / 4 ** (M - m + 1) for m in levels)
-    tails = tuple(tail_mass(pop, min(x.prefix(m), L) + 1.0) for m in levels)
     analytic = tuple(cfg.num_requests * t * 4.0 ** (m - 1) / n
                      for m, t in zip(levels, tails))
     per_edge: dict[int, np.ndarray] | None = None

@@ -60,8 +60,13 @@ class PhyParams:
             raise InvalidParameterError(f"path loss exponent must exceed 2, got {self.alpha!r}")
         if not 0.0 < self.rc_fraction <= 1.0:
             raise InvalidParameterError(f"rc_fraction must lie in (0, 1], got {self.rc_fraction!r}")
-        snr_h = 2.0 ** (2.0 * (3.0 + self.alpha / math.log(2.0)))
-        snr_m = 2.0 ** (2.0 * (3.0 + self.alpha / math.log(4.0)))
+        try:
+            snr_h = 2.0 ** (2.0 * (3.0 + self.alpha / math.log(2.0)))
+            snr_m = 2.0 ** (2.0 * (3.0 + self.alpha / math.log(4.0)))
+        except OverflowError:
+            raise InvalidParameterError(
+                f"path loss exponent {self.alpha!r} overflows the effective SNR "
+                "2^(2(3 + alpha/ln 2))") from None
         object.__setattr__(self, "snr_hcoop", snr_h)
         object.__setattr__(self, "snr_multihop", snr_m)
         object.__setattr__(self, "t_r_hcoop", reuse_factor(snr_h, self.alpha))
@@ -146,11 +151,13 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
     The cooperative candidate pays the average-power duty-cycle penalty
     min(N * A_c^{-alpha/2}, 1) for its cluster area A_c = N * n^{kappa-1}
     (node density is constant across the grid); the multihop candidate
-    pays no area penalty. Interference is summed over the whole network,
-    not just the cluster, so it does not depend on N: the caller computes
-    it once per (grid, params) with `hierarchy.NetworkInterference` and
-    passes the same sums for every level. multihop_only=True rates the
-    cluster as a multihop-only system (the baseline capacity profile).
+    pays no area penalty. InvalidParameterError when A_c or the penalty
+    overflows a float (kappa or alpha far outside the model's range).
+    Interference is summed over the whole network, not just the cluster,
+    so it does not depend on N: the caller computes it once per (grid,
+    params) with `hierarchy.NetworkInterference` and passes the same sums
+    for every level. multihop_only=True rates the cluster as a
+    multihop-only system (the baseline capacity profile).
     """
     m = exact_log4(N)
     if m is None or m < 1 or N > grid.n:
@@ -162,8 +169,13 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
         return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
     p_i_h = interference.hcoop
     s_star = optimal_stages(N, params, p_i_h)
-    area = N * grid.n ** (grid.kappa - 1.0)
-    penalty = min(N * area ** (-params.alpha / 2.0), 1.0)
+    try:
+        area = N * grid.n ** (grid.kappa - 1.0)
+        penalty = min(N * area ** (-params.alpha / 2.0), 1.0)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"kappa = {grid.kappa!r} and alpha = {params.alpha!r} overflow the duty-cycle "
+            f"penalty N A_c^(-alpha/2) of a {N}-node cluster") from None
     r_h = penalty * rate_hcoop(N, s_star, params, p_i_h)
     if r_h >= r_m:
         return ClusterRate(N, r_h, PhyMode.HIER_COOP, s_star, p_i_h)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,12 +29,11 @@ class PopularityModel:
     """Truncated Zipf popularity over ranks 1..L.
 
     pmf[l] is the request probability of rank l (pmf[0] is unused and 0).
-    suffix_mass[k] is the mass of ranks k+1..L and prefix_mass[k] the mass
-    of ranks 1..k; prefix_mass[0] = 0 and prefix_mass[L] = 1 exactly.
-    prefix_mass is computed on first use, as 1 - suffix_mass, and cached on
-    the instance: only the simulator's draws read it, so the solvers and
-    bounds never pay its 8 bytes per rank. Arrays are read-only so
-    instances can be shared between callers.
+    suffix_mass[k] is the mass of ranks k+1..L, so 1 - suffix_mass[k] is
+    the mass of ranks 1..k; suffix_mass[L] = 0 exactly. The model holds no
+    per-rank prefix array: the simulator reads 1 - suffix_mass at the M
+    level boundaries only. Arrays are read-only so instances can be shared
+    between callers.
     """
 
     L: int
@@ -43,12 +41,6 @@ class PopularityModel:
     z: float
     pmf: np.ndarray
     suffix_mass: np.ndarray
-
-    @cached_property
-    def prefix_mass(self) -> np.ndarray:
-        prefix = 1.0 - self.suffix_mass
-        prefix.setflags(write=False)
-        return prefix
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:

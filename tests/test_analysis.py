@@ -73,6 +73,12 @@ class TestBoundFormulas:
         assert branch == "1<tau<gamma+1"
         assert val is None
 
+    def test_upper_undefined_for_single_file_at_tau_one(self):
+        """tau = 1 raises L to 1 - 1/log L, undefined at L = 1."""
+        assert upper_bound(1.0, 0.5, 1, 0.5, 1, 1.0) == (None, "tau=1")
+        val, _ = upper_bound(1.0, 0.5, 2, 0.5, 1, 1.0)
+        assert math.isfinite(val)
+
     def test_bracket_ordering_on_instances(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)
         L = int(grid.n ** 0.9)

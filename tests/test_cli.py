@@ -180,6 +180,16 @@ class TestSimulate:
         assert lines[1] == "level,empirical_load,analytic_load,relative_error"
         assert len(lines) == 2 + 3
 
+    @pytest.mark.parametrize("fmt, golden", [("csv", "simulate_m9.csv"),
+                                             ("json", "simulate_m9.json")])
+    def test_pinned_simulation(self, capsys, fmt, golden):
+        """M=9, 3e5 requests, seed 7, tau=1: frozen from the per-rank draw
+        the level draw replaced."""
+        code, out, _ = run_cli(capsys, "simulate", "--M", "9", "--requests", "300000",
+                               "--seed", "7", "--tau", "1", "--format", fmt)
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / golden).read_text()
+
     def test_request_count_above_guard(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("simulate ran past the request guard")
@@ -235,6 +245,33 @@ class TestInputChecks:
         assert code == 0 and err == ""
         rows = dict((r.split(",")[0], r.split(",")[1]) for r in out.splitlines()[2:])
         assert rows["exact"] == rows["brute_force"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("place", "--M", "3", "--l", "30", "--lc", "2", "--alpha", "600"),
+         "path loss exponent 600.0 overflows the effective SNR"),
+        (("place", "--kappa", "1e6"), "kappa = 1000000.0 and alpha = 4.0 overflow"),
+        (("place", "--M", "1", "--l", "1", "--beta2", "1e6"),
+         "L_C = 1.0 * 4^1000000.0 overflows a float"),
+        (("place", "--beta1", "1e6"), "L = 1.0 * 262144^1000000.0 overflows a float"),
+        (("scaling", "--alpha", "600"), "path loss exponent 600.0 overflows"),
+    ])
+    def test_float_overflow_exits_3(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("place", "--M", "1", "--l", "1", "--beta2", "-1"),
+        ("place", "--M", "1", "--l", "1", "--lc", "0.5", "--beta2", "0.1"),
+    ])
+    def test_single_file_library_has_no_upper_bound(self, capsys, argv):
+        """At L = 1 and tau = 1 the upper bound's 1/log L is undefined."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert lines["L"] == "1"
+        assert lines["upper_bound_bits_per_s_hz"] == ""
 
     def test_guarantee_floor_past_overflow(self, capsys):
         code, out, err = run_cli(capsys, "place", "--M", "1", "--l", "1",

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,44 @@ from d2d_cachescale import (
     simulate,
     zipf_pmf,
 )
+from d2d_cachescale import delivery
 from d2d_cachescale.delivery import MAX_REQUESTS
 from conftest import caps_for
+
+
+def rank_draw_levels(pop, x, u):
+    """Reference level draw: invert every rank's prefix mass, then map the
+    drawn rank to the level whose block of the popularity order holds it.
+
+    O(L) in memory; simulate() must draw the same level for every uniform.
+    """
+    files = np.searchsorted(1.0 - pop.suffix_mass, u, side="right")
+    level_of_rank = np.repeat(np.arange(len(x.x), dtype=np.int64), x.x)
+    return level_of_rank[files - 1]
+
+
+def reference_report(cfg):
+    """(level_fraction, total_edge_crossings, per_edge_counts) of the rank
+    draw, from the same Philox stream simulate() uses (nodes first)."""
+    M, n = cfg.grid.M, cfg.grid.n
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    nodes = rng.integers(0, n, size=cfg.num_requests)
+    lv = rank_draw_levels(cfg.pop, cfg.placement, rng.random(cfg.num_requests))
+    counts = np.bincount(lv, minlength=M + 1)
+    fractions = tuple(float(counts[m]) / cfg.num_requests for m in range(M + 1))
+    per_edge = {m: np.bincount(nodes[lv >= m] >> (2 * (m - 1)), minlength=4 ** (M - m + 1))
+                for m in range(1, M + 1)}
+    return fractions, int(np.sum(lv)), per_edge
+
+
+def assert_matches_reference(cfg):
+    rep = simulate(cfg, verbose=True)
+    fractions, crossings, per_edge = reference_report(cfg)
+    assert rep.level_fraction == fractions
+    assert rep.total_edge_crossings == crossings
+    assert rep.per_edge_counts.keys() == per_edge.keys()
+    for m, hist in per_edge.items():
+        assert np.array_equal(rep.per_edge_counts[m], hist)
 
 
 class TestFileLevel:
@@ -117,6 +154,51 @@ class TestSimulate:
             assert hist.shape == (4 ** (grid.M - m + 1),)
             assert hist.sum() == pytest.approx(
                 rep.empirical_load[i] * 4 ** (grid.M - m + 1))
+
+    def test_uniform_on_a_boundary_takes_the_upper_level(self, monkeypatch):
+        """Uniforms equal to a boundary mass (and its neighbours) land on the
+        level the rank draw gives them, with and without an empty level."""
+        grid, _, _ = caps_for(3, 0.0, 4.0)
+        pop = zipf_pmf(16, 0.0)  # boundary masses are exact multiples of 1/16
+        x = PlacementVector((4, 0, 8, 4))
+        edges = [1.0 - float(pop.suffix_mass[k]) for k in range(16)]
+        u = np.array(sorted({np.nextafter(e, d) for e in edges for d in (0.0, 1.0)}
+                            | set(edges)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        real_generator = np.random.Generator
+
+        class ScriptedUniforms:
+            def __init__(self, bit_generator):
+                self._rng = real_generator(bit_generator)
+
+            def integers(self, *args, **kwargs):
+                return self._rng.integers(*args, **kwargs)
+
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        monkeypatch.setattr(delivery.np.random, "Generator", ScriptedUniforms)
+        rep = simulate(SimConfig(grid, x, pop, u.size, seed=1))
+        counts = np.bincount(rank_draw_levels(pop, x, u), minlength=grid.M + 1)
+        assert rep.level_fraction == tuple(float(c) / u.size for c in counts)
+        assert rep.level_fraction[1] == 0.0
+
+    def test_allocates_nothing_of_library_size(self):
+        """With L far above the request count, simulate allocates less than
+        one byte per rank: it reads M boundary masses, not a per-rank array."""
+        grid, _, _ = caps_for(3, 0.0, 4.0)
+        L = 2 ** 20
+        pop = zipf_pmf(L, 1.0)
+        x = PlacementVector((L // 2, L // 4, 0, L - L // 2 - L // 4))
+        cfg = SimConfig(grid, x, pop, 1000, seed=4)
+        tracemalloc.start()
+        try:
+            simulate(cfg, verbose=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < L
 
     def test_request_guard(self):
         """The guard admits 1e7 requests and rejects one more than its limit

@@ -45,6 +45,13 @@ class TestPhyParams:
         with pytest.raises(InvalidParameterError):
             PhyParams(4.0, rc_fraction=0.0)
 
+    def test_snr_overflow_rejected(self):
+        """2^(2(3 + alpha/ln 2)) leaves the float range at alpha = 509 ln 2."""
+        assert math.isfinite(PhyParams(352.0).snr_hcoop)
+        for alpha in (353.0, 600.0):
+            with pytest.raises(InvalidParameterError, match="overflows the effective SNR"):
+                PhyParams(alpha)
+
 
 class TestInterferencePower:
     def test_two_term_hand_sum(self):
@@ -171,6 +178,15 @@ class TestClusterRate:
         rates = [cluster_rate(4 ** m, grid, p, p_i).rate for m in range(1, 9)]
         assert all(r > 0 for r in rates)
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("m_levels, kappa, alpha", [(9, 1e6, 4.0), (3, 200.0, 4.0),
+                                                         (9, 0.0, 300.0)])
+    def test_penalty_overflow_rejected(self, m_levels, kappa, alpha):
+        """n^(kappa-1) or A_c^(-alpha/2) past the float range is a bad argument."""
+        grid = NetworkGrid(m_levels, kappa, alpha)
+        p = PhyParams(alpha)
+        with pytest.raises(InvalidParameterError, match="overflow the duty-cycle penalty"):
+            cluster_rate(4, grid, p, NetworkInterference(grid, p))
 
     def test_rejects_bad_cluster_size(self):
         grid = NetworkGrid(3, 0.0, 4.0)

@@ -10,24 +10,19 @@ import pytest
 from d2d_cachescale import (
     DomainError,
     InvalidParameterError,
-    SimConfig,
-    optimize_placement,
-    simulate,
-    solve_exact,
     tail_inverse,
     tail_inverse_bounds,
     tail_mass,
     zipf_pmf,
 )
 from d2d_cachescale.popularity import CHUNK_RANKS
-from conftest import caps_for
 
 
 def dense_zipf(L, tau):
     """Reference build: every array at full length, one cumulative sum.
 
-    Returns (z, pmf, suffix_mass, prefix_mass); zipf_pmf must reproduce
-    each of them bit for bit.
+    Returns (z, pmf, suffix_mass); zipf_pmf must reproduce each of them
+    bit for bit.
     """
     ranks = np.arange(1, L + 1, dtype=np.float64)
     weights = ranks ** (-float(tau))
@@ -38,16 +33,15 @@ def dense_zipf(L, tau):
     pmf[1:] = (w_ext / z).astype(np.float64)
     suffix = np.zeros(L + 1)
     suffix[:L] = (tail / z).astype(np.float64)
-    return float(z), pmf, suffix, 1.0 - suffix
+    return float(z), pmf, suffix
 
 
 def assert_matches_dense(L, tau):
-    z, pmf, suffix, prefix = dense_zipf(L, tau)
+    z, pmf, suffix = dense_zipf(L, tau)
     pop = zipf_pmf(L, tau)
     assert pop.z == z
     assert pop.pmf.tobytes() == pmf.tobytes()
     assert pop.suffix_mass.tobytes() == suffix.tobytes()
-    assert pop.prefix_mass.tobytes() == prefix.tobytes()
 
 
 class TestZipfPmf:
@@ -73,9 +67,9 @@ class TestZipfPmf:
         pop = zipf_pmf(L, tau)
         assert abs(float(np.sum(pop.pmf)) - 1.0) <= 1e-12
         assert np.all(np.diff(pop.pmf[1:]) <= 0)
-        assert pop.prefix_mass[0] == 0.0
-        assert pop.prefix_mass[L] == 1.0
-        assert np.all(np.diff(pop.prefix_mass) >= 0)
+        assert pop.suffix_mass[0] == 1.0
+        assert pop.suffix_mass[L] == 0.0
+        assert np.all(np.diff(pop.suffix_mass) <= 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -103,7 +97,7 @@ class TestZipfPmf:
         for t_lo, t_hi in [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]:
             lo, hi = zipf_pmf(L, t_lo), zipf_pmf(L, t_hi)
             for k in range(1, L):
-                assert hi.prefix_mass[k] > lo.prefix_mass[k]
+                assert hi.suffix_mass[k] < lo.suffix_mass[k]
 
 
 class TestChunkedBuild:
@@ -129,18 +123,8 @@ class TestChunkedBuild:
 
     def test_arrays_read_only(self):
         pop = zipf_pmf(10, 1.0)
-        for arr in (pop.pmf, pop.suffix_mass, pop.prefix_mass):
+        for arr in (pop.pmf, pop.suffix_mass):
             assert not arr.flags.writeable
-
-    def test_prefix_mass_built_only_by_the_simulator(self):
-        grid, _, caps = caps_for(5, 0.0, 4.0)
-        pop = zipf_pmf(300, 1.0)
-        outcome = optimize_placement(grid, caps, pop, 8.0)
-        solve_exact(grid, caps, pop, 8.0)
-        assert "prefix_mass" not in pop.__dict__
-        simulate(SimConfig(grid, outcome.placement, pop, 1000, seed=3))
-        assert "prefix_mass" in pop.__dict__
-        assert not pop.prefix_mass.flags.writeable
 
 
 class TestTailMass:
@@ -158,7 +142,7 @@ class TestTailMass:
         pop = zipf_pmf(9, 1.7)
         for k in range(1, 10):
             assert tail_mass(pop, float(k)) == pytest.approx(
-                1.0 - float(pop.prefix_mass[k - 1]), abs=1e-12)
+                1.0 - float(np.sum(pop.pmf[:k])), abs=1e-12)
 
     def test_strictly_decreasing_and_continuous(self):
         pop = zipf_pmf(8, 2.2)
