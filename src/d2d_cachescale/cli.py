@@ -71,7 +71,7 @@ class ExperimentConfig:
 
     @property
     def n(self) -> int:
-        return 4 ** self.m_levels
+        return NetworkGrid(self.m_levels, self.kappa, self.alpha).n
 
     def _growth(self, name: str, coef: float, order: float) -> float:
         """coef * n^order; a value past the float range is a bad argument."""
@@ -320,7 +320,7 @@ def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
         "lower_bound_floor_bits_per_s_hz": bounds.floor,
         "upper_bound_bits_per_s_hz": bounds.r_upper,
     })
-    rows = [(k, ";".join(str(v) for v in doc["x"]) if k == "x" else doc[k]) for k in doc]
+    rows = [(k, ";".join(map(str, doc["x"])) if k == "x" else doc[k]) for k in doc]
     _emit(fmt, out, ["key", "value"], rows, doc)
     return _EXIT_OK
 
@@ -334,8 +334,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
     side (grid, params, the two interference sums, the full and
     multihop-only capacity tables) is rebuilt only when `phy_key` changes
     (the alpha axis), the Zipf model only when (L, tau) changes (the tau
-    axis). R_nocache is the top level of the full table, and the bounds
-    take the same sums. Nothing is kept beyond this call.
+    axis). R_nocache is the top level of the full table. Nothing is kept
+    beyond this call.
     """
     values = _parse_range(range_spec or _SWEEP_RANGES[axis])
     rows = []

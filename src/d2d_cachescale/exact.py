@@ -7,8 +7,12 @@ non-decreasing integer threshold per level. Each level's capacity pins a
 minimal threshold, and pushing any threshold higher only adds cache mass,
 so the greedy lower envelope of thresholds decides feasibility exactly.
 A bisection over the rate then finds the optimum for each candidate top
-level. The brute-force enumerator is deliberately independent of all of
-that machinery and serves as the oracle for it.
+level. Its steps search each level's threshold only between the
+thresholds at the current ends of the rate bracket: a rounded product
+suffix * r is non-decreasing in r, so each minimal threshold is too, and
+the bracketed search returns what a search over all ranks would. The
+brute-force enumerator is deliberately independent of all of that
+machinery and serves as the oracle for it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import InfeasibleProblemError, InvariantViolationError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
-from .placement import PlacementVector, evaluate_throughput
+from .placement import PlacementVector, _load, evaluate_throughput
 from .popularity import PopularityModel
 
 
@@ -80,36 +84,65 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     greedy componentwise minimum is feasible iff anything is. Returns None
     when the budget is exceeded or level m_b would end up empty.
     """
-    M, L = caps.M, pop.L
-    suffix = pop.suffix_mass
-    thetas = [0] * (M + 2)
-    theta = 0
-    for m in range(1, m_b + 1):
-        c_m = caps.cbar[m] / m_b
-        theta = max(theta, _min_threshold(suffix, r, c_m, L))
-        thetas[m] = theta
-    if theta >= L:
+    L = pop.L
+    level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
+    thresholds = _raw_thresholds(memoryview(pop.suffix_mass), r, level_caps,
+                                 [0] * m_b, [L] * m_b, L)
+    x = _staircase(thresholds, caps.M, L, l_c)
+    return None if x is None else PlacementVector(x)
+
+
+def _raw_thresholds(suffix, r: float, level_caps: list[float], t_lo: list[int],
+                    t_hi: list[int], L: int) -> list[int]:
+    """Each level's minimal threshold at rate r, before the running max.
+
+    Level m's threshold is the smallest t with suffix[t] * r <= level_caps[m].
+    suffix is non-increasing and, for r >= 0, so is the rounded product
+    suffix[t] * r, so the test is monotone in t and a bisection finds its
+    first pass. The search runs in [t_lo[m], t_hi[m]]: the caller vouches
+    that t_hi[m] passes and no t below t_lo[m] does, as [0, L] always
+    does (suffix[L] = 0). The scan stops at the first level whose
+    threshold is L, because the top level is then empty whatever the
+    later levels need; those levels keep their t_hi entry.
+    """
+    thresholds = list(t_hi)
+    for m, c in enumerate(level_caps):
+        lo = t_lo[m]
+        if suffix[lo] * r <= c:
+            thresholds[m] = lo
+            continue
+        hi = t_hi[m]
+        while hi - lo > 1:  # invariant: suffix[lo] * r > c >= suffix[hi] * r
+            mid = (lo + hi) // 2
+            if suffix[mid] * r <= c:
+                hi = mid
+            else:
+                lo = mid
+        thresholds[m] = hi
+        if hi >= L:
+            break
+    return thresholds
+
+
+def _staircase(thresholds: list[int], M: int, L: int, l_c: float) -> tuple[int, ...] | None:
+    """Placement tuple of the running max of `thresholds`, topped out at level
+    len(thresholds); None when that level is empty or the load exceeds l_c."""
+    if max(thresholds) >= L:
         return None  # rate constraints leave nothing for the top level
-    for m in range(m_b + 1, M + 2):
-        thetas[m] = L
-    pv = from_threshold(ThresholdForm(tuple(thetas)))
-    if pv.cache_load() > l_c + 1e-12:
-        return None
-    return pv
-
-
-def _min_threshold(suffix: np.ndarray, r: float, c: float, L: int) -> int:
-    """Smallest t in [0, L] with suffix[t] * r <= c (suffix is decreasing)."""
-    if suffix[0] * r <= c:
-        return 0
-    lo, hi = 0, L  # invariant: suffix[lo] * r > c >= suffix[hi] * r
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if suffix[mid] * r <= c:
-            hi = mid
+    x = []
+    theta = 0
+    for t in thresholds:
+        if t > theta:
+            x.append(t - theta)
+            theta = t
         else:
-            lo = mid
-    return hi
+            x.append(0)
+    x.append(L - theta)
+    x.extend([0] * (M - len(thresholds)))
+    x = tuple(x)
+    if _load(x) > l_c + 1e-12:
+        return None
+    return x
 
 
 def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
@@ -122,28 +155,42 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     top out at m_b is discarded. The winner's rate is re-evaluated from
     the placement itself, so the reported value is exact, not a bisection
     endpoint.
+
+    Each bisection step decides feasibility as `feasible_for_rate` does,
+    but searches every level's threshold only inside its bracket: the
+    thresholds found at the current lo and hi. Rounded products s * r
+    are non-decreasing in r for s >= 0, so a level's minimal threshold is
+    non-decreasing in the rate and a rate in (lo, hi) has its threshold
+    in [t(lo), t(hi)]. The brackets start at 0 and L (suffix[L] = 0).
+    Every step therefore gives the same verdict as the full search, and
+    the bisection visits the same rates and ends at the same lo.
     """
     M, L = grid.M, pop.L
     if l_c < L * 4.0 ** (-M) - 1e-12:
         raise InfeasibleProblemError(
             f"cache budget {l_c} cannot hold the library: "
             f"needs at least {L * 4.0 ** (-M)} per node")
+    # memoryview reads give Python floats: the same products, without a copy
+    suffix = memoryview(pop.suffix_mass)
     best: tuple[float, PlacementVector] | None = None
     for m_b in range(1, M + 1):
         if L * 4.0 ** (-m_b) > l_c + 1e-12:
             continue  # even the top-heavy placement cannot fit
+        level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
         lo = 0.0
         # min: when pmf[L] is subnormal the quotient overflows to inf
         hi = min(caps.cbar[1] / (m_b * float(pop.pmf[L])), sys.float_info.max)
         tol = 1e-12 * caps.cbar[1]
+        t_lo, t_hi = [0] * m_b, [L] * m_b
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if feasible_for_rate(mid, m_b, caps, pop, l_c) is not None:
-                lo = mid
+            thresholds = _raw_thresholds(suffix, mid, level_caps, t_lo, t_hi, L)
+            if _staircase(thresholds, caps.M, L, l_c) is not None:
+                lo, t_lo = mid, thresholds
             else:
-                hi = mid
+                hi, t_hi = mid, thresholds
         found = feasible_for_rate(lo, m_b, caps, pop, l_c)
         if found is None or found.m_b != m_b:
             continue

@@ -19,8 +19,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, SizeGuardError
 from .phy import ClusterRate, PhyParams, cluster_rate, interference_power
+
+
+# Deepest hierarchy accepted: each of the network's two interference sums
+# runs over sqrt(n) = 2^M terms, about 1e6 at M = 20.
+MAX_LEVELS = 20
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,8 @@ class NetworkGrid:
     def __post_init__(self) -> None:
         if not (isinstance(self.M, int) and self.M >= 1):
             raise InvalidParameterError(f"level count must be an integer >= 1, got {self.M!r}")
+        if self.M > MAX_LEVELS:
+            raise SizeGuardError(f"level count {self.M} exceeds the guard of {MAX_LEVELS}")
         if self.kappa < 0:
             raise InvalidParameterError(f"area exponent must be >= 0, got {self.kappa!r}")
         if not self.alpha > 2:

@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, SizeGuardError
 
 
 # Ranks per chunk of the Zipf build: the scratch (two float64 and one
 # extended-precision buffer of this length, about 1 MiB) stays in cache.
 CHUNK_RANKS = 1 << 15
+
+# Largest library the model is built for: at 16 bytes per rank, about 1.1 GB.
+MAX_RANKS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     ranks term for term: the result is bit-identical to building every
     array at full length.
 
-    Raises DomainError when the probability of rank L rounds to 0.0 (large
+    Raises SizeGuardError, before allocating, when L exceeds MAX_RANKS,
+    and DomainError when the probability of rank L rounds to 0.0 (large
     tau): the solvers invert the tail mass, which must decrease strictly
     over every rank.
     """
@@ -71,6 +75,8 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     if not (isinstance(tau, (int, float)) and math.isfinite(tau)) or tau < 0:
         raise InvalidParameterError(f"skewness must be a finite real >= 0, got {tau!r}")
     L = int(L)
+    if L > MAX_RANKS:
+        raise SizeGuardError(f"{L} files exceed the Zipf model guard of {MAX_RANKS} ranks")
     pmf = np.empty(L + 1)
     suffix = np.empty(L + 1)
     pmf[0] = suffix[L] = 0.0

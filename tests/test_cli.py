@@ -5,9 +5,17 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from d2d_cachescale import InvalidParameterError, SizeGuardError, cli, placement_from_document
+from d2d_cachescale import (
+    InvalidParameterError,
+    SizeGuardError,
+    cli,
+    hierarchy,
+    placement_from_document,
+)
+from d2d_cachescale.popularity import MAX_RANKS
 from d2d_cachescale.cli import _OPTIONS, _parse_range, _read_config_file, main
 
 
@@ -237,6 +245,43 @@ class TestInputChecks:
         code, out, err = run_cli(capsys, "sweep", "--M", "5", "--axis", "tau",
                                  "--range", "0:300:100")
         assert code == 3 and out == "" and "zero probability" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("place", "--M", "40"), "level count 40 exceeds the guard of 20"),
+        (("place", "--M", "21", "--l", "10", "--lc", "2"), "level count 21 exceeds the guard"),
+        (("place", "--n", str(4 ** 40)), "level count 40 exceeds the guard of 20"),
+        (("sweep", "--M", "40", "--axis", "tau"), "level count 40 exceeds the guard of 20"),
+        (("oracle", "--M", "40", "--l", "4", "--lc", "1"), "level count 40 exceeds the guard"),
+        (("simulate", "--M", "40"), "level count 40 exceeds the guard of 20"),
+        (("place", "--M", "-1"), "level count must be an integer >= 1, got -1"),
+        (("place", "--M", "0"), "level count must be an integer >= 1, got 0"),
+    ])
+    def test_level_count_guard_exits_3_before_any_work(self, capsys, monkeypatch, argv, message):
+        """A level count outside [1, 20] is refused before the O(2^M)
+        interference sums and the O(L) Zipf build."""
+        def never(*args, **kwargs):
+            raise AssertionError("a model was built past the level-count guard")
+        monkeypatch.setattr(hierarchy, "interference_power", never)
+        monkeypatch.setattr(cli, "zipf_pmf", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_library_guard_exits_3_before_the_zipf_build(self, capsys, monkeypatch):
+        """At the default beta1 = 0.9, M = 14 (L about 3.8e7) is within the
+        Zipf guard and M = 15 (L about 1.3e8) is refused before allocating."""
+        def library_size(m):
+            cfg, _ = cli._resolve(cli._build_parser().parse_args(["place", "--M", str(m)]))
+            return cfg.library_size
+        assert library_size(14) <= MAX_RANKS < library_size(15)
+
+        def never(*args, **kwargs):
+            raise AssertionError("zipf_pmf allocated past the size guard")
+        monkeypatch.setattr(np, "empty", never)
+        code, out, err = run_cli(capsys, "place", "--M", "15")
+        assert code == 3 and out == ""
+        assert err == (f"error: {library_size(15)} files exceed the Zipf model guard "
+                       f"of {MAX_RANKS} ranks\n")
 
     @pytest.mark.parametrize("tau", ["355", "358"])
     def test_oracle_agrees_with_subnormal_last_rank(self, capsys, tau):

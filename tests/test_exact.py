@@ -2,11 +2,14 @@
 
 import math
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from d2d_cachescale import (
+    InfeasibleProblemError,
     InvariantViolationError,
     PlacementVector,
     SizeGuardError,
@@ -21,7 +24,88 @@ from d2d_cachescale import (
     to_threshold,
     zipf_pmf,
 )
+from d2d_cachescale.exact import _raw_thresholds
 from conftest import caps_for
+
+
+def reference_min_threshold(suffix, r, c, L):
+    """Smallest t in [0, L] with suffix[t] * r <= c, by bisection over all ranks."""
+    if suffix[0] * r <= c:
+        return 0
+    lo, hi = 0, L
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if suffix[mid] * r <= c:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_feasible_for_rate(r, m_b, caps, pop, l_c):
+    """Feasibility at rate r with every threshold searched over all ranks."""
+    M, L = caps.M, pop.L
+    thetas = [0] * (M + 2)
+    theta = 0
+    for m in range(1, m_b + 1):
+        theta = max(theta, reference_min_threshold(pop.suffix_mass, r, caps.cbar[m] / m_b, L))
+        thetas[m] = theta
+    if theta >= L:
+        return None
+    for m in range(m_b + 1, M + 2):
+        thetas[m] = L
+    pv = from_threshold(ThresholdForm(tuple(thetas)))
+    if pv.cache_load() > l_c + 1e-12:
+        return None
+    return pv
+
+
+def reference_solve_exact(grid, caps, pop, l_c):
+    """Rate bisection that decides every step with a full feasibility check.
+
+    solve_exact must reproduce its placement and the bits of its rate.
+    """
+    M, L = grid.M, pop.L
+    if l_c < L * 4.0 ** (-M) - 1e-12:
+        raise InfeasibleProblemError("budget below L / n")
+    best = None
+    for m_b in range(1, M + 1):
+        if L * 4.0 ** (-m_b) > l_c + 1e-12:
+            continue
+        lo = 0.0
+        hi = min(caps.cbar[1] / (m_b * float(pop.pmf[L])), sys.float_info.max)
+        tol = 1e-12 * caps.cbar[1]
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if reference_feasible_for_rate(mid, m_b, caps, pop, l_c) is not None:
+                lo = mid
+            else:
+                hi = mid
+        found = reference_feasible_for_rate(lo, m_b, caps, pop, l_c)
+        if found is None or found.m_b != m_b:
+            continue
+        rate = evaluate_throughput(found, caps, pop).rate
+        if best is None or rate > best[0] or (rate == best[0] and found.x < best[1].x):
+            best = (rate, found)
+    if best is None:
+        raise InfeasibleProblemError("no placement sustains a positive rate")
+    return best[1], best[0]
+
+
+def _outcome(solver, grid, caps, pop, l_c):
+    try:
+        x, rate = solver(grid, caps, pop, l_c)
+    except InfeasibleProblemError as exc:
+        return type(exc)
+    return x.x, rate.hex()
+
+
+def assert_matches_reference(grid, caps, pop, l_c):
+    """solve_exact returns the reference's x and rate bits, or raises the same type."""
+    assert (_outcome(solve_exact, grid, caps, pop, l_c)
+            == _outcome(reference_solve_exact, grid, caps, pop, l_c))
 
 
 class TestThresholdForm:
@@ -184,3 +268,98 @@ class TestSolveExactVsBruteForce:
         pop = zipf_pmf(10000, 1.0)
         with pytest.raises(SizeGuardError):
             brute_force(grid, caps, pop, 100.0)
+
+
+class TestBracketedSolver:
+    @pytest.mark.parametrize("tau", [355.0, 358.0])
+    def test_subnormal_last_rank_matches_reference(self, tau):
+        """The clamped top of the rate bracket (sys.float_info.max) bisects
+        to the same bits as the full search."""
+        grid, _, caps = caps_for(2, 0.0, 4.0)
+        pop = zipf_pmf(8, tau)
+        for l_c in (0.5, 1.0, 3.0, 7.5):
+            assert_matches_reference(grid, caps, pop, l_c)
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_benchmark_grid_m9_matches_reference(self, tau):
+        """The M = 9 instances of the solve_grid benchmark workload."""
+        grid, _, caps = caps_for(9, 0.0, 4.0)
+        pop = zipf_pmf(math.floor((4 ** 9) ** 0.9), tau)
+        for beta2 in (0.1, 0.3, 0.5):
+            assert_matches_reference(grid, caps, pop, (4 ** 9) ** beta2)
+
+    def test_allocates_nothing_of_library_size(self):
+        """solve_exact reads suffix masses in place: at L = 2^20 its traced
+        peak stays below one byte per rank, so no per-rank copy is made."""
+        grid, _, caps = caps_for(3, 0.0, 4.0)
+        L = 2 ** 20
+        pop = zipf_pmf(L, 1.0)
+        tracemalloc.start()
+        try:
+            solve_exact(grid, caps, pop, L / 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < L
+
+
+def _threshold(suffix, r, c, lo, hi, L):
+    return _raw_thresholds(suffix, r, [c], [lo], [hi], L)[0]
+
+
+def _first_pass(suffix, r, c):
+    """Smallest t with suffix[t] * r <= c, by a linear scan of the numpy products."""
+    return int(np.flatnonzero(suffix * r <= c)[0])
+
+
+class TestThresholdMonotonicity:
+    """A level's minimal threshold is non-decreasing in the rate, so a search
+    bracketed by the thresholds at two rates finds the one at any rate between."""
+
+    def _check(self, suffix, c, rates):
+        L = len(suffix) - 1
+        view = memoryview(suffix)
+        r1, r2, r3 = sorted(rates)
+        t1, t2, t3 = (_threshold(view, r, c, 0, L, L) for r in (r1, r2, r3))
+        assert t1 <= t2 <= t3
+        with np.errstate(over="ignore"):
+            assert t2 == reference_min_threshold(suffix, r2, c, L) == _first_pass(suffix, r2, c)
+        assert _threshold(view, r2, c, t1, t3, L) == t2
+
+    def test_random_rates_on_zipf_suffixes(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            L = rng.randint(1, 5000)
+            pop = zipf_pmf(L, rng.uniform(0.0, 3.0))
+            suffix = pop.suffix_mass
+            c = rng.uniform(0.01, 2.0)
+            for _ in range(25):
+                rates = []
+                for _ in range(3):
+                    k = rng.randint(0, L - 1)
+                    r = c / float(suffix[k])  # a breakpoint, then its neighbourhood
+                    rates.append(rng.choice([r, math.nextafter(r, 0.0),
+                                             math.nextafter(r, math.inf),
+                                             r * rng.uniform(0.5, 2.0)]))
+                self._check(suffix, c, rates)
+
+    def test_largest_rate(self):
+        """r = sys.float_info.max, the clamped top of solve_exact's bracket:
+        every rank with positive suffix mass fails, so the threshold is L."""
+        rng = random.Random(32)
+        big = sys.float_info.max
+        for L in (1, 2, 8, 1000):
+            suffix = zipf_pmf(L, 1.2).suffix_mass
+            for c in (1e-300, 1.0, 1e300):
+                self._check(suffix, c, [big, big * rng.random(), c])
+            assert _threshold(memoryview(suffix), big, 1.0, 0, L, L) == L
+
+    def test_products_that_overflow(self):
+        """On a non-increasing array with entries above one the products
+        s * r overflow to inf at large r; the test stays monotone."""
+        suffix = np.array([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.0])
+        big = sys.float_info.max
+        assert math.isinf(float(suffix[1]) * big)
+        for c in (1.0, big / 2, big):
+            for rates in ([big / 8, big / 2, big], [1.0, big / 4, big], [big, big, big]):
+                self._check(suffix, c, rates)

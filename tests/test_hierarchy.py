@@ -7,13 +7,30 @@ import pytest
 
 from d2d_cachescale import (
     DomainError,
+    InvalidParameterError,
     NetworkGrid,
     PhyParams,
+    SizeGuardError,
     capacity_envelope,
     edge_capacities,
     multihop_envelope,
 )
+from d2d_cachescale.hierarchy import MAX_LEVELS
 from conftest import caps_for
+
+
+class TestNetworkGrid:
+    def test_level_count_guard(self):
+        """M runs from 1 to MAX_LEVELS = 20, where each interference sum has
+        about 1e6 terms; outside that range the grid is refused."""
+        assert MAX_LEVELS == 20
+        assert NetworkGrid(MAX_LEVELS, 0.0, 4.0).n == 4 ** 20
+        for m in (0, -1):
+            with pytest.raises(InvalidParameterError, match="level count must be"):
+                NetworkGrid(m, 0.0, 4.0)
+        for m in (MAX_LEVELS + 1, 40):
+            with pytest.raises(SizeGuardError, match=f"guard of {MAX_LEVELS}"):
+                NetworkGrid(m, 0.0, 4.0)
 
 
 class TestClusterIndexing:

@@ -10,12 +10,13 @@ import pytest
 from d2d_cachescale import (
     DomainError,
     InvalidParameterError,
+    SizeGuardError,
     tail_inverse,
     tail_inverse_bounds,
     tail_mass,
     zipf_pmf,
 )
-from d2d_cachescale.popularity import CHUNK_RANKS
+from d2d_cachescale.popularity import CHUNK_RANKS, MAX_RANKS
 
 
 def dense_zipf(L, tau):
@@ -76,6 +77,16 @@ class TestZipfPmf:
             zipf_pmf(0, 1.0)
         with pytest.raises(InvalidParameterError):
             zipf_pmf(4, -0.1)
+
+    def test_size_guard_before_allocating(self, monkeypatch):
+        """A library past MAX_RANKS (about 1.1 GB of model) is refused before
+        any array is allocated."""
+        def never(*args, **kwargs):
+            raise AssertionError("zipf_pmf allocated past the size guard")
+        monkeypatch.setattr(np, "empty", never)
+        for L in (MAX_RANKS + 1, 4 ** 40):
+            with pytest.raises(SizeGuardError, match=f"guard of {MAX_RANKS} ranks"):
+                zipf_pmf(L, 1.0)
 
     @pytest.mark.parametrize("L, tau", [(75281, 200.0), (512, 200.0), (8, 1200.0), (2, 1e6)])
     def test_zero_probability_rank_rejected(self, L, tau):

@@ -16,6 +16,7 @@ from d2d_cachescale import (
 from d2d_cachescale.popularity import CHUNK_RANKS
 from conftest import caps_for
 from test_delivery import assert_matches_reference
+from test_exact import assert_matches_reference as assert_exact_matches_reference
 from test_popularity import assert_matches_dense
 
 taus = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -71,3 +72,16 @@ def test_exact_is_optimal_and_bounds_the_pipeline(m_levels, L, tau, alpha, kappa
     _, exact_rate = solve_exact(grid, caps, pop, l_c)
     assert exact_rate == brute_rate
     assert optimize_placement(grid, caps, pop, l_c).report.rate <= exact_rate * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=8),
+       L=st.integers(min_value=1, max_value=3 * CHUNK_RANKS),
+       tau=taus, alpha=st.sampled_from([2.5, 3.0, 4.0]), kappa=st.sampled_from([0.0, 1.0]),
+       frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+def test_bracketed_solver_matches_full_search(m_levels, L, tau, alpha, kappa, frac):
+    """solve_exact's bracketed threshold search gives the placement and the
+    rate bits of the bisection that searches every threshold over all ranks."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    lo = L * 4.0 ** (-m_levels)
+    assert_exact_matches_reference(grid, caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
