@@ -17,7 +17,6 @@ from .delivery import (
     EdgeLoadReport,
     SimConfig,
     capacity_check,
-    file_level,
     report_csv_rows,
     simulate,
 )
@@ -35,7 +34,6 @@ from .exact import (
     brute_force,
     feasible_for_rate,
     from_threshold,
-    indicator_matrix,
     solve_exact,
     to_threshold,
 )
@@ -70,7 +68,6 @@ from .placement import (
     guarantee_floor,
     optimize_placement,
     placement_document,
-    placement_from_document,
     rebalance,
     relaxed_cache_load,
     relaxed_rate,
@@ -81,7 +78,6 @@ from .placement import (
 from .popularity import (
     PopularityModel,
     tail_inverse,
-    tail_inverse_bounds,
     tail_mass,
     zipf_pmf,
 )

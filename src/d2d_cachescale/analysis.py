@@ -3,11 +3,12 @@
 The bounds sandwich the optimised per-node throughput between two
 piecewise formulas in the skewness tau, built from a power-law envelope
 of the per-level capacities: the lower side divided by the rounding
-guarantee factor floors what the integer solver achieves, the upper side
-caps it. The exponent calculators give the large-n power of the per-node
-throughput for the cooperative scheme, the multihop baseline, and the
-information-theoretic ceiling, as functions of the library and cache
-growth orders (L ~ a1 n^beta1, L_C ~ a2 n^beta2).
+guarantee factor floors what the integer solver achieves (while
+L_C <= L - 1), and the upper side is meant to cap it (but see
+upper_bound). The exponent calculators give the large-n power of the
+per-node throughput for the cooperative scheme, the multihop baseline,
+and the information-theoretic ceiling, as functions of the library and
+cache growth orders (L ~ a1 n^beta1, L_C ~ a2 n^beta2).
 """
 
 from __future__ import annotations
@@ -92,11 +93,17 @@ def lower_bound(c: float, gamma: float, L: int, l_c: float, M: int,
 
 def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
                 tau: float) -> tuple[float | None, str]:
-    """Piecewise upper bound on the relaxed optimum, with its branch label.
+    """Piecewise upper bound meant to cap the relaxed optimum, with its branch label.
 
     The 1 < tau < gamma+1 branch returns None when its denominator is
-    non-positive (possible for small L, where the formula is vacuous), and
-    the tau = 1 branch when L = 1, where its 1/log L exponent is undefined.
+    non-positive (possible for small L, where the formula is vacuous), the
+    tau >= gamma+1 branch when its denominator rounds to zero (L_C within
+    rounding of L), and the tau = 1 branch when L = 1, where its 1/log L
+    exponent is undefined.
+
+    Known defect: the 1 < tau < gamma+1 branch can fall below the relaxed
+    optimum (0.637 against 1.018 at M = 9, beta2 = 0.7, tau = 1.05), and
+    other branches can when beta2 is within about 0.02 of beta1.
     """
     if tau < 1.0:
         val = c / (1.0 - tau) \
@@ -116,9 +123,10 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
         if inner <= 0.0:
             return None, "1<tau<gamma+1"
         return l_c ** gamma / inner ** gamma, "1<tau<gamma+1"
-    val = (tau - L ** (1.0 - tau)) * c * 4.0 ** (-gamma) \
-        / ((l_c + 1.0) ** (1.0 - tau) - (L + 1.0) ** (1.0 - tau))
-    return val, "tau>=gamma+1"
+    denom = (l_c + 1.0) ** (1.0 - tau) - (L + 1.0) ** (1.0 - tau)
+    if denom <= 0.0:
+        return None, "tau>=gamma+1"
+    return (tau - L ** (1.0 - tau)) * c * 4.0 ** (-gamma) / denom, "tau>=gamma+1"
 
 
 def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel,

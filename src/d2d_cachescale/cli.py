@@ -368,6 +368,12 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
 
 def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
                 fmt: str, out: str | None) -> int:
+    """Tabulate the exponents over tau and the lower bound over M = 8..12.
+
+    The table does not depend on --M/--n, but a level count that every
+    other command refuses is refused here too.
+    """
+    NetworkGrid(cfg.m_levels, cfg.kappa, cfg.alpha)
     taus = _parse_range(range_spec or "0:3:0.05")
     tau_a, tau_b_prop = critical_skewness(cfg.alpha, "proposed")
     _, tau_b_base = critical_skewness(cfg.alpha, "baseline")

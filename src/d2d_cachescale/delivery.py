@@ -16,12 +16,11 @@ loads, not time slots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, InvariantViolationError, SizeGuardError
+from .errors import InvalidParameterError, InvariantViolationError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector
 from .popularity import PopularityModel, tail_mass
@@ -30,6 +29,9 @@ from .popularity import PopularityModel, tail_mass
 # Largest request count simulate accepts: it allocates three 8-byte arrays per
 # request (nodes, uniforms, levels), so the guard caps those at about 240 MB.
 MAX_REQUESTS = 10 ** 7
+
+# Relative slack that lets capacity_check pass the tight level at the achieved rate.
+_CAPACITY_REL_TOL = 1e-9
 
 
 def check_request_count(num_requests: int) -> None:
@@ -84,22 +86,6 @@ class EdgeLoadReport:
     per_edge_counts: dict[int, np.ndarray] | None = None
 
 
-def file_level(l: int, x: PlacementVector) -> int:
-    """Level whose block of the popularity order contains rank l.
-
-    Test reference, not a production path: simulate() draws each request's
-    level without drawing a rank.
-    """
-    if not 1 <= l <= x.L:
-        raise DomainError(f"rank must lie in [1, {x.L}], got {l!r}")
-    cum = 0
-    for m, v in enumerate(x.x):
-        cum += v
-        if l <= cum:
-            return m
-    raise InvariantViolationError("placement does not cover the library")
-
-
 def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
     """Run the request-level simulation and attach analytic expectations.
 
@@ -130,6 +116,7 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
     if verbose:
         per_edge = {}
         for m in levels:
+            # node >> 2(m-1) is the Z-order parent map: the node's level-(m-1) cluster
             child = nodes[lv >= m] >> (2 * (m - 1))
             per_edge[m] = np.bincount(child, minlength=4 ** (M - m + 1)).astype(np.int64)
     return EdgeLoadReport(
@@ -146,8 +133,8 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
     )
 
 
-def capacity_check(report: EdgeLoadReport, caps: LevelCapacities, r: float,
-                   rel_tol: float = 1e-9) -> tuple[bool, ...]:
+def capacity_check(report: EdgeLoadReport, caps: LevelCapacities,
+                   r: float) -> tuple[bool, ...]:
     """Whether the analytic traffic at rate r fits each active level's capacity.
 
     At the achieved rate of the placement exactly one level is tight and
@@ -156,7 +143,7 @@ def capacity_check(report: EdgeLoadReport, caps: LevelCapacities, r: float,
     flags: list[bool] = []
     for m in range(1, report.m_b + 1):
         t = report.tail_mass[m - 1]
-        flags.append(t * r <= caps.cbar[m] / report.m_b * (1.0 + rel_tol))
+        flags.append(t * r <= caps.cbar[m] / report.m_b * (1.0 + _CAPACITY_REL_TOL))
     return tuple(flags)
 
 

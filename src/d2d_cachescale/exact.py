@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleProblemError, InvariantViolationError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector, _load, evaluate_throughput
@@ -59,19 +57,6 @@ def to_threshold(x: PlacementVector) -> ThresholdForm:
 def from_threshold(t: ThresholdForm) -> PlacementVector:
     """Placement of a threshold form: x_m = theta[m+1] - theta[m]."""
     return PlacementVector(tuple(b - a for a, b in zip(t.theta, t.theta[1:])))
-
-
-def indicator_matrix(t: ThresholdForm, L: int) -> np.ndarray:
-    """Materialise the (M+2) x L binary indicator matrix of a threshold form.
-
-    Row m has entry 1 at rank l iff l > theta[m]; rows are non-decreasing
-    left to right, columns non-increasing top to bottom. Test reference,
-    not a production path.
-    """
-    if t.theta[-1] > L:
-        raise InvariantViolationError(f"thresholds exceed the library size {L}")
-    ranks = np.arange(1, L + 1)
-    return (ranks[None, :] > np.asarray(t.theta)[:, None]).astype(np.int64)
 
 
 def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,

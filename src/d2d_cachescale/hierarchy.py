@@ -1,8 +1,8 @@
 """Quad-tree grid geometry, per-level edge capacities, and their power-law envelope.
 
 The n = 4^M nodes sit on a regular square grid. Level m groups them into
-4^{M-m} clusters of 4^m nodes each; clusters are indexed in Z-order
-(Morton code), so containment and ancestry are pure index arithmetic.
+4^{M-m} clusters of 4^m nodes each; nodes and clusters are indexed in
+Z-order (Morton code), so a node's level-m cluster is `node >> 2m`.
 A level-m tree edge connects a level-m cluster to one of its four level
 (m-1) children and inherits its capacity from the best PHY rate of a
 4^m-node cluster. The envelope coefficients bracket those capacities
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, InvalidParameterError, SizeGuardError
+from .errors import InvalidParameterError, SizeGuardError
 from .phy import ClusterRate, PhyParams, cluster_rate, interference_power
 
 
@@ -50,53 +50,6 @@ class NetworkGrid:
     def n(self) -> int:
         return 4 ** self.M
 
-    def cluster_of(self, node: int, m: int) -> int:
-        """Index of the level-m cluster containing a node (its Z-order ancestor).
-
-        cluster_of(i, 0) = i and cluster_of(i, M) = 0 for every node i.
-        """
-        if not 0 <= node < self.n:
-            raise DomainError(f"node index must lie in [0, {self.n}), got {node!r}")
-        if not 0 <= m <= self.M:
-            raise DomainError(f"level must lie in [0, {self.M}], got {m!r}")
-        return node >> (2 * m)
-
-    def node_coords(self, node: int) -> tuple[int, int]:
-        """(row, col) grid position of a node; the node index is its Morton code."""
-        if not 0 <= node < self.n:
-            raise DomainError(f"node index must lie in [0, {self.n}), got {node!r}")
-        row = col = 0
-        bit = 0
-        while node:
-            col |= (node & 1) << bit
-            row |= ((node >> 1) & 1) << bit
-            node >>= 2
-            bit += 1
-        return row, col
-
-    def node_at(self, row: int, col: int) -> int:
-        """Inverse of node_coords: interleave (row, col) bits into the node index."""
-        side = 2 ** self.M
-        if not (0 <= row < side and 0 <= col < side):
-            raise DomainError(f"grid position must lie in [0, {side})^2, got {(row, col)!r}")
-        node = 0
-        for bit in range(self.M):
-            node |= ((col >> bit) & 1) << (2 * bit)
-            node |= ((row >> bit) & 1) << (2 * bit + 1)
-        return node
-
-    def routing_path(self, node: int, source_level: int) -> list[tuple[int, int]]:
-        """(level, cluster) hops from the source cluster down to the node.
-
-        The path has source_level + 1 entries, levels descending to the
-        leaf; an empty list for source_level 0 (local cache hit).
-        """
-        if not 0 <= source_level <= self.M:
-            raise DomainError(f"level must lie in [0, {self.M}], got {source_level!r}")
-        if source_level == 0:
-            return []
-        return [(lev, self.cluster_of(node, lev)) for lev in range(source_level, -1, -1)]
-
 
 @dataclass(frozen=True)
 class LevelCapacities:
@@ -104,22 +57,16 @@ class LevelCapacities:
 
     cbar[m] = 4/3 * (best per-node rate of a 4^m-node cluster) for
     m = 1..M; cbar[0] is +inf so the no-constraint convention at level
-    zero falls out of the same array. The absolute edge capacity also
-    carries a 4^{m-1} concentration factor and a 1/M_b round-robin share
-    over the M_b active levels; cm() applies both.
+    zero falls out of the same array. The absolute edge capacity is
+    cbar[m] 4^{m-1} / M_b: a 4^{m-1} concentration factor and a 1/M_b
+    round-robin share over the M_b active levels. A level-m edge carries
+    the traffic of 4^{m-1} nodes, so the solvers compare per-node traffic
+    with cbar[m] / M_b.
     """
 
     M: int
     cbar: tuple[float, ...]
     rates: tuple[ClusterRate | None, ...]
-
-    def cm(self, m: int, m_b: int) -> float:
-        """Absolute level-m edge capacity with m_b active levels."""
-        if not 1 <= m <= self.M:
-            raise DomainError(f"level must lie in [1, {self.M}], got {m!r}")
-        if m_b < 1:
-            raise DomainError(f"active level count must be >= 1, got {m_b!r}")
-        return self.cbar[m] * 4.0 ** (m - 1) / m_b
 
 
 class NetworkInterference:

@@ -5,7 +5,8 @@ multi-stage cooperative mode serves a size-n cluster at a rate decaying
 as n^{-1/(s+1)} in the cluster size (s = stage count); the classical
 nearest-neighbour multihop mode decays as n^{-1/2}. Both are
 interference-limited through a deterministic worst-case interference sum
-and a TDMA reuse factor derived from the path loss exponent. All rates
+over the whole network, which the caller computes once and passes in, and
+a TDMA reuse factor derived from the path loss exponent. All rates
 are spectral efficiencies in bit/s/Hz (base-2 logarithms throughout).
 """
 
@@ -96,17 +97,14 @@ def interference_power(n: int, snr: float, t_r: int, alpha: float) -> float:
     return math.fsum(8.0 * i * snr * (t_r * i - 1.0) ** (-alpha) for i in range(1, root + 1))
 
 
-def rate_hcoop(n: int, s: int, params: PhyParams, p_i: float | None = None) -> float:
+def rate_hcoop(n: int, s: int, params: PhyParams, p_i: float) -> float:
     """Per-node cooperative rate with s stages on a size-n cluster.
 
-    p_i overrides the interference power; callers rating a sub-cluster of
-    a larger network pass the full-network value. By default it is
-    computed from n itself.
+    p_i is the interference power the cluster sees; `cluster_rate` passes
+    the full-network sum, whatever the cluster size.
     """
     if s < 1:
         raise InvalidParameterError(f"stage count must be >= 1, got {s!r}")
-    if p_i is None:
-        p_i = interference_power(n, params.snr_hcoop, params.t_r_hcoop, params.alpha)
     log_term = math.log2(1.0 + params.snr_hcoop / (1.0 + p_i))
     t_r = params.t_r_hcoop
     if s == 1:
@@ -117,15 +115,13 @@ def rate_hcoop(n: int, s: int, params: PhyParams, p_i: float | None = None) -> f
     return r_c * n ** (-1.0 / (s + 1.0)) / denom
 
 
-def optimal_stages(n: int, params: PhyParams, p_i: float | None = None) -> int:
+def optimal_stages(n: int, params: PhyParams, p_i: float) -> int:
     """Stage count maximising rate_hcoop over s = 1..ceil(4 sqrt(ln n)).
 
     Exhaustive scan; ties break toward the smaller stage count.
     """
     if n < 4:
         raise InvalidParameterError(f"cluster size must be >= 4, got {n!r}")
-    if p_i is None:
-        p_i = interference_power(n, params.snr_hcoop, params.t_r_hcoop, params.alpha)
     s_max = max(1, math.ceil(4.0 * math.sqrt(math.log(n))))
     best_s, best_rate = 1, rate_hcoop(n, 1, params, p_i)
     for s in range(2, s_max + 1):
@@ -135,10 +131,8 @@ def optimal_stages(n: int, params: PhyParams, p_i: float | None = None) -> int:
     return best_s
 
 
-def rate_multihop(n: int, params: PhyParams, p_i: float | None = None) -> float:
+def rate_multihop(n: int, params: PhyParams, p_i: float) -> float:
     """Per-node multihop rate on a size-n cluster: log2(1 + SNR/(1 + P_I)) n^{-1/2} / T_r^2."""
-    if p_i is None:
-        p_i = interference_power(n, params.snr_multihop, params.t_r_multihop, params.alpha)
     return math.log2(1.0 + params.snr_multihop / (1.0 + p_i)) * n ** -0.5 \
         / params.t_r_multihop ** 2
 

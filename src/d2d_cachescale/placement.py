@@ -26,6 +26,10 @@ from .hierarchy import LevelCapacities, NetworkGrid
 from .popularity import PopularityModel, tail_inverse, tail_mass
 
 
+# Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
+_RATE_REL_TOL = 4e-16
+
+
 @dataclass(frozen=True)
 class PlacementVector:
     """Integer placement: x[m] files are cached at level m, m = 0..M."""
@@ -259,7 +263,7 @@ def _all_at_top(M: int, L: int, caps: LevelCapacities) -> RelaxedSolution:
 
 
 def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
-                l_c: float, rel_tol: float = 4e-16) -> float:
+                l_c: float) -> float:
     """Rate r in (cbar[m*+1], cbar[m*]] at which the cache mass equals l_c.
 
     Plain bisection (the load is monotone in r) down to machine precision,
@@ -280,7 +284,7 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
         else:
             raise BracketError("cache load never reaches the budget")
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= _RATE_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -460,7 +464,9 @@ def optimize_placement(grid: NetworkGrid, caps: LevelCapacities,
     """Full pipeline: relax, round, rebalance, evaluate.
 
     The report carries the guarantee floor derived from the relaxed
-    optimum; the achieved rate never falls below it.
+    optimum. The achieved rate does not fall below it while L_C <= L - 1;
+    with less than one file left out of each node's cache, rounding can
+    lose a whole file's tail and no integer placement reaches the floor.
     """
     sol = solve_relaxed(grid, caps, pop, l_c)
     rounded = round_to_feasible(sol, grid)
@@ -476,11 +482,3 @@ def placement_document(x: PlacementVector, l_c: float, rate: float) -> dict:
     """JSON-ready description of a solved placement."""
     return {"M": x.M, "L": x.L, "L_C": l_c, "x": list(x.x),
             "rate_bits_per_s_hz": rate}
-
-
-def placement_from_document(doc: dict) -> tuple[PlacementVector, float, float]:
-    """Parse a placement document back into (vector, budget, rate)."""
-    pv = PlacementVector(tuple(int(v) for v in doc["x"]))
-    if pv.M != int(doc["M"]) or pv.L != int(doc["L"]):
-        raise InvariantViolationError("placement document fields disagree with x")
-    return pv, float(doc["L_C"]), float(doc["rate_bits_per_s_hz"])

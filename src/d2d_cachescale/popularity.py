@@ -5,8 +5,7 @@ Besides the pmf it exposes the popularity tail mass f(x): the probability
 mass of all ranks at or beyond a (possibly fractional) rank x, linearly
 interpolated between integer ranks. Every capacity constraint downstream
 charges traffic through f, so both f and its inverse are computed exactly
-(per-segment linear inversion) rather than approximated, and closed-form
-analytic brackets of the inverse are provided for the bound formulas.
+(per-segment linear inversion) rather than approximated.
 """
 
 from __future__ import annotations
@@ -163,28 +162,3 @@ def tail_inverse(model: PopularityModel, y: float) -> float:
     k = lo + 1
     x = (k + 1) - (y - float(suffix[k])) / float(model.pmf[k])
     return min(max(x, float(k)), float(k + 1))
-
-
-def tail_inverse_bounds(model: PopularityModel, y: float) -> tuple[float, float]:
-    """Closed-form bracket around the tail-mass inverse, by skewness regime.
-
-    For tau < 1 the pair brackets the normalised inverse
-    (tail_inverse(y) - 1) / L; for tau >= 1 it brackets tail_inverse(y)
-    itself. For 1 < tau < 2 the lower-bound prefactor exponent must be
-    1/(1 - tau) for the bracket to stay valid, so the exponent used is
-    min(1 - tau, 1/(1 - tau)); the two coincide at tau = 2.
-    """
-    if not 0.0 < y <= 1.0:
-        raise DomainError(f"bracket argument must lie in (0, 1], got {y!r}")
-    L, tau = model.L, model.tau
-    if tau < 1.0:
-        lower = max(1.0 - y / (1.0 - tau), 0.0)
-        upper = 1.0 - y
-    elif tau == 1.0:
-        lower = math.exp(-1.0) * L ** (1.0 - y)
-        upper = math.e ** 2 * L
-    else:
-        ex = 1.0 / (1.0 - tau)
-        lower = 2.0 ** min(1.0 - tau, ex) * min((y * tau) ** ex, L + 1.0)
-        upper = min((y / tau) ** ex, L + 1.0) + 1.0
-    return lower, upper

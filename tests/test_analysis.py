@@ -15,6 +15,8 @@ from d2d_cachescale import (
     converse_exponent,
     critical_skewness,
     lower_bound,
+    solve_exact,
+    solve_relaxed,
     throughput_bounds,
     upper_bound,
     zipf_pmf,
@@ -73,6 +75,14 @@ class TestBoundFormulas:
         assert branch == "1<tau<gamma+1"
         assert val is None
 
+    def test_upper_inapplicable_when_the_top_denominator_rounds_to_zero(self):
+        """The float below L = 4 as budget: L_C + 1 rounds to L + 1."""
+        l_c = math.nextafter(4.0, 0.0)
+        assert l_c < 4 and l_c + 1.0 == 5.0
+        assert upper_bound(1.0, 0.25, 4, l_c, 2, 2.0) == (None, "tau>=gamma+1")
+        val, _ = upper_bound(1.0, 0.25, 4, 3.5, 2, 2.0)
+        assert math.isfinite(val)
+
     def test_upper_undefined_for_single_file_at_tau_one(self):
         """tau = 1 raises L to 1 - 1/log L, undefined at L = 1."""
         assert upper_bound(1.0, 0.5, 1, 0.5, 1, 1.0) == (None, "tau=1")
@@ -90,6 +100,19 @@ class TestBoundFormulas:
                     res.r_lower / (9 * (1 + 2 ** tau)), rel=1e-15)
                 if res.r_upper is not None:
                     assert res.r_lower <= res.r_upper
+
+    def test_mid_branch_upper_falls_below_the_optimum(self):
+        """Pins a known defect: at M = 9, tau = 1.05 (inside 1 < tau <
+        1 + gamma_upper = 1.124) R_U is below the relaxed optimum at
+        beta2 = 0.7, and below the integer optimum too at beta2 = 0.8."""
+        grid, params, caps = caps_for(9, 0.0, 4.0)
+        pop = zipf_pmf(int(grid.n ** 0.9), 1.05)
+        for beta2, integer_too in ((0.7, False), (0.8, True)):
+            l_c = grid.n ** beta2
+            res = throughput_bounds(grid, params, pop, l_c)
+            assert res.upper_branch == "1<tau<gamma+1"
+            assert res.r_upper < solve_relaxed(grid, caps, pop, l_c).r_star
+            assert (res.r_upper < solve_exact(grid, caps, pop, l_c)[1]) is integer_too
 
     def test_sides_use_their_own_envelope(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)

@@ -13,7 +13,6 @@ from d2d_cachescale import (
     SizeGuardError,
     cli,
     hierarchy,
-    placement_from_document,
 )
 from d2d_cachescale.popularity import MAX_RANKS
 from d2d_cachescale.cli import _OPTIONS, _parse_range, _read_config_file, main
@@ -39,8 +38,8 @@ class TestPlace:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema_version"].startswith("d2d-cachescale v")
-        pv, l_c, rate = placement_from_document(doc)
-        assert pv.L == 8 and l_c == 1.0 and rate > 0
+        assert sum(doc["x"]) == doc["L"] == 8 and len(doc["x"]) == doc["M"] + 1 == 3
+        assert doc["L_C"] == 1.0 and doc["rate_bits_per_s_hz"] > 0
 
     def test_bandwidth_scales_output(self, capsys):
         _, out1, _ = run_cli(capsys, "place", "--M", "2", "--l", "8", "--lc", "1.0",
@@ -255,6 +254,8 @@ class TestInputChecks:
         (("simulate", "--M", "40"), "level count 40 exceeds the guard of 20"),
         (("place", "--M", "-1"), "level count must be an integer >= 1, got -1"),
         (("place", "--M", "0"), "level count must be an integer >= 1, got 0"),
+        (("scaling", "--M", "0"), "level count must be an integer >= 1, got 0"),
+        (("scaling", "--M", "40"), "level count 40 exceeds the guard of 20"),
     ])
     def test_level_count_guard_exits_3_before_any_work(self, capsys, monkeypatch, argv, message):
         """A level count outside [1, 20] is refused before the O(2^M)
@@ -317,6 +318,14 @@ class TestInputChecks:
         lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
         assert lines["L"] == "1"
         assert lines["upper_bound_bits_per_s_hz"] == ""
+
+    def test_budget_a_rounding_error_below_the_library_has_no_upper_bound(self, capsys):
+        """L_C + 1 rounds to L + 1, so the tau >= gamma + 1 denominator is
+        zero; it once raised ZeroDivisionError."""
+        code, out, err = run_cli(capsys, "place", "--M", "2", "--l", "4", "--alpha", "2.2",
+                                 "--lc", "3.9999999999999996", "--tau", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "upper_bound_bits_per_s_hz,"
 
     def test_guarantee_floor_past_overflow(self, capsys):
         code, out, err = run_cli(capsys, "place", "--M", "1", "--l", "1",

@@ -13,7 +13,6 @@ from d2d_cachescale import (
     SizeGuardError,
     capacity_check,
     evaluate_throughput,
-    file_level,
     report_csv_rows,
     simulate,
     zipf_pmf,
@@ -56,24 +55,6 @@ def assert_matches_reference(cfg):
     assert rep.per_edge_counts.keys() == per_edge.keys()
     for m, hist in per_edge.items():
         assert np.array_equal(rep.per_edge_counts[m], hist)
-
-
-class TestFileLevel:
-    def test_all_local(self):
-        x = PlacementVector((5, 0, 0))
-        assert [file_level(l, x) for l in range(1, 6)] == [0] * 5
-
-    def test_block_boundaries(self):
-        x = PlacementVector((1, 2, 3))
-        assert file_level(1, x) == 0
-        assert file_level(2, x) == 1
-        assert file_level(3, x) == 1
-        assert file_level(4, x) == 2
-        assert file_level(6, x) == 2
-
-    def test_last_file_at_top_active_level(self):
-        x = PlacementVector((2, 4, 0))
-        assert file_level(6, x) == x.m_b == 1
 
 
 class TestSimulate:

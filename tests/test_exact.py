@@ -18,7 +18,6 @@ from d2d_cachescale import (
     evaluate_throughput,
     feasible_for_rate,
     from_threshold,
-    indicator_matrix,
     optimize_placement,
     solve_exact,
     to_threshold,
@@ -129,31 +128,6 @@ class TestThresholdForm:
     def test_rejects_decreasing(self):
         with pytest.raises(InvariantViolationError):
             ThresholdForm((0, 3, 2, 5))
-
-    def test_indicator_matrix_structure(self):
-        """Rows non-decreasing, columns non-increasing, row sums recover x,
-        and the weighted double sum recovers the cache load."""
-        rng = random.Random(12)
-        pop = zipf_pmf(12, 1.1)
-        for _ in range(50):
-            cuts = sorted(rng.randint(0, 12) for _ in range(3))
-            pv = PlacementVector(tuple(b - a for a, b in zip([0] + cuts, cuts + [12])))
-            t = to_threshold(pv)
-            delta = indicator_matrix(t, 12)
-            assert np.all(np.diff(delta, axis=1) >= 0)
-            assert np.all(np.diff(delta, axis=0) <= 0)
-            assert np.all(delta[0] == 1) and np.all(delta[-1] == 0)
-            row_sums = delta.sum(axis=1)
-            x_back = row_sums[:-1] - row_sums[1:]
-            assert x_back.tolist() == list(pv.x)
-            # row m of delta picks out the tail mass past theta[m]
-            tails = delta @ pop.pmf[1:]
-            for m in range(5):
-                assert tails[m] == pytest.approx(
-                    float(pop.suffix_mass[t.theta[m]]), abs=1e-12)
-            weights = 4.0 ** -np.arange(4)
-            load = float(weights @ x_back)
-            assert load == pytest.approx(pv.cache_load(), rel=1e-12)
 
 
 class TestFeasibleForRate:

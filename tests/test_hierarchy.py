@@ -1,18 +1,15 @@
-"""Grid indexing, routing paths, edge capacities, and the capacity envelope."""
+"""Grid guards, edge capacities, and the capacity envelope."""
 
 import math
-import random
 
 import pytest
 
 from d2d_cachescale import (
-    DomainError,
     InvalidParameterError,
     NetworkGrid,
     PhyParams,
     SizeGuardError,
     capacity_envelope,
-    edge_capacities,
     multihop_envelope,
 )
 from d2d_cachescale.hierarchy import MAX_LEVELS
@@ -33,86 +30,7 @@ class TestNetworkGrid:
                 NetworkGrid(m, 0.0, 4.0)
 
 
-class TestClusterIndexing:
-    def test_root_and_leaves(self):
-        grid = NetworkGrid(3, 0.0, 4.0)
-        for node in (0, 17, 63):
-            assert grid.cluster_of(node, 3) == 0
-            assert grid.cluster_of(node, 0) == node
-
-    def test_upper_left_square_shares_cluster(self):
-        """n=64: all 16 nodes of the upper-left 4x4 square live in one
-        level-2 cluster."""
-        grid = NetworkGrid(3, 0.0, 4.0)
-        ids = {grid.cluster_of(grid.node_at(r, c), 2) for r in range(4) for c in range(4)}
-        assert len(ids) == 1
-
-    def test_parent_consistency(self):
-        grid = NetworkGrid(4, 0.0, 4.0)
-        rng = random.Random(5)
-        for _ in range(200):
-            node = rng.randrange(grid.n)
-            for m in range(grid.M):
-                assert grid.cluster_of(node, m) // 4 == grid.cluster_of(node, m + 1)
-
-    def test_coords_round_trip(self):
-        grid = NetworkGrid(3, 0.0, 4.0)
-        for node in range(64):
-            r, c = grid.node_coords(node)
-            assert grid.node_at(r, c) == node
-
-    def test_same_square_iff_same_cluster(self):
-        """Level-m cluster id agrees with the aligned 2^m x 2^m square."""
-        grid = NetworkGrid(3, 0.0, 4.0)
-        for node in range(64):
-            r, c = grid.node_coords(node)
-            for m in range(4):
-                side = 2 ** m
-                anchor = grid.node_at((r // side) * side, (c // side) * side)
-                assert grid.cluster_of(node, m) == grid.cluster_of(anchor, m)
-
-    def test_domain_errors(self):
-        grid = NetworkGrid(2, 0.0, 4.0)
-        with pytest.raises(DomainError):
-            grid.cluster_of(16, 0)
-        with pytest.raises(DomainError):
-            grid.cluster_of(0, 3)
-
-
-class TestRoutingPath:
-    def test_local_hit_is_empty(self):
-        grid = NetworkGrid(3, 0.0, 4.0)
-        assert grid.routing_path(12, 0) == []
-
-    def test_example_shape(self):
-        """n=64, source at level 2: three hops, levels 2 -> 1 -> 0."""
-        grid = NetworkGrid(3, 0.0, 4.0)
-        node = 4
-        path = grid.routing_path(node, 2)
-        assert len(path) == 3
-        assert [lev for lev, _ in path] == [2, 1, 0]
-        assert path[-1] == (0, node)
-        assert all(cl == grid.cluster_of(node, lev) for lev, cl in path)
-
-    def test_length_matches_level(self):
-        grid = NetworkGrid(5, 0.0, 4.0)
-        rng = random.Random(9)
-        for _ in range(100):
-            node = rng.randrange(grid.n)
-            m = rng.randint(1, 5)
-            path = grid.routing_path(node, m)
-            assert len(path) == m + 1
-            assert all(a[0] - 1 == b[0] for a, b in zip(path, path[1:]))
-
-
 class TestEdgeCapacities:
-    def test_cm_algebra(self):
-        _, _, caps = caps_for(5, 0.0, 4.0)
-        for m in range(1, 6):
-            assert caps.cm(m, 1) * 4.0 ** (-(m - 1)) == pytest.approx(caps.cbar[m], rel=1e-15)
-            for m_b in (2, 3, 5):
-                assert caps.cm(m, m_b) == pytest.approx(caps.cm(m, 1) / m_b, rel=1e-15)
-
     def test_frozen_extended_alpha4(self):
         """First verified evaluation, M=6, kappa=1, alpha=4: multihop wins at
         every level and the capacities halve per level."""

@@ -95,7 +95,7 @@ class TestRates:
 
     def test_stage_guard(self):
         with pytest.raises(InvalidParameterError):
-            rate_hcoop(16, 0, PhyParams(4.0))
+            rate_hcoop(16, 0, PhyParams(4.0), p_i=100.0)
 
     def test_multihop_scaling_and_value(self):
         p = PhyParams(4.0)
@@ -117,10 +117,14 @@ class TestOptimalStages:
             assert optimal_stages(n, p, p_i) == best
 
     def test_frozen_and_growth(self):
-        """First verified scan at alpha=4: s*(4^9) = 3; s* grows with n."""
+        """First verified scan at alpha=4, each cluster rated under its own
+        interference sum: s*(4^9) = 3; s* grows with n."""
         p = PhyParams(4.0)
-        assert optimal_stages(4 ** 9, p) == 3
-        assert optimal_stages(4 ** 12, p) >= optimal_stages(4 ** 6, p)
+
+        def s_star(n):
+            return optimal_stages(n, p, interference_power(n, p.snr_hcoop, p.t_r_hcoop, 4.0))
+        assert s_star(4 ** 9) == 3
+        assert s_star(4 ** 12) >= s_star(4 ** 6)
 
 
 class TestClusterRate:

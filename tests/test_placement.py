@@ -15,8 +15,6 @@ from d2d_cachescale import (
     guarantee_factor,
     guarantee_floor,
     optimize_placement,
-    placement_document,
-    placement_from_document,
     rebalance,
     relaxed_cache_load,
     relaxed_solution_at,
@@ -330,9 +328,3 @@ class TestPipeline:
         assert a.report.rate == b.report.rate
         assert a.relaxed.x_star == b.relaxed.x_star
         assert a.relaxed.r_star == b.relaxed.r_star
-
-    def test_document_round_trip(self):
-        pv = PlacementVector((1, 3, 4))
-        doc = placement_document(pv, 2.5, 0.125)
-        back, l_c, rate = placement_from_document(doc)
-        assert back.x == pv.x and l_c == 2.5 and rate == 0.125

@@ -1,6 +1,5 @@
-"""Zipf model, tail mass, exact inversion, and the analytic inverse bracket."""
+"""Zipf model, tail mass, and its exact inversion."""
 
-import math
 import random
 import tracemalloc
 
@@ -12,7 +11,6 @@ from d2d_cachescale import (
     InvalidParameterError,
     SizeGuardError,
     tail_inverse,
-    tail_inverse_bounds,
     tail_mass,
     zipf_pmf,
 )
@@ -199,47 +197,3 @@ class TestTailInverse:
     def test_negative_argument(self):
         with pytest.raises(DomainError):
             tail_inverse(zipf_pmf(4, 1.0), -1e-9)
-
-
-class TestTailInverseBounds:
-    def test_uniform_at_full_mass(self):
-        """tau = 0, y = 1: both sides of the normalised bracket collapse to 0."""
-        pop = zipf_pmf(4, 0.0)
-        assert tail_inverse_bounds(pop, 1.0) == (0.0, 0.0)
-
-    def test_heavy_skew_case(self):
-        """tau=2, L=4, y=1: lower = 2^{-1} min((1*2)^{-1}, 5) = 0.25 and
-        upper = min((1/2)^{-1}, 5) + 1 = 3."""
-        pop = zipf_pmf(4, 2.0)
-        lo, hi = tail_inverse_bounds(pop, 1.0)
-        assert lo == pytest.approx(0.25, rel=1e-15)
-        assert hi == pytest.approx(3.0, rel=1e-15)
-
-    def test_log_case(self):
-        """tau=1, L=4, y=1: lower = e^{-1} 4^0, upper = e^2 * 4."""
-        pop = zipf_pmf(4, 1.0)
-        lo, hi = tail_inverse_bounds(pop, 1.0)
-        assert lo == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert hi == pytest.approx(4.0 * math.e ** 2, rel=1e-15)
-
-    def test_domain(self):
-        pop = zipf_pmf(4, 1.0)
-        with pytest.raises(DomainError):
-            tail_inverse_bounds(pop, 0.0)
-        with pytest.raises(DomainError):
-            tail_inverse_bounds(pop, 1.5)
-
-    def test_sandwich_sampled(self):
-        """The bracket contains the true inverse on its regime's scale:
-        (finv - 1)/L for tau < 1, finv itself for tau >= 1."""
-        rng = random.Random(20240817)
-        for _ in range(1000):
-            L = rng.randint(2, 10000)
-            tau = rng.choice([0.0, 1.0, 2.0, rng.uniform(0.0, 3.0)])
-            pop = zipf_pmf(L, tau)
-            y = rng.uniform(1e-9, 1.0)
-            fi = tail_inverse(pop, y)
-            lo, hi = tail_inverse_bounds(pop, y)
-            val = (fi - 1.0) / L if tau < 1.0 else fi
-            assert lo <= val + 1e-9
-            assert val <= hi + 1e-9

@@ -1,14 +1,19 @@
 """Property tests over the popularity model's, simulator's and solvers' parameter space."""
 
-from hypothesis import given, settings
+import math
+
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d2d_cachescale import (
     PlacementVector,
     SimConfig,
     brute_force,
+    capacity_envelope,
     optimize_placement,
     solve_exact,
+    throughput_bounds,
     tail_inverse,
     tail_mass,
     zipf_pmf,
@@ -85,3 +90,55 @@ def test_bracketed_solver_matches_full_search(m_levels, L, tau, alpha, kappa, fr
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     lo = L * 4.0 ** (-m_levels)
     assert_exact_matches_reference(grid, caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m_levels=st.integers(min_value=2, max_value=8),
+       alpha=st.sampled_from([2.2, 2.5, 3.0, 3.5, 4.0, 5.0]), kappa=st.sampled_from([0.0, 1.0]),
+       beta1=st.sampled_from([0.5, 0.7, 0.9]),
+       beta2_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_lower_side_of_the_bound_sandwich(data, m_levels, alpha, kappa, beta1, beta2_frac):
+    """bounds.floor <= guarantee floor <= achieved rate <= relaxed optimum,
+    on the paper's instances (L = n^beta1, L_C = n^beta2 < L) and at the tau
+    branch points 1, gamma_lower + 1 and gamma_upper + 1 of the bounds.
+
+    The integer side holds only while L_C <= L - 1, so that the relaxed
+    optimum leaves at least one file out of each node's cache; see
+    test_integer_side_fails_with_less_than_one_file_uncached."""
+    grid, params, caps = caps_for(m_levels, kappa, alpha)
+    L, l_c = math.floor(grid.n ** beta1), grid.n ** (beta2_frac * beta1)
+    assume(l_c < L)
+    env = capacity_envelope(grid, params)
+    kink = st.sampled_from([1.0, env.gamma_lower + 1.0, env.gamma_upper + 1.0])
+    tau = data.draw(st.one_of(
+        taus, st.builds(lambda t, d: t + d, kink, st.sampled_from([-1e-12, 0.0, 1e-12]))))
+    pop = zipf_pmf(L, tau)
+    outcome = optimize_placement(grid, caps, pop, l_c)
+    bounds = throughput_bounds(grid, params, pop, l_c)
+    report = outcome.report
+    assert bounds.floor <= report.guarantee_floor
+    if l_c <= L - 1:
+        assert report.guarantee_floor <= report.rate <= outcome.relaxed.r_star
+
+
+@pytest.mark.parametrize("L, l_c", [(6, 16 ** (0.90625 * 0.7)),
+                                     (4, 16 ** (0.9999999999999999 * 0.5))])
+def test_integer_side_fails_with_less_than_one_file_uncached(L, l_c):
+    """Pins a known defect: with L - 1 < L_C < L (n = 16, tau = 0) the
+    integer side of the sandwich fails, for the pipeline and the exhaustive
+    optimum alike.
+
+    At L = 6, L_C = 5.81 the relaxation caches 5.77 files per node at rate
+    2.018. Every integer placement caches at most 5 locally, leaves a whole
+    file's tail (1/6) on level 1 and reaches 0.464, below the guarantee
+    floor 2.018 / (M (1 + 2^tau)) = 0.504: the tail bound behind the
+    1 + 2^tau factor needs a rank past the rounded prefix. At L = 4 and a
+    budget 6e-16 below L, rounding snaps the 3.99... local files up to 4,
+    within the 1e-12 budget tolerance of PlacementVector.validate, and the
+    unbounded all-local rate exceeds the relaxed optimum."""
+    grid, _, caps = caps_for(2, 0.0, 2.2)
+    pop = zipf_pmf(L, 0.0)
+    outcome = optimize_placement(grid, caps, pop, l_c)
+    report = outcome.report
+    assert report.rate == brute_force(grid, caps, pop, l_c)[1]
+    assert not report.guarantee_floor <= report.rate <= outcome.relaxed.r_star
