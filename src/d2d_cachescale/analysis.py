@@ -59,9 +59,10 @@ def lower_bound(c: float, gamma: float, L: int, l_c: float, M: int,
                 tau: float) -> tuple[float, str]:
     """Piecewise lower bound on the relaxed optimum, with its branch label."""
     if tau < 1.0:
+        uncached = (1.0 - l_c / L) * (4.0 ** (gamma + 1) - 1.0)
         val = c * min(
             ((4.0 ** (gamma + 1) - 1.0) / (4.0 ** (gamma + 2) - 16.0) * (l_c / L)) ** gamma,
-            3.0 / ((1.0 - l_c / L) * (4.0 ** (gamma + 1) - 1.0)),
+            3.0 / uncached if uncached else math.inf,  # L_C = L: the term's limit
         )
         return val, "tau<1"
     if tau == 1.0:
@@ -82,12 +83,21 @@ def lower_bound(c: float, gamma: float, L: int, l_c: float, M: int,
         val = (3.0 * math.log(L, 4.0) + 4.0) ** (-gamma) * (c / tau) * l_c ** (tau - 1.0)
         return val, "tau=gamma+1"
     q = 4.0 ** ((gamma + 1.0 - tau) / (tau - 1.0))
-    denom = 3.0 * tau ** (1.0 / (tau - 1.0)) * q / (1.0 - q) + 4.0 * tau ** (1.0 / gamma)
+    try:
+        spread = 4.0 * tau ** (1.0 / gamma)
+    except OverflowError:
+        spread = math.inf  # the bound then takes its limit, 0.0
+    denom = 3.0 * tau ** (1.0 / (tau - 1.0)) * q / (1.0 - q) + spread
     try:
         val = c * l_c ** (tau - 1.0) / denom ** (tau - 1.0)
     except OverflowError:
-        # For large tau the two powers overflow separately; their ratio does not.
-        val = c * (l_c / denom) ** (tau - 1.0)
+        # For large tau the two powers overflow separately; their ratio does
+        # not, unless L_C is far above the library (scaling does not check it).
+        try:
+            val = c * (l_c / denom) ** (tau - 1.0)
+        except OverflowError:
+            raise DomainError(
+                f"lower bound at L_C = {l_c!r}, tau = {tau!r} overflows a float") from None
     return val, "tau>gamma+1"
 
 
@@ -104,6 +114,9 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
     Known defect: the 1 < tau < gamma+1 branch can fall below the relaxed
     optimum (0.637 against 1.018 at M = 9, beta2 = 0.7, tau = 1.05), and
     other branches can when beta2 is within about 0.02 of beta1.
+
+    Known gap: the tau < 1 branch's 1/(1 - tau) factor blows up near tau = 1:
+    default place gives R_U 3.05 at tau = 1 but 2.97e5 at tau = 1 - 1e-6.
     """
     if tau < 1.0:
         val = c / (1.0 - tau) \

@@ -247,6 +247,8 @@ def _resolve(args, overrides: dict | None = None):
             raise InvalidParameterError(f"{opt.flag} must be finite, got {value!r}")
     if merged["seed"] < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {merged['seed']}")
+    if merged["bandwidth_hz"] <= 0:
+        raise InvalidParameterError(f"--bandwidth-hz must be > 0, got {merged['bandwidth_hz']!r}")
     n = merged.pop("n")
     if n is not None:
         m = exact_log4(n)

@@ -6,7 +6,7 @@ a file at level m costs 4^{-m} of the per-node cache and is served over
 m tree edges. Given per-level capacities, a popularity model and a cache
 budget, the solver maximises the per-node throughput with a
 relax-round-rebalance recipe: an exact solution of the continuous
-relaxation via nested bisection, a carry-based rounding that never
+relaxation by bisection over m* then r, a carry-based rounding that never
 overshoots the cache, and a local rebalancing loop that keeps shifting
 single files between levels while the bottleneck ratio improves.
 """
@@ -216,10 +216,11 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
                   pop: PopularityModel, l_c: float) -> RelaxedSolution:
     """Exact solution of the continuous placement relaxation.
 
-    An outer bisection locates the lowest occupied level m*: pushing m*
-    down when the budget can still afford the cheaper level, up when it
-    cannot. The inner solve then finds the unique rate at which the
-    implied cache mass meets the budget exactly.
+    The lowest occupied level m* is the first m whose load at the top of
+    its rate bracket, relaxed_cache_load(m, cbar[m+1]), is below the
+    budget, or M (all files at the top level). That load does not increase
+    with m, so a bisection with one probe per step finds m*. The rate
+    solve then meets the budget exactly in (cbar[m*+1], cbar[m*]].
     """
     M, L = grid.M, pop.L
     min_load = L * 4.0 ** (-M)
@@ -230,41 +231,22 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
     if l_c >= L:
         raise InvalidParameterError(
             f"cache budget {l_c} stores the whole library locally; nothing to optimise")
-    if relaxed_cache_load(0, caps.cbar[1], caps, pop) < l_c:
-        m_star = 0
-    elif min_load >= l_c:
-        return _all_at_top(M, L, caps)
-    else:
-        m_lo, m_hi = 0, M
-        m_star = (m_lo + m_hi) // 2
-        while True:
-            if relaxed_cache_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
-                m_lo = m_star
-            elif relaxed_cache_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
-                m_hi = m_star
-            else:
-                break
-            if m_hi - m_lo == 1:
-                m_star = m_hi
-                break
-            m_star = (m_lo + m_hi) // 2
-        if m_star == M:
-            # budget coincides with the all-at-top load up to float dust
-            return _all_at_top(M, L, caps)
-    r_star = _solve_rate(m_star, caps, pop, l_c)
+    lo, m_star = -1, M
+    while m_star - lo > 1:
+        mid = (lo + m_star) // 2
+        if relaxed_cache_load(mid, caps.cbar[mid + 1], caps, pop) >= l_c:
+            lo = mid
+        else:
+            m_star = mid
+    r_star = caps.cbar[M] if m_star == M else _solve_rate(m_star, caps, pop, l_c)
     xs = relaxed_solution_at(m_star, r_star, caps, pop)
     return RelaxedSolution(tuple(xs), r_star, m_star)
 
 
-def _all_at_top(M: int, L: int, caps: LevelCapacities) -> RelaxedSolution:
-    xs = [0.0] * (M + 1)
-    xs[M] = float(L)
-    return RelaxedSolution(tuple(xs), caps.cbar[M], M)
-
-
 def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
                 l_c: float) -> float:
-    """Rate r in (cbar[m*+1], cbar[m*]] at which the cache mass equals l_c.
+    """Rate r in (cbar[m*+1], cbar[m*]] at which the cache mass equals l_c,
+    given the m* search's guarantee that the load at cbar[m*+1] is below l_c.
 
     Plain bisection (the load is monotone in r) down to machine precision,
     then a closed-form snap: once the bracket pins every tail inverse to a
@@ -272,8 +254,6 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     The snap is kept only when it actually reduces the residual.
     """
     lo = caps.cbar[m_star + 1]
-    if relaxed_cache_load(m_star, lo, caps, pop) >= l_c:
-        return lo  # root sits at the open end: boundary with level m*+1
     hi = caps.cbar[m_star]
     if not math.isfinite(hi):
         hi = max(lo, 1e-300)

@@ -33,6 +33,14 @@ class TestBoundFormulas:
         assert branch == "tau<1"
         assert val == pytest.approx(c * min(first, second), rel=1e-14)
 
+    def test_uniform_lower_at_a_budget_equal_to_the_library(self):
+        """At L_C = L the second term's denominator is zero; the term takes
+        its limit, inf, and the bound is the first term (it once raised
+        ZeroDivisionError in `scaling`)."""
+        c, g = 0.05, 0.3
+        val, _ = lower_bound(c, g, 1, 1.0, 8, 0.5)
+        assert val == c * ((4 ** (g + 1) - 1) / (4 ** (g + 2) - 16)) ** g
+
     def test_branch_selection(self):
         c, g, L, lc, M = 0.05, 0.3, 1000, 20.0, 6
         assert lower_bound(c, g, L, lc, M, 1.0)[1] == "tau=1"
@@ -113,6 +121,20 @@ class TestBoundFormulas:
             assert res.upper_branch == "1<tau<gamma+1"
             assert res.r_upper < solve_relaxed(grid, caps, pop, l_c).r_star
             assert (res.r_upper < solve_exact(grid, caps, pop, l_c)[1]) is integer_too
+
+    def test_upper_below_tau_one_blows_up_as_tau_nears_one(self):
+        """Pins a known gap: the tau < 1 branch carries a 1/(1 - tau) factor,
+        so on the default place instance R_U is 3.05 at tau = 1 and 2.97e5
+        at tau = 1 - 1e-6, while the relaxed optimum barely moves."""
+        grid, params, caps = caps_for(9, 0.0, 4.0)
+        l_c = grid.n ** 0.3
+        at_one = throughput_bounds(grid, params, zipf_pmf(int(grid.n ** 0.9), 1.0), l_c)
+        pop = zipf_pmf(int(grid.n ** 0.9), 1.0 - 1e-6)
+        below = throughput_bounds(grid, params, pop, l_c)
+        assert (at_one.upper_branch, below.upper_branch) == ("tau=1", "tau<1")
+        assert at_one.r_upper == pytest.approx(3.054, rel=1e-3)
+        assert below.r_upper == pytest.approx(2.967e5, rel=1e-3)
+        assert below.r_upper > 1e4 * solve_relaxed(grid, caps, pop, l_c).r_star
 
     def test_sides_use_their_own_envelope(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)

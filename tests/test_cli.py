@@ -221,6 +221,9 @@ class TestInputChecks:
         (("place",), "bandwidth-hz=nan", "--bandwidth-hz must be finite, got nan"),
         (("oracle",), "lc=-inf", "--lc must be finite, got -inf"),
         (("simulate",), "seed=-3", "--seed must be >= 0, got -3"),
+        (("place", "--bandwidth-hz", "-1"), None, "--bandwidth-hz must be > 0, got -1.0"),
+        (("sweep", "--bandwidth-hz", "0"), None, "--bandwidth-hz must be > 0, got 0.0"),
+        (("simulate",), "bandwidth_hz=-1e-300", "--bandwidth-hz must be > 0, got -1e-300"),
     ])
     def test_non_finite_or_negative_seed_rejected(self, capsys, monkeypatch, tmp_path,
                                                   argv, conf, message):
@@ -300,6 +303,7 @@ class TestInputChecks:
          "L_C = 1.0 * 4^1000000.0 overflows a float"),
         (("place", "--beta1", "1e6"), "L = 1.0 * 262144^1000000.0 overflows a float"),
         (("scaling", "--alpha", "600"), "path loss exponent 600.0 overflows"),
+        (("scaling", "--M", "1", "--a2", "1e300"), "lower bound at L_C = 2.78"),
     ])
     def test_float_overflow_exits_3(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -333,6 +337,19 @@ class TestInputChecks:
         assert code == 0 and err == ""
         lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
         assert lines["guarantee_floor_bits_per_s_hz"] == "0.0"
+
+    def test_lower_bound_past_overflow_is_zero(self, capsys):
+        """In the tau > gamma + 1 branch tau^(1/gamma) overflows for huge tau;
+        the denominator is then inf and the bound its limit, 0.0."""
+        code, out, err = run_cli(capsys, "place", "--M", "1", "--l", "1",
+                                 "--lc", "0.5", "--tau", "1e300")
+        assert code == 0 and err == ""
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert lines["lower_bound_floor_bits_per_s_hz"] == "0.0"
+        code, out, err = run_cli(capsys, "scaling", "--range", "0:1e200:1e199")
+        assert code == 0 and err == ""
+        rows = [r.split(",") for r in out.splitlines()[2:] if r.startswith("lower_bound,")]
+        assert {r[6] for r in rows if float(r[1]) >= 1e199} == {"0.0"}
 
 
 class TestRange:

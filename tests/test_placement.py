@@ -7,6 +7,7 @@ import pytest
 
 from d2d_cachescale import (
     InfeasibleProblemError,
+    InvalidParameterError,
     InvariantViolationError,
     PlacementVector,
     RelaxedSolution,
@@ -19,10 +20,12 @@ from d2d_cachescale import (
     relaxed_cache_load,
     relaxed_solution_at,
     round_to_feasible,
+    solve_exact,
     solve_relaxed,
     throughput_bounds,
     zipf_pmf,
 )
+from d2d_cachescale import placement
 from conftest import caps_for
 
 
@@ -42,6 +45,65 @@ def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
 def random_feasible_placement(rng, m_levels, L):
     cuts = sorted(rng.randint(0, L) for _ in range(m_levels))
     return PlacementVector(tuple(b - a for a, b in zip([0] + cuts, cuts + [L])))
+
+
+def reference_lowest_level(caps, pop, l_c):
+    """m* by the nested search solve_relaxed used before its one-probe bisection.
+
+    Each step probes the load at both ends of level m's rate bracket and
+    stops where the budget falls between them; solve_relaxed's bisection
+    must return the same level.
+    """
+    M = caps.M
+    if relaxed_cache_load(0, caps.cbar[1], caps, pop) < l_c:
+        return 0
+    if pop.L * 4.0 ** (-M) >= l_c:
+        return M
+    m_lo, m_hi = 0, M
+    m_star = (m_lo + m_hi) // 2
+    while True:
+        if relaxed_cache_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
+            m_lo = m_star
+        elif relaxed_cache_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
+            m_hi = m_star
+        else:
+            return m_star
+        if m_hi - m_lo == 1:
+            return m_hi
+        m_star = (m_lo + m_hi) // 2
+
+
+def reference_solve_relaxed(grid, caps, pop, l_c):
+    """solve_relaxed with the nested m* search and its exits: the whole
+    library at the top level for m* = M, and the rate cbar[m*+1] when the
+    load there already meets the budget."""
+    M, L = grid.M, pop.L
+    if l_c < L * 4.0 ** (-M) - 1e-12:
+        raise InfeasibleProblemError("budget below L / n")
+    if l_c >= L:
+        raise InvalidParameterError("budget holds the whole library")
+    m_star = reference_lowest_level(caps, pop, l_c)
+    if m_star == M:
+        return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
+    r_star = caps.cbar[m_star + 1]
+    if relaxed_cache_load(m_star, r_star, caps, pop) < l_c:
+        r_star = placement._solve_rate(m_star, caps, pop, l_c)
+    return RelaxedSolution(tuple(relaxed_solution_at(m_star, r_star, caps, pop)),
+                           r_star, m_star)
+
+
+def _relaxed_outcome(solver, grid, caps, pop, l_c):
+    try:
+        sol = solver(grid, caps, pop, l_c)
+    except (InfeasibleProblemError, InvalidParameterError) as exc:
+        return type(exc)
+    return tuple(v.hex() for v in sol.x_star), sol.r_star.hex(), sol.m_star
+
+
+def assert_relaxed_matches_reference(grid, caps, pop, l_c):
+    """solve_relaxed returns the reference's x*, r* and m* bits, or raises the same type."""
+    assert (_relaxed_outcome(solve_relaxed, grid, caps, pop, l_c)
+            == _relaxed_outcome(reference_solve_relaxed, grid, caps, pop, l_c))
 
 
 class TestEvaluateThroughput:
@@ -105,19 +167,23 @@ class TestRelaxedCacheLoad:
                 >= relaxed_cache_load(m_star, r1, caps, pop) - 1e-12
 
     def test_boundary_chain(self):
-        """Load at a level's own capacity matches the neighbour level's load
-        there, and strictly exceeds the load at the next capacity down."""
+        """Load at a level's own capacity equals the neighbour level's load
+        there bit for bit, and is at least the load at the next capacity
+        down.
+
+        At r = cbar[m] the quotient is exactly 1.0 and tail_inverse returns
+        1.0, so the two sides differ only in their dyadic head terms,
+        (L+1) 4^-M - 4^-m against (L+1) 4^-M - 4^-(m-1) + 3 4^-m, and both
+        are exact while L + 1 and 4^M stay below 2^53."""
         rng = random.Random(43)
         for _ in range(50):
             grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=500)
             for m in range(1, grid.M):
                 at_own = relaxed_cache_load(m, caps.cbar[m], caps, pop)
                 at_next = relaxed_cache_load(m, caps.cbar[m + 1], caps, pop)
-                assert at_own > at_next - 1e-15
-                assert at_next == pytest.approx(
-                    relaxed_cache_load(m + 1, caps.cbar[m + 1], caps, pop), rel=1e-12)
-                assert at_own == pytest.approx(
-                    relaxed_cache_load(m - 1, caps.cbar[m], caps, pop), rel=1e-12)
+                assert at_own >= at_next
+                assert at_next == relaxed_cache_load(m + 1, caps.cbar[m + 1], caps, pop)
+                assert at_own == relaxed_cache_load(m - 1, caps.cbar[m], caps, pop)
 
 
 class TestRelaxedSolutionAt:
@@ -189,6 +255,47 @@ class TestSolveRelaxed:
         pop = zipf_pmf(32, 1.0)
         with pytest.raises(InfeasibleProblemError):
             solve_relaxed(grid, caps, pop, 32 / 16.0 - 1e-6)
+
+    def test_matches_nested_search_at_level_boundaries(self):
+        """Budgets at each level's two bracket-end loads and their float
+        neighbours, where the nested search's early exits fired."""
+        rng = random.Random(909)
+        for _ in range(25):
+            grid, caps, pop, _ = random_instance(rng, m_max=7, l_max=3000)
+            for m in range(grid.M):
+                for r in (caps.cbar[m + 1], caps.cbar[m]):
+                    if not math.isfinite(r):
+                        continue
+                    probe = relaxed_cache_load(m, r, caps, pop)
+                    for l_c in (math.nextafter(probe, 0.0), probe,
+                                math.nextafter(probe, math.inf)):
+                        assert_relaxed_matches_reference(grid, caps, pop, l_c)
+
+    def test_lowest_level_search_probes_at_most_log2_levels(self, monkeypatch):
+        """The m* search makes at most ceil(log2(M + 1)) load probes; the
+        rate solve's own probes are not counted."""
+        counts = {"probes": 0, "in_rate_solve": False}
+        load, solve_rate = placement.relaxed_cache_load, placement._solve_rate
+
+        def counted_load(*args):
+            counts["probes"] += not counts["in_rate_solve"]
+            return load(*args)
+
+        def uncounted_solve_rate(*args):
+            counts["in_rate_solve"] = True
+            try:
+                return solve_rate(*args)
+            finally:
+                counts["in_rate_solve"] = False
+
+        monkeypatch.setattr(placement, "relaxed_cache_load", counted_load)
+        monkeypatch.setattr(placement, "_solve_rate", uncounted_solve_rate)
+        rng = random.Random(17)
+        for _ in range(100):
+            grid, caps, pop, l_c = random_instance(rng, m_max=12, l_max=2000)
+            counts["probes"] = 0
+            solve_relaxed(grid, caps, pop, l_c)
+            assert counts["probes"] <= math.ceil(math.log2(grid.M + 1))
 
     def test_optimality_residuals_random(self):
         rng = random.Random(2024)
@@ -267,6 +374,28 @@ class TestRebalance:
         pop = zipf_pmf(10, 1.0)
         x = PlacementVector((0, 0, 0, 10))
         assert rebalance(x, caps, pop, 10 * 4.0 ** -3).x == x.x
+
+    @pytest.mark.parametrize("alpha, rounded, rounded_rate, balanced, balanced_rate", [
+        (2.5, (97, 167, 113, 68, 35, 20, 7, 5, 0, 0), 0.022113056394771503,
+         (96, 171, 113, 68, 35, 20, 7, 2, 0, 0), 0.022149985042341048),
+        (4.0, (97, 167, 113, 68, 36, 15, 11, 5, 0, 0), 0.05873193427486957,
+         (96, 171, 113, 68, 36, 15, 11, 2, 0, 0), 0.05883001618915561),
+    ])
+    def test_changes_the_rounded_placement(self, alpha, rounded, rounded_rate,
+                                           balanced, balanced_rate):
+        """On `place --M 9 --beta1 0.5 --beta2 0.4 --tau 0.5 --alpha 2.5` (and
+        at alpha 4) rebalance moves files off level 7 and raises the rate,
+        so deleting it would change CLI output. solve_exact reaches 5.1x the
+        pipeline's rate on both."""
+        grid, _, caps = caps_for(9, 0.0, alpha)
+        pop = zipf_pmf(math.floor(grid.n ** 0.5), 0.5)
+        l_c = grid.n ** 0.4
+        x = round_to_feasible(solve_relaxed(grid, caps, pop, l_c), grid)
+        assert (x.x, evaluate_throughput(x, caps, pop).rate) == (rounded, rounded_rate)
+        out = optimize_placement(grid, caps, pop, l_c)
+        assert (out.placement.x, out.report.rate) == (balanced, balanced_rate)
+        assert solve_exact(grid, caps, pop, l_c)[1] == pytest.approx(5.1 * balanced_rate,
+                                                                     rel=1e-3)
 
     def test_monotone_improvement(self):
         rng = random.Random(314)

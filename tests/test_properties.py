@@ -1,9 +1,11 @@
-"""Property tests over the popularity model's, simulator's and solvers' parameter space."""
+"""Property tests over the popularity model's, simulator's, solvers' and CLI's parameter space."""
 
+import contextlib
+import io
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from d2d_cachescale import (
@@ -12,16 +14,19 @@ from d2d_cachescale import (
     brute_force,
     capacity_envelope,
     optimize_placement,
+    relaxed_cache_load,
     solve_exact,
     throughput_bounds,
     tail_inverse,
     tail_mass,
     zipf_pmf,
 )
+from d2d_cachescale.cli import main
 from d2d_cachescale.popularity import CHUNK_RANKS
 from conftest import caps_for
 from test_delivery import assert_matches_reference
 from test_exact import assert_matches_reference as assert_exact_matches_reference
+from test_placement import assert_relaxed_matches_reference
 from test_popularity import assert_matches_dense
 
 taus = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -93,6 +98,31 @@ def test_bracketed_solver_matches_full_search(m_levels, L, tau, alpha, kappa, fr
 
 
 @settings(max_examples=200, deadline=None)
+@given(data=st.data(), m_levels=st.integers(min_value=1, max_value=11),
+       L=st.integers(min_value=1, max_value=20000), tau=taus,
+       alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
+       kappa=st.sampled_from([0.0, 0.5, 1.0]))
+def test_lowest_level_bisection_matches_nested_search(data, m_levels, L, tau, alpha, kappa):
+    """solve_relaxed's one-probe m* bisection gives the x*, r* and m* bits
+    (or the error type) of the nested two-probe search it replaced, on
+    uniform budgets, at L / n, and at a load that either search compares
+    the budget against, each also moved by up to two float steps."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    pop = zipf_pmf(L, tau)
+    lo = L * 4.0 ** (-m_levels)
+    m = data.draw(st.integers(min_value=0, max_value=m_levels - 1))
+    probe = relaxed_cache_load(m, caps.cbar[m + data.draw(st.sampled_from([0, 1]))], caps, pop)
+    l_c = data.draw(st.one_of(
+        st.just(lo), st.just(probe),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(
+            lambda f: lo + (L - lo) * f)))
+    steps = data.draw(st.integers(min_value=-2, max_value=2))
+    for _ in range(abs(steps)):
+        l_c = math.nextafter(l_c, math.inf if steps > 0 else 0.0)
+    assert_relaxed_matches_reference(grid, caps, pop, l_c)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), m_levels=st.integers(min_value=2, max_value=8),
        alpha=st.sampled_from([2.2, 2.5, 3.0, 3.5, 4.0, 5.0]), kappa=st.sampled_from([0.0, 1.0]),
        beta1=st.sampled_from([0.5, 0.7, 0.9]),
@@ -142,3 +172,110 @@ def test_integer_side_fails_with_less_than_one_file_uncached(L, l_c):
     report = outcome.report
     assert report.rate == brute_force(grid, caps, pop, l_c)[1]
     assert not report.guarantee_floor <= report.rate <= outcome.relaxed.r_star
+
+
+# Values every option may see: zero, negatives, tiny and huge finite
+# numbers, non-finite and non-numeric text. Each is either rejected or
+# leaves the instance small.
+_ODD_VALUES = ("0", "-1", "-1e-300", "5e-324", "1e300", "-1e300", "1.7976931348623157e308",
+               "nan", "inf", "-inf", "x", "", "1.5", "21", "40", str(10 ** 30))
+
+
+def _numbers(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+# Values each flag may take that still give a small accepted instance:
+# M <= 6, at most 1e4 requests, and for oracle M <= 2 with L <= 60 (or an
+# odd 21 or 40), so its brute force stays under 1e5 compositions.
+_SMALL = {
+    "--kappa": _numbers(0.0, 1.0), "--alpha": _numbers(2.2, 5.0),
+    "--beta1": _numbers(0.0, 1.0), "--beta2": _numbers(0.0, 1.0),
+    "--a1": _numbers(0.01, 2.0), "--a2": _numbers(0.01, 2.0), "--tau": _numbers(0.0, 3.0),
+    "--lc": _numbers(0.01, 100.0), "--bandwidth-hz": _numbers(1e-3, 1e3),
+    "--rc-fraction": _numbers(0.01, 1.0),
+    "--seed": st.integers(min_value=0, max_value=2 ** 64).map(str),
+    "--requests": st.integers(min_value=1, max_value=10 ** 4).map(str),
+    "--axis": st.sampled_from(["beta2", "tau", "alpha"]),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+_SMALL_PER_COMMAND = {
+    "oracle": {"--M": st.integers(1, 2).map(str), "--n": st.sampled_from(["4", "16"]),
+               "--l": st.integers(1, 60).map(str)},
+    "other": {"--M": st.integers(1, 6).map(str),
+              "--n": st.sampled_from([str(4 ** m) for m in range(1, 7)]),
+              "--l": st.integers(1, 5000).map(str)},
+}
+_ONE_IN_FOUR = st.sampled_from((False, False, False, True))
+_ODD_RANGES = ("", "1:2", "1:2:3:4", "a:b:c", "0:1:0", "1:0:1", "0:1:-1", "nan:1:1",
+               "0:inf:1", "0:1:1e-300", "-1e300:1e300:1e-300")
+
+
+@st.composite
+def range_specs(draw):
+    """lo:hi:step with at most 9 points, from ends that may be huge, or an odd spec."""
+    if draw(_ONE_IN_FOUR):
+        return draw(st.sampled_from(_ODD_RANGES))
+    lo = draw(st.sampled_from([0.0, -1.0, 0.5, 1e-300, 1e200, 1e300, -1e300]))
+    step = draw(st.sampled_from([0.25, 1.0, 1e199, 1e299]))
+    return f"{lo!r}:{lo + draw(st.integers(0, 8)) * step!r}:{step!r}"
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with --M and any subset of the other flags, each small or odd."""
+    command = draw(st.sampled_from(["place", "sweep", "scaling", "oracle", "simulate"]))
+    small = {**_SMALL, **_SMALL_PER_COMMAND["oracle" if command == "oracle" else "other"],
+             "--range": range_specs()}
+    flags = ["--M"] + draw(st.lists(st.sampled_from(sorted(set(small) - {"--M"})),
+                                    unique=True, max_size=4))
+    # Defaults that are not small: 1e5 requests, and for oracle an odd
+    # --a1 could give L = 40 n^beta1 files.
+    needed = {"simulate": "--requests", "oracle": "--l"}.get(command)
+    if needed is not None and needed not in flags:
+        flags.append(needed)
+    argv = [command]
+    for flag in flags:
+        # one value in four is odd, so that most argvs reach the solvers
+        odd = draw(_ONE_IN_FOUR)
+        value = draw(st.sampled_from(_ODD_VALUES) if odd else small[flag])
+        argv.append(f"{flag}={value}")
+    if draw(_ONE_IN_FOUR):  # paths that cannot be opened
+        argv.append(draw(st.sampled_from(["--out=no-such-dir/out.csv",
+                                          "--config=no-such-dir/run.conf"])))
+    return argv
+
+
+def _printed_rates(command, out):
+    """The rate cells of a place or sweep CSV table; an empty cell is an absent bound."""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    if command == "place":
+        cells = [v for k, v in rows if k.startswith(("rate", "relaxed", "guarantee",
+                                                     "lower", "upper"))]
+    else:
+        cells = [c for row in rows for c in row[1:]]
+    return [float(c) for c in cells if c]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+# argvs that once ended in a traceback or printed negative rates
+@example(argv=["scaling", "--M=1", "--range=0:1e200:1e199"])
+@example(argv=["place", "--M=1", "--l=1", "--lc=0.5", "--tau=1e300"])
+@example(argv=["scaling", "--M=1", "--beta1=0.03125", "--beta2=0"])
+@example(argv=["place", "--M=1", "--bandwidth-hz=-1"])
+@example(argv=["scaling", "--M=1", "--a2=1e300"])
+def test_cli_ends_in_a_documented_exit_code(argv):
+    """Any argv exits 0, 1, 2 or 3 with no exception escaping main, stderr
+    is one line on a failure, and an accepted place or sweep prints no
+    negative rate."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+        if argv[0] in ("place", "sweep") and out.getvalue().startswith("#"):  # CSV
+            assert all(r >= 0.0 for r in _printed_rates(argv[0], out.getvalue()))
+    elif code in (1, 3):
+        assert err.getvalue().count("\n") == 1
