@@ -15,6 +15,7 @@ its dashes or the option's dest (see `_OPTIONS`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -181,6 +182,7 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+@functools.cache  # built on the first call, reused by later calls of main
 def _build_parser() -> _Parser:
     parser = _Parser(prog="d2d-cachescale",
                      description="Hierarchical D2D caching throughput toolkit")
@@ -373,7 +375,8 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
     """Tabulate the exponents over tau and the lower bound over M = 8..12.
 
     The table does not depend on --M/--n, but a level count that every
-    other command refuses is refused here too.
+    other command refuses is refused here too. A lower-bound cell is empty
+    where L_C >= L, a budget that stores the whole library.
     """
     NetworkGrid(cfg.m_levels, cfg.kappa, cfg.alpha)
     taus = _parse_range(range_spec or "0:3:0.05")
@@ -398,6 +401,8 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
         big_l, l_c = point.library_size, point.cache_budget
         for t in taus:
             val, _ = lower_bound(env.c_lower, env.gamma_lower, big_l, l_c, m_levels, t)
+            if l_c >= big_l:
+                val = None  # place refuses L_C >= L; an overflow above still exits 3
             rows.append(("lower_bound", t, point.n, None, None, None, val, None, None, None))
     header = ["record", "tau", "n", "achievable", "baseline", "converse",
               "lower_bound", "tau_a", "tau_b_proposed", "tau_b_baseline"]

@@ -9,6 +9,12 @@ relax-round-rebalance recipe: an exact solution of the continuous
 relaxation by bisection over m* then r, a carry-based rounding that never
 overshoots the cache, and a local rebalancing loop that keeps shifting
 single files between levels while the bottleneck ratio improves.
+
+Each rate bisection step searches level m's tail segment only between
+the segments at the ends of the rate bracket: cbar[m] / r does not
+increase with r, so the segment index does not decrease, and the index is
+unique, so every step sees the load of a full search and the bisection
+ends on the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .hierarchy import LevelCapacities, NetworkGrid
-from .popularity import PopularityModel, tail_inverse, tail_mass
+from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse, tail_mass
 
 
 # Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
@@ -180,10 +186,23 @@ def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
     and saturating at L 4^{-m_star} as r grows.
     """
     M, L = caps.M, pop.L
+    return _bracketed_load(m_star, r, caps, pop, [0] * (M + 1), [L - 1] * (M + 1))[0]
+
+
+def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: PopularityModel,
+                    i_lo: list[int], i_hi: list[int]) -> tuple[float, list[int]]:
+    """relaxed_cache_load at r and each level's tail index there, searched in
+    [i_lo[m], i_hi[m] + 1]: i_lo[m] and i_hi[m] are level m's indices at two
+    rates around r, or the extremes 0 and L - 1."""
+    M, L = caps.M, pop.L
+    suffix, pmf = memoryview(pop.suffix_mass), memoryview(pop.pmf)
+    index = [0] * (M + 1)
     total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     for m in range(m_star + 1, M + 1):
-        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r) * 4.0 ** (-m)
-    return total
+        x, index[m] = bracketed_tail_inverse(suffix, pmf, caps.cbar[m] / r,
+                                             i_lo[m], i_hi[m] + 1)
+        total += 3.0 * x * 4.0 ** (-m)
+    return total, index
 
 
 def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
@@ -252,6 +271,13 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     then a closed-form snap: once the bracket pins every tail inverse to a
     single linear segment the load is affine in 1/r and the root is exact.
     The snap is kept only when it actually reduces the residual.
+
+    Each step searches level m's tail index between i_lo[m] and
+    i_hi[m] + 1, the indices at the current lo and hi, as solve_exact does
+    for its thresholds. A correctly rounded cbar[m] / r does not increase
+    with r, so a rate in (lo, hi) has its index in that bracket, and the
+    largest i with suffix[i] >= y is unique: each step computes the load
+    of a full search bit for bit.
     """
     lo = caps.cbar[m_star + 1]
     hi = caps.cbar[m_star]
@@ -263,16 +289,18 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
                 break
         else:
             raise BracketError("cache load never reaches the budget")
+    i_lo, i_hi = [0] * (caps.M + 1), [pop.L - 1] * (caps.M + 1)
     for _ in range(200):
         if hi - lo <= _RATE_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if relaxed_cache_load(m_star, mid, caps, pop) < l_c:
-            lo = mid
+        load, index = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi)
+        if load < l_c:
+            lo, i_lo = mid, index
         else:
-            hi = mid
+            hi, i_hi = mid, index
     a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
     b = 0.0
     for m in range(m_star + 1, caps.M + 1):

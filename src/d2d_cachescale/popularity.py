@@ -146,19 +146,40 @@ def tail_inverse(model: PopularityModel, y: float) -> float:
     """
     if y < 0:
         raise DomainError(f"tail mass must be >= 0, got {y!r}")
+    return bracketed_tail_inverse(memoryview(model.suffix_mass), memoryview(model.pmf),
+                                  y, 0, model.L)[0]
+
+
+def bracketed_tail_inverse(suffix, pmf, y: float, lo: int, hi: int) -> tuple[float, int]:
+    """tail_inverse of y >= 0 over the arrays of a model, and y's tail index.
+
+    The search runs in [lo, hi], a bracket the caller vouches for as in
+    tail_index; [0, L] always qualifies. A clamped y reports index 0
+    (y >= 1) or L - 1 (y = 0), the ends of any later bracket.
+    """
     if y >= 1.0:
-        return 1.0
-    L = model.L
+        return 1.0, 0
     if y <= 0.0:
-        return float(L + 1)
-    suffix = model.suffix_mass
-    lo, hi = 0, L  # invariant: suffix[lo] >= y > suffix[hi]
+        L = len(suffix) - 1
+        return float(L + 1), L - 1
+    i = tail_index(suffix, y, lo, hi)
+    k = i + 1
+    x = (k + 1) - (y - suffix[k]) / pmf[k]
+    return min(max(x, float(k)), float(k + 1)), i
+
+
+def tail_index(suffix, y: float, lo: int, hi: int) -> int:
+    """Largest i with suffix[i] >= y, by bisection inside [lo, hi].
+
+    The caller vouches for the bracket: suffix[lo] >= y > suffix[hi]. For
+    0 < y < 1 the full bracket [0, L] qualifies, since suffix[0] = 1 and
+    suffix[L] = 0. Pass suffix as a memoryview: its reads are Python
+    floats, without a NumPy scalar per probe.
+    """
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if suffix[mid] >= y:
             lo = mid
         else:
             hi = mid
-    k = lo + 1
-    x = (k + 1) - (y - float(suffix[k])) / float(model.pmf[k])
-    return min(max(x, float(k)), float(k + 1))
+    return lo

@@ -145,6 +145,21 @@ class TestScaling:
         bound_rows = [r for r in lines if r[0] == "lower_bound"]
         assert {int(r[2]) for r in bound_rows} == {4 ** m for m in range(8, 13)}
 
+    @pytest.mark.parametrize("a2, beta2", [("5", "0.88"), ("2", "0.85")])
+    def test_lower_bound_empty_where_the_budget_holds_the_library(self, capsys, a2, beta2):
+        """A lower-bound cell is empty where L_C >= L, a budget place refuses.
+        At --a2 5 --beta2 0.88 the tau < 1 branch printed -0.00263 at n = 65536."""
+        code, out, err = run_cli(capsys, "scaling", "--a2", a2, "--beta2", beta2,
+                                 "--range", "0:2:0.5")
+        assert code == 0 and err == ""
+        rows = [r.split(",") for r in out.splitlines()[2:] if r.startswith("lower_bound,")]
+        assert {r[6] for r in rows if r[2] == "65536"} == {""}
+        for r in rows:
+            n = int(r[2])
+            holds_library = float(a2) * n ** float(beta2) >= math.floor(n ** 0.9)
+            assert (r[6] == "") == holds_library
+            assert holds_library or float(r[6]) >= 0.0
+
     def test_kink_structure(self, capsys):
         """Exponent curves are piecewise linear with kinks only at the two
         critical points: second differences vanish elsewhere."""

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from d2d_cachescale import (
+    BracketError,
     InfeasibleProblemError,
     InvalidParameterError,
     InvariantViolationError,
@@ -22,6 +23,7 @@ from d2d_cachescale import (
     round_to_feasible,
     solve_exact,
     solve_relaxed,
+    tail_inverse,
     throughput_bounds,
     zipf_pmf,
 )
@@ -47,6 +49,16 @@ def random_feasible_placement(rng, m_levels, L):
     return PlacementVector(tuple(b - a for a, b in zip([0] + cuts, cuts + [L])))
 
 
+def reference_cache_load(m_star, r, caps, pop):
+    """relaxed_cache_load as one full tail_inverse search per level, the
+    form it had before the bracketed search."""
+    M, L = caps.M, pop.L
+    total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
+    for m in range(m_star + 1, M + 1):
+        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r) * 4.0 ** (-m)
+    return total
+
+
 def reference_lowest_level(caps, pop, l_c):
     """m* by the nested search solve_relaxed used before its one-probe bisection.
 
@@ -55,16 +67,16 @@ def reference_lowest_level(caps, pop, l_c):
     must return the same level.
     """
     M = caps.M
-    if relaxed_cache_load(0, caps.cbar[1], caps, pop) < l_c:
+    if reference_cache_load(0, caps.cbar[1], caps, pop) < l_c:
         return 0
     if pop.L * 4.0 ** (-M) >= l_c:
         return M
     m_lo, m_hi = 0, M
     m_star = (m_lo + m_hi) // 2
     while True:
-        if relaxed_cache_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
+        if reference_cache_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
             m_lo = m_star
-        elif relaxed_cache_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
+        elif reference_cache_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
             m_hi = m_star
         else:
             return m_star
@@ -73,10 +85,56 @@ def reference_lowest_level(caps, pop, l_c):
         m_star = (m_lo + m_hi) // 2
 
 
+def reference_solve_rate(m_star, caps, pop, l_c):
+    """_solve_rate before its bracketed search: every bisection step runs a
+    full tail_inverse search per level. The bracketed solver must visit
+    the same rates and return the same bits."""
+    lo = caps.cbar[m_star + 1]
+    hi = caps.cbar[m_star]
+    if not math.isfinite(hi):
+        hi = max(lo, 1e-300)
+        for _ in range(2100):
+            hi *= 2.0
+            if reference_cache_load(m_star, hi, caps, pop) >= l_c:
+                break
+        else:
+            raise BracketError("cache load never reaches the budget")
+    for _ in range(200):
+        if hi - lo <= placement._RATE_REL_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if reference_cache_load(m_star, mid, caps, pop) < l_c:
+            lo = mid
+        else:
+            hi = mid
+    a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
+    b = 0.0
+    for m in range(m_star + 1, caps.M + 1):
+        y = caps.cbar[m] / hi
+        w = 3.0 * 4.0 ** (-m)
+        if y >= 1.0:
+            a += w
+            continue
+        k = min(int(tail_inverse(pop, y)), pop.L)
+        p_k = float(pop.pmf[k])
+        a += w * (k + 1.0 + float(pop.suffix_mass[k]) / p_k)
+        b += w * caps.cbar[m] / p_k
+    if a - l_c > 0.0 and b > 0.0:
+        r_snap = b / (a - l_c)
+        if lo <= r_snap <= hi * (1.0 + 1e-12):
+            err_snap = abs(reference_cache_load(m_star, r_snap, caps, pop) - l_c)
+            err_hi = abs(reference_cache_load(m_star, hi, caps, pop) - l_c)
+            if err_snap <= err_hi:
+                return r_snap
+    return hi
+
+
 def reference_solve_relaxed(grid, caps, pop, l_c):
-    """solve_relaxed with the nested m* search and its exits: the whole
+    """solve_relaxed with the nested m* search and its exits (the whole
     library at the top level for m* = M, and the rate cbar[m*+1] when the
-    load there already meets the budget."""
+    load there already meets the budget) and the full-search rate solve."""
     M, L = grid.M, pop.L
     if l_c < L * 4.0 ** (-M) - 1e-12:
         raise InfeasibleProblemError("budget below L / n")
@@ -86,8 +144,8 @@ def reference_solve_relaxed(grid, caps, pop, l_c):
     if m_star == M:
         return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
     r_star = caps.cbar[m_star + 1]
-    if relaxed_cache_load(m_star, r_star, caps, pop) < l_c:
-        r_star = placement._solve_rate(m_star, caps, pop, l_c)
+    if reference_cache_load(m_star, r_star, caps, pop) < l_c:
+        r_star = reference_solve_rate(m_star, caps, pop, l_c)
     return RelaxedSolution(tuple(relaxed_solution_at(m_star, r_star, caps, pop)),
                            r_star, m_star)
 
@@ -184,6 +242,34 @@ class TestRelaxedCacheLoad:
                 assert at_own >= at_next
                 assert at_next == relaxed_cache_load(m + 1, caps.cbar[m + 1], caps, pop)
                 assert at_own == relaxed_cache_load(m - 1, caps.cbar[m], caps, pop)
+
+
+    def test_matches_full_search(self):
+        """Full brackets give the per-level tail_inverse sum bit for bit, on
+        rates that clamp every level, some levels or none."""
+        rng = random.Random(44)
+        for _ in range(300):
+            grid, caps, pop, _ = random_instance(rng, m_max=8, l_max=3000)
+            m_star = rng.randint(0, grid.M - 1)
+            r = caps.cbar[m_star + 1] * rng.choice([0.5, 1.0, rng.uniform(1.0, 1e3)])
+            assert relaxed_cache_load(m_star, r, caps, pop) \
+                == reference_cache_load(m_star, r, caps, pop)
+
+    def test_indices_at_two_rates_bracket_the_search(self):
+        """Each level's tail index is non-decreasing in the rate, and the
+        indices at any r1 <= r <= r2 bracket r's search to the full result."""
+        rng = random.Random(45)
+        for _ in range(300):
+            grid, caps, pop, _ = random_instance(rng, m_max=8, l_max=3000)
+            m_star = rng.randint(0, grid.M - 1)
+            full = [0] * (grid.M + 1), [pop.L - 1] * (grid.M + 1)
+            r1, r, r2 = sorted(caps.cbar[m_star + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
+                               for _ in range(3))
+            (_, i1), (_, i2) = (placement._bracketed_load(m_star, q, caps, pop, *full)
+                                for q in (r1, r2))
+            load, index = placement._bracketed_load(m_star, r, caps, pop, *full)
+            assert all(a <= i <= b for a, i, b in zip(i1, index, i2))
+            assert placement._bracketed_load(m_star, r, caps, pop, i1, i2) == (load, index)
 
 
 class TestRelaxedSolutionAt:

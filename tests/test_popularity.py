@@ -1,5 +1,6 @@
 """Zipf model, tail mass, and its exact inversion."""
 
+import math
 import random
 import tracemalloc
 
@@ -14,7 +15,7 @@ from d2d_cachescale import (
     tail_mass,
     zipf_pmf,
 )
-from d2d_cachescale.popularity import CHUNK_RANKS, MAX_RANKS
+from d2d_cachescale.popularity import CHUNK_RANKS, MAX_RANKS, tail_index
 
 
 def dense_zipf(L, tau):
@@ -33,6 +34,35 @@ def dense_zipf(L, tau):
     suffix = np.zeros(L + 1)
     suffix[:L] = (tail / z).astype(np.float64)
     return float(z), pmf, suffix
+
+
+def reference_tail_inverse(model, y):
+    """tail_inverse as one bisection over all of [0, L], reading the NumPy
+    arrays; tail_inverse must return its bits."""
+    if y >= 1.0:
+        return 1.0
+    L = model.L
+    if y <= 0.0:
+        return float(L + 1)
+    suffix = model.suffix_mass
+    lo, hi = 0, L
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if suffix[mid] >= y:
+            lo = mid
+        else:
+            hi = mid
+    k = lo + 1
+    x = (k + 1) - (y - float(suffix[k])) / float(model.pmf[k])
+    return min(max(x, float(k)), float(k + 1))
+
+
+def breakpoint_arguments(model):
+    """Every breakpoint suffix_mass[k] and its two float neighbours, if >= 0."""
+    ys = set()
+    for s in model.suffix_mass.tolist():
+        ys.update((math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)))
+    return sorted(y for y in ys if y >= 0.0)
 
 
 def assert_matches_dense(L, tau):
@@ -197,3 +227,29 @@ class TestTailInverse:
     def test_negative_argument(self):
         with pytest.raises(DomainError):
             tail_inverse(zipf_pmf(4, 1.0), -1e-9)
+
+    @pytest.mark.parametrize("L, tau", [(1, 1.0), (2, 0.0), (7, 0.7), (40, 1.4),
+                                        (300, 2.5), (5000, 1.0), (5000, 3.0)])
+    def test_matches_full_search_at_every_breakpoint(self, L, tau):
+        pop = zipf_pmf(L, tau)
+        for y in breakpoint_arguments(pop):
+            assert tail_inverse(pop, y).hex() == reference_tail_inverse(pop, y).hex(), y
+
+
+class TestTailIndex:
+    @pytest.mark.parametrize("L, tau", [(1, 1.0), (2, 0.0), (7, 0.7), (24, 1.4), (40, 3.0)])
+    def test_every_vouched_bracket_gives_the_full_search(self, L, tau):
+        """For 0 < y < 1, every [a, b] with suffix[a] >= y > suffix[b] returns
+        the largest i with suffix[i] >= y, at breakpoints and between them."""
+        pop = zipf_pmf(L, tau)
+        suffix = memoryview(pop.suffix_mass)
+        mids = (0.5 * (a + b) for a, b in zip(suffix, suffix[1:]))
+        for y in [*breakpoint_arguments(pop), *mids]:
+            if not 0.0 < y < 1.0:
+                continue
+            # suffix is non-increasing: the ranks with suffix >= y are a prefix
+            i = int(np.searchsorted(-pop.suffix_mass, -y, side="right")) - 1
+            assert tail_index(suffix, y, 0, L) == i
+            for a in range(i + 1):
+                for b in range(i + 1, L + 1):
+                    assert tail_index(suffix, y, a, b) == i, (y, a, b)

@@ -123,6 +123,23 @@ def test_lowest_level_bisection_matches_nested_search(data, m_levels, L, tau, al
 
 
 @settings(max_examples=200, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=10),
+       L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
+       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.5, 4.0]),
+       kappa=st.sampled_from([0.0, 1.0]),
+       frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+def test_bracketed_rate_bisection_matches_full_search(m_levels, L, tau, alpha, kappa, frac):
+    """solve_relaxed, whose rate bisection searches each level's tail index
+    between the indices at the ends of the rate bracket, gives the x*, r*
+    and m* bits of the solver that runs a full tail_inverse search per
+    level at every step. Small L clamps levels at ratios >= 1 and sends
+    m* = 0 through the doubling loop for its infinite top rate."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    lo = L * 4.0 ** (-m_levels)
+    assert_relaxed_matches_reference(grid, caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), m_levels=st.integers(min_value=2, max_value=8),
        alpha=st.sampled_from([2.2, 2.5, 3.0, 3.5, 4.0, 5.0]), kappa=st.sampled_from([0.0, 1.0]),
        beta1=st.sampled_from([0.5, 0.7, 0.9]),
@@ -247,11 +264,14 @@ def cli_argvs(draw):
 
 
 def _printed_rates(command, out):
-    """The rate cells of a place or sweep CSV table; an empty cell is an absent bound."""
+    """The rate cells of a place or sweep CSV table, or the lower bounds of a
+    scaling table; an empty cell is an absent bound."""
     rows = [line.split(",") for line in out.splitlines()[2:]]
     if command == "place":
         cells = [v for k, v in rows if k.startswith(("rate", "relaxed", "guarantee",
                                                      "lower", "upper"))]
+    elif command == "scaling":
+        cells = [row[6] for row in rows if row[0] == "lower_bound"]
     else:
         cells = [c for row in rows for c in row[1:]]
     return [float(c) for c in cells if c]
@@ -265,17 +285,18 @@ def _printed_rates(command, out):
 @example(argv=["scaling", "--M=1", "--beta1=0.03125", "--beta2=0"])
 @example(argv=["place", "--M=1", "--bandwidth-hz=-1"])
 @example(argv=["scaling", "--M=1", "--a2=1e300"])
+@example(argv=["scaling", "--M=1", "--a2=5", "--beta2=0.88"])
 def test_cli_ends_in_a_documented_exit_code(argv):
     """Any argv exits 0, 1, 2 or 3 with no exception escaping main, stderr
     is one line on a failure, and an accepted place or sweep prints no
-    negative rate."""
+    negative rate, nor an accepted scaling a negative lower bound."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     if code == 0:
         assert err.getvalue() == ""
-        if argv[0] in ("place", "sweep") and out.getvalue().startswith("#"):  # CSV
+        if argv[0] in ("place", "sweep", "scaling") and out.getvalue().startswith("#"):  # CSV
             assert all(r >= 0.0 for r in _printed_rates(argv[0], out.getvalue()))
     elif code in (1, 3):
         assert err.getvalue().count("\n") == 1
