@@ -30,18 +30,14 @@ from .errors import (
     SizeGuardError,
 )
 from .exact import (
-    ThresholdForm,
     brute_force,
     feasible_for_rate,
-    from_threshold,
     solve_exact,
-    to_threshold,
 )
 from .hierarchy import (
     CapacityEnvelope,
     LevelCapacities,
     NetworkGrid,
-    NetworkInterference,
     capacity_envelope,
     edge_capacities,
     multihop_envelope,
@@ -70,7 +66,6 @@ from .placement import (
     placement_document,
     rebalance,
     relaxed_cache_load,
-    relaxed_rate,
     relaxed_solution_at,
     round_to_feasible,
     solve_relaxed,

@@ -17,13 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
-from .hierarchy import (
-    CapacityEnvelope,
-    NetworkGrid,
-    NetworkInterference,
-    capacity_envelope,
-    multihop_envelope,
-)
+from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope, multihop_envelope
 from .phy import PhyParams
 from .placement import guarantee_factor
 from .popularity import PopularityModel
@@ -143,20 +137,17 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
 
 
 def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel,
-                      l_c: float, side: str = "proposed",
-                      interference: NetworkInterference | None = None) -> BoundsResult:
+                      l_c: float, side: str = "proposed") -> BoundsResult:
     """Throughput bracket for the cooperative scheme or the multihop baseline.
 
     side="proposed" uses the two-sided cooperative capacity envelope;
     side="baseline" the multihop profile, where both coefficient pairs
     coincide. Each bound selects its tau branch against its own gamma.
-    Pass the `interference` the capacity table was built with to reuse its
-    sums; it is built from (grid, params) when omitted.
     """
     if side == "proposed":
-        env = capacity_envelope(grid, params, interference)
+        env = capacity_envelope(grid, params)
     elif side == "baseline":
-        env = multihop_envelope(grid, params, interference)
+        env = multihop_envelope(grid, params)
     else:
         raise InvalidParameterError(f"side must be 'proposed' or 'baseline', got {side!r}")
     r_low, low_branch = lower_bound(env.c_lower, env.gamma_lower, pop.L, l_c,

@@ -41,7 +41,7 @@ from .errors import (
     SizeGuardError,
 )
 from .exact import brute_force, solve_exact
-from .hierarchy import NetworkGrid, NetworkInterference, capacity_envelope, edge_capacities
+from .hierarchy import NetworkGrid, capacity_envelope, edge_capacities
 from .phy import PhyParams, exact_log4
 from .placement import guarantee_factor, optimize_placement, placement_document
 from .popularity import zipf_pmf
@@ -111,19 +111,13 @@ class ExperimentConfig:
         return (self.m_levels, self.kappa, self.alpha, self.rc_fraction)
 
     def build_phy(self):
-        """Instantiate (grid, params, interference, caps) for this configuration.
-
-        Building the capacity table computes the network's two interference
-        sums into `interference`; callers pass it on to the bounds.
-        """
+        """Instantiate (grid, params, caps); the grid keeps the interference sums."""
         grid = NetworkGrid(self.m_levels, self.kappa, self.alpha)
         params = PhyParams(self.alpha, self.rc_fraction)
-        interference = NetworkInterference(grid, params)
-        caps = edge_capacities(grid, params, interference=interference)
-        return grid, params, interference, caps
+        return grid, params, edge_capacities(grid, params)
 
     def build(self):
-        """Instantiate (grid, params, interference, caps, pop) for this configuration."""
+        """Instantiate (grid, params, caps, pop) for this configuration."""
         return (*self.build_phy(), zipf_pmf(self.library_size, self.tau))
 
 
@@ -307,10 +301,10 @@ def _parse_range(spec: str) -> list[float]:
 
 def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     cfg.validate()
-    grid, params, interference, caps, pop = cfg.build()
+    grid, params, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     outcome = optimize_placement(grid, caps, pop, l_c)
-    bounds = throughput_bounds(grid, params, pop, l_c, interference=interference)
+    bounds = throughput_bounds(grid, params, pop, l_c)
     bw = cfg.bandwidth_hz
     rep = outcome.report
     doc = placement_document(outcome.placement, l_c, rep.rate)
@@ -335,7 +329,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
 
     Each point is validated on its own, in axis order, and reuses the
     models of the point before it when their inputs are equal: the PHY
-    side (grid, params, the two interference sums, the full and
+    side (the grid with its two interference sums, params, the full and
     multihop-only capacity tables) is rebuilt only when `phy_key` changes
     (the alpha axis), the Zipf model only when (L, tau) changes (the tau
     axis). R_nocache is the top level of the full table. Nothing is kept
@@ -348,9 +342,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
         point = replace(cfg, **{axis: value})
         point.validate()
         if point.phy_key != phy_key:
-            grid, params, interference, caps = point.build_phy()
-            caps_mh = edge_capacities(grid, params, multihop_only=True,
-                                      interference=interference)
+            grid, params, caps = point.build_phy()
+            caps_mh = edge_capacities(grid, params, multihop_only=True)
             phy_key = point.phy_key
         if (point.library_size, point.tau) != pop_key:
             pop = None  # release the previous model before building the next
@@ -360,7 +353,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
         r_prop = optimize_placement(grid, caps, pop, l_c).report.rate
         r_mh = optimize_placement(grid, caps_mh, pop, l_c).report.rate
         r_nocache = caps.rates[grid.M].rate
-        bounds = throughput_bounds(grid, params, pop, l_c, interference=interference)
+        bounds = throughput_bounds(grid, params, pop, l_c)
         bw = point.bandwidth_hz
         upper = bounds.r_upper * bw if bounds.r_upper is not None else None
         rows.append((value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper))
@@ -375,8 +368,8 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
     """Tabulate the exponents over tau and the lower bound over M = 8..12.
 
     The table does not depend on --M/--n, but a level count that every
-    other command refuses is refused here too. A lower-bound cell is empty
-    where L_C >= L, a budget that stores the whole library.
+    other command refuses is refused here too. A lower-bound cell is empty,
+    and not evaluated, where L_C >= L, a budget that stores the whole library.
     """
     NetworkGrid(cfg.m_levels, cfg.kappa, cfg.alpha)
     taus = _parse_range(range_spec or "0:3:0.05")
@@ -400,9 +393,9 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
         env = capacity_envelope(NetworkGrid(m_levels, cfg.kappa, cfg.alpha), params)
         big_l, l_c = point.library_size, point.cache_budget
         for t in taus:
-            val, _ = lower_bound(env.c_lower, env.gamma_lower, big_l, l_c, m_levels, t)
-            if l_c >= big_l:
-                val = None  # place refuses L_C >= L; an overflow above still exits 3
+            val = None  # place refuses L_C >= L
+            if l_c < big_l:
+                val, _ = lower_bound(env.c_lower, env.gamma_lower, big_l, l_c, m_levels, t)
             rows.append(("lower_bound", t, point.n, None, None, None, val, None, None, None))
     header = ["record", "tau", "n", "achievable", "baseline", "converse",
               "lower_bound", "tau_a", "tau_b_proposed", "tau_b_baseline"]
@@ -412,7 +405,7 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
 
 def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     cfg.validate()
-    grid, _, _, caps, pop = cfg.build()
+    grid, _, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     algo = optimize_placement(grid, caps, pop, l_c)
     exact_x, exact_rate = solve_exact(grid, caps, pop, l_c)
@@ -444,7 +437,7 @@ def cmd_simulate(cfg: ExperimentConfig, requests: int, fmt: str,
                  out: str | None) -> int:
     cfg.validate()
     check_request_count(requests)
-    grid, _, _, caps, pop = cfg.build()
+    grid, _, caps, pop = cfg.build()
     l_c = cfg.cache_budget
     outcome = optimize_placement(grid, caps, pop, l_c)
     report = simulate(SimConfig(grid, outcome.placement, pop, requests, cfg.seed))

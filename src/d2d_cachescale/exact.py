@@ -19,44 +19,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import InfeasibleProblemError, InvariantViolationError, SizeGuardError
+from .errors import InfeasibleProblemError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector, _load, evaluate_throughput
 from .popularity import PopularityModel
-
-
-@dataclass(frozen=True)
-class ThresholdForm:
-    """Non-decreasing popularity thresholds theta[0..M+1].
-
-    Level m caches ranks theta[m]+1 .. theta[m+1]; theta[0] = 0 and
-    theta[M+1] = L. Row m of the implied indicator matrix is zeros up to
-    rank theta[m], ones after.
-    """
-
-    theta: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t = self.theta
-        if len(t) < 2 or t[0] != 0:
-            raise InvariantViolationError(f"thresholds must start at 0, got {t!r}")
-        if any(a > b for a, b in zip(t, t[1:])):
-            raise InvariantViolationError(f"thresholds must be non-decreasing, got {t!r}")
-
-
-def to_threshold(x: PlacementVector) -> ThresholdForm:
-    """Threshold form of a placement: theta[m] = files cached below level m."""
-    theta = [0]
-    for v in x.x:
-        theta.append(theta[-1] + v)
-    return ThresholdForm(tuple(theta))
-
-
-def from_threshold(t: ThresholdForm) -> PlacementVector:
-    """Placement of a threshold form: x_m = theta[m+1] - theta[m]."""
-    return PlacementVector(tuple(b - a for a, b in zip(t.theta, t.theta[1:])))
 
 
 def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,

@@ -8,9 +8,8 @@ A level-m tree edge connects a level-m cluster to one of its four level
 4^m-node cluster. The envelope coefficients bracket those capacities
 between two c * 4^{-m gamma} power laws, which is what the closed-form
 throughput bounds consume. Every rate in the network sees the same two
-full-network interference sums (one per PHY mode); a NetworkInterference
-holds them, and the capacity and envelope builders take one as an
-argument so that one (grid, params) pays for each sum once.
+full-network interference sums (one per PHY mode), which depend only on
+the grid, so the grid computes each on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidParameterError, SizeGuardError
-from .phy import ClusterRate, PhyParams, cluster_rate, interference_power
+from .phy import ClusterRate, PhyParams, _require_grid_alpha, cluster_rate, interference_power
 
 
 # Deepest hierarchy accepted: each of the network's two interference sums
@@ -50,6 +49,18 @@ class NetworkGrid:
     def n(self) -> int:
         return 4 ** self.M
 
+    @cached_property
+    def interference_hcoop(self) -> float:
+        """Worst-case interference power P_I of the cooperative mode over the whole grid."""
+        p = PhyParams(self.alpha)
+        return interference_power(self.n, p.snr_hcoop, p.t_r_hcoop, self.alpha)
+
+    @cached_property
+    def interference_multihop(self) -> float:
+        """Worst-case interference power P_I of the multihop mode over the whole grid."""
+        p = PhyParams(self.alpha)
+        return interference_power(self.n, p.snr_multihop, p.t_r_multihop, self.alpha)
+
 
 @dataclass(frozen=True)
 class LevelCapacities:
@@ -69,44 +80,16 @@ class LevelCapacities:
     rates: tuple[ClusterRate | None, ...]
 
 
-class NetworkInterference:
-    """Worst-case interference power P_I of each PHY mode, summed over the whole grid.
-
-    Each O(sqrt n) sum is computed on first use and kept by this object,
-    so every rate built from one instance shares it and a caller that
-    needs only one mode pays for one sum.
-    """
-
-    def __init__(self, grid: NetworkGrid, params: PhyParams) -> None:
-        self.grid = grid
-        self.params = params
-
-    @cached_property
-    def hcoop(self) -> float:
-        p = self.params
-        return interference_power(self.grid.n, p.snr_hcoop, p.t_r_hcoop, p.alpha)
-
-    @cached_property
-    def multihop(self) -> float:
-        p = self.params
-        return interference_power(self.grid.n, p.snr_multihop, p.t_r_multihop, p.alpha)
-
-
-def edge_capacities(grid: NetworkGrid, params: PhyParams, *, multihop_only: bool = False,
-                    interference: NetworkInterference | None = None) -> LevelCapacities:
+def edge_capacities(grid: NetworkGrid, params: PhyParams, *,
+                    multihop_only: bool = False) -> LevelCapacities:
     """Capacity constants 4 R_u(4^m) / 3 for every level of the tree.
 
-    All M levels share one pair of full-network interference sums:
-    `interference` when given, else computed here once. A caller that
-    builds the full and the multihop-only table of one network passes the
-    same value to both.
+    All M levels, and every other table built on the same grid, share the
+    grid's pair of full-network interference sums.
     """
-    if interference is None:
-        interference = NetworkInterference(grid, params)
     rates: list[ClusterRate | None] = [None]
     for m in range(1, grid.M + 1):
-        rates.append(cluster_rate(4 ** m, grid, params, interference,
-                                  multihop_only=multihop_only))
+        rates.append(cluster_rate(4 ** m, grid, params, multihop_only=multihop_only))
     cbar = (math.inf,) + tuple(4.0 * r.rate / 3.0 for r in rates[1:])
     return LevelCapacities(M=grid.M, cbar=cbar, rates=tuple(rates))
 
@@ -126,20 +109,17 @@ class CapacityEnvelope:
     s_m: float
 
 
-def capacity_envelope(grid: NetworkGrid, params: PhyParams,
-                      interference: NetworkInterference | None = None) -> CapacityEnvelope:
+def capacity_envelope(grid: NetworkGrid, params: PhyParams) -> CapacityEnvelope:
     """Envelope of the cooperative capacity profile.
 
     Exponents pick up (alpha kappa / 2 - 1)^+ from the area duty-cycle
     penalty and saturate at the multihop value 1/2; the constants come
     from the one-stage rate (upper) and the sqrt(M ln 4)-stage rate
-    (lower) of the cooperative mode. `interference` is computed from
-    (grid, params) when not given.
+    (lower) of the cooperative mode.
     """
+    _require_grid_alpha(grid, params)
     s_m = math.sqrt(grid.M * math.log(4.0))
-    if interference is None:
-        interference = NetworkInterference(grid, params)
-    p_i = interference.hcoop
+    p_i = grid.interference_hcoop
     log_term = math.log2(1.0 + params.snr_hcoop / (1.0 + p_i))
     r_c = params.rc_fraction * log_term
     t_r = params.t_r_hcoop
@@ -154,18 +134,15 @@ def capacity_envelope(grid: NetworkGrid, params: PhyParams,
                             c_upper=c_upper, gamma_upper=gamma_upper, s_m=s_m)
 
 
-def multihop_envelope(grid: NetworkGrid, params: PhyParams,
-                      interference: NetworkInterference | None = None) -> CapacityEnvelope:
+def multihop_envelope(grid: NetworkGrid, params: PhyParams) -> CapacityEnvelope:
     """Envelope of the multihop-only capacity profile.
 
     The multihop rate is an exact power law in the cluster size, so both
-    sides share gamma = 1/2 and the same constant. `interference` is
-    computed from (grid, params) when not given.
+    sides share gamma = 1/2 and the same constant.
     """
+    _require_grid_alpha(grid, params)
     s_m = math.sqrt(grid.M * math.log(4.0))
-    if interference is None:
-        interference = NetworkInterference(grid, params)
-    p_i = interference.multihop
+    p_i = grid.interference_multihop
     c = 4.0 / (3.0 * params.t_r_multihop ** 2) \
         * math.log2(1.0 + params.snr_multihop / (1.0 + p_i))
     return CapacityEnvelope(c_lower=c, gamma_lower=0.5, c_upper=c, gamma_upper=0.5, s_m=s_m)

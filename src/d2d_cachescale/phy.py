@@ -5,7 +5,7 @@ multi-stage cooperative mode serves a size-n cluster at a rate decaying
 as n^{-1/(s+1)} in the cluster size (s = stage count); the classical
 nearest-neighbour multihop mode decays as n^{-1/2}. Both are
 interference-limited through a deterministic worst-case interference sum
-over the whole network, which the caller computes once and passes in, and
+over the whole network, which the grid computes once and keeps, and
 a TDMA reuse factor derived from the path loss exponent. All rates
 are spectral efficiencies in bit/s/Hz (base-2 logarithms throughout).
 """
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from .errors import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .hierarchy import NetworkGrid, NetworkInterference
+    from .hierarchy import NetworkGrid
 
 
 class PhyMode(enum.Enum):
@@ -137,8 +137,14 @@ def rate_multihop(n: int, params: PhyParams, p_i: float) -> float:
         / params.t_r_multihop ** 2
 
 
-def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
-                 interference: "NetworkInterference", *,
+def _require_grid_alpha(grid: "NetworkGrid", params: PhyParams) -> None:
+    """InvalidParameterError unless params has the path loss the grid's sums use."""
+    if params.alpha != grid.alpha:
+        raise InvalidParameterError(
+            f"PhyParams alpha = {params.alpha!r} differs from the grid's alpha = {grid.alpha!r}")
+
+
+def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
                  multihop_only: bool = False) -> ClusterRate:
     """Best per-node rate for clusters of N = 4^m nodes inside the full grid.
 
@@ -148,20 +154,21 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams,
     pays no area penalty. InvalidParameterError when A_c or the penalty
     overflows a float (kappa or alpha far outside the model's range).
     Interference is summed over the whole network, not just the cluster,
-    so it does not depend on N: the caller computes it once per (grid,
-    params) with `hierarchy.NetworkInterference` and passes the same sums
-    for every level. multihop_only=True rates the cluster as a
+    so every level reads the grid's `interference_hcoop` and
+    `interference_multihop` (InvalidParameterError when params.alpha is
+    not the grid's). multihop_only=True rates the cluster as a
     multihop-only system (the baseline capacity profile).
     """
     m = exact_log4(N)
     if m is None or m < 1 or N > grid.n:
         raise InvalidParameterError(
             f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
-    p_i_m = interference.multihop
+    _require_grid_alpha(grid, params)
+    p_i_m = grid.interference_multihop
     r_m = rate_multihop(N, params, p_i_m)
     if multihop_only:
         return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
-    p_i_h = interference.hcoop
+    p_i_h = grid.interference_hcoop
     s_star = optimal_stages(N, params, p_i_h)
     try:
         area = N * grid.n ** (grid.kappa - 1.0)

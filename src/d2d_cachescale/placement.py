@@ -159,23 +159,6 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
                             per_level_slack=slack, m_b=m_b)
 
 
-def relaxed_rate(x_real, caps: LevelCapacities, pop: PopularityModel) -> float:
-    """Rate of a fractional placement under the relaxed capacities.
-
-    No round-robin share here: the relaxation charges level m with its
-    full cbar[m]. Used to check that no feasible fractional point beats
-    the relaxed optimum. Test reference, not a production path.
-    """
-    best = math.inf
-    p = 0.0
-    for m in range(1, len(x_real)):
-        p += x_real[m - 1]
-        t = tail_mass(pop, min(p, float(pop.L)) + 1.0)
-        if t > 0.0:
-            best = min(best, caps.cbar[m] / t)
-    return best
-
-
 def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
                        pop: PopularityModel) -> float:
     """Cache mass of the balanced fractional solution at rate r.

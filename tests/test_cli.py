@@ -160,6 +160,15 @@ class TestScaling:
             assert (r[6] == "") == holds_library
             assert holds_library or float(r[6]) >= 0.0
 
+    def test_cells_it_leaves_empty_are_not_evaluated(self, capsys):
+        """At --a2 1e300 every budget holds the library, so no lower-bound
+        cell is evaluated; the tau > gamma + 1 branch would overflow there."""
+        code, out, err = run_cli(capsys, "scaling", "--M", "1", "--a2", "1e300")
+        assert code == 0 and err == ""
+        rows = [r.split(",") for r in out.splitlines()[2:] if r.startswith("lower_bound,")]
+        assert len(rows) == 5 * 61  # M = 8..12 x the 61 taus of 0:3:0.05
+        assert {r[6] for r in rows} == {""}
+
     def test_kink_structure(self, capsys):
         """Exponent curves are piecewise linear with kinks only at the two
         critical points: second differences vanish elsewhere."""
@@ -318,7 +327,6 @@ class TestInputChecks:
          "L_C = 1.0 * 4^1000000.0 overflows a float"),
         (("place", "--beta1", "1e6"), "L = 1.0 * 262144^1000000.0 overflows a float"),
         (("scaling", "--alpha", "600"), "path loss exponent 600.0 overflows"),
-        (("scaling", "--M", "1", "--a2", "1e300"), "lower bound at L_C = 2.78"),
     ])
     def test_float_overflow_exits_3(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

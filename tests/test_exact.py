@@ -13,18 +13,16 @@ from d2d_cachescale import (
     InvariantViolationError,
     PlacementVector,
     SizeGuardError,
-    ThresholdForm,
     brute_force,
     evaluate_throughput,
     feasible_for_rate,
-    from_threshold,
     optimize_placement,
     solve_exact,
-    to_threshold,
     zipf_pmf,
 )
 from d2d_cachescale.exact import _raw_thresholds
 from conftest import caps_for
+from reference import ThresholdForm, from_threshold, to_threshold
 
 
 def reference_min_threshold(suffix, r, c, L):

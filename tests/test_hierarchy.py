@@ -10,7 +10,10 @@ from d2d_cachescale import (
     PhyParams,
     SizeGuardError,
     capacity_envelope,
+    edge_capacities,
     multihop_envelope,
+    throughput_bounds,
+    zipf_pmf,
 )
 from d2d_cachescale.hierarchy import MAX_LEVELS
 from conftest import caps_for
@@ -28,6 +31,20 @@ class TestNetworkGrid:
         for m in (MAX_LEVELS + 1, 40):
             with pytest.raises(SizeGuardError, match=f"guard of {MAX_LEVELS}"):
                 NetworkGrid(m, 0.0, 4.0)
+
+    @pytest.mark.parametrize("build", [
+        edge_capacities,
+        lambda grid, p: edge_capacities(grid, p, multihop_only=True),
+        capacity_envelope,
+        multihop_envelope,
+        lambda grid, p: throughput_bounds(grid, p, zipf_pmf(16, 1.0), 2.0),
+    ], ids=["edge_capacities", "multihop_only", "capacity_envelope", "multihop_envelope",
+            "throughput_bounds"])
+    def test_params_with_another_alpha_are_refused(self, build):
+        """The grid's interference sums use its own alpha, so PhyParams with
+        another alpha would mix the rates of two networks."""
+        with pytest.raises(InvalidParameterError, match="differs from the grid's alpha"):
+            build(NetworkGrid(3, 0.0, 4.0), PhyParams(3.5))
 
 
 class TestEdgeCapacities:

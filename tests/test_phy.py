@@ -7,7 +7,6 @@ import pytest
 from d2d_cachescale import (
     InvalidParameterError,
     NetworkGrid,
-    NetworkInterference,
     PhyMode,
     PhyParams,
     cluster_rate,
@@ -134,7 +133,7 @@ class TestClusterRate:
         p = PhyParams(4.0)
         for m in range(1, 6):
             N = 4 ** m
-            cr = cluster_rate(N, grid, p, NetworkInterference(grid, p))
+            cr = cluster_rate(N, grid, p)
             p_i_h = interference_power(grid.n, p.snr_hcoop, p.t_r_hcoop, 4.0)
             p_i_m = interference_power(grid.n, p.snr_multihop, p.t_r_multihop, 4.0)
             s = optimal_stages(N, p, p_i_h)
@@ -147,7 +146,7 @@ class TestClusterRate:
         grid = NetworkGrid(6, 1.0, 4.0)
         p = PhyParams(4.0)
         for m in range(1, 7):
-            cr = cluster_rate(4 ** m, grid, p, NetworkInterference(grid, p))
+            cr = cluster_rate(4 ** m, grid, p)
             assert cr.mode is PhyMode.MULTIHOP
             assert cr.rate == pytest.approx(rate_multihop(4 ** m, p, cr.interference), rel=1e-15)
 
@@ -157,7 +156,7 @@ class TestClusterRate:
             p = PhyParams(3.0)
             p_i_m = interference_power(grid.n, p.snr_multihop, p.t_r_multihop, 3.0)
             for m in range(1, 7):
-                cr = cluster_rate(4 ** m, grid, p, NetworkInterference(grid, p))
+                cr = cluster_rate(4 ** m, grid, p)
                 r_m = rate_multihop(4 ** m, p, p_i_m)
                 assert cr.rate >= r_m - 1e-18
                 if cr.mode is PhyMode.MULTIHOP:
@@ -171,15 +170,13 @@ class TestClusterRate:
         at every level through m = 12."""
         grid = NetworkGrid(12, 1.0, 3.5)
         p = PhyParams(3.5)
-        p_i = NetworkInterference(grid, p)
         for m in range(1, 13):
-            assert cluster_rate(4 ** m, grid, p, p_i).mode is PhyMode.MULTIHOP
+            assert cluster_rate(4 ** m, grid, p).mode is PhyMode.MULTIHOP
 
     def test_rates_positive_and_decreasing(self):
         grid = NetworkGrid(8, 0.0, 4.0)
         p = PhyParams(4.0)
-        p_i = NetworkInterference(grid, p)
-        rates = [cluster_rate(4 ** m, grid, p, p_i).rate for m in range(1, 9)]
+        rates = [cluster_rate(4 ** m, grid, p).rate for m in range(1, 9)]
         assert all(r > 0 for r in rates)
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
@@ -190,15 +187,14 @@ class TestClusterRate:
         grid = NetworkGrid(m_levels, kappa, alpha)
         p = PhyParams(alpha)
         with pytest.raises(InvalidParameterError, match="overflow the duty-cycle penalty"):
-            cluster_rate(4, grid, p, NetworkInterference(grid, p))
+            cluster_rate(4, grid, p)
 
     def test_rejects_bad_cluster_size(self):
         grid = NetworkGrid(3, 0.0, 4.0)
         p = PhyParams(4.0)
-        p_i = NetworkInterference(grid, p)
         for bad in (2, 8, 5, 256):
             with pytest.raises(InvalidParameterError):
-                cluster_rate(bad, grid, p, p_i)
+                cluster_rate(bad, grid, p)
 
 
 class TestExactLog4:

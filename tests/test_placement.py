@@ -29,6 +29,7 @@ from d2d_cachescale import (
 )
 from d2d_cachescale import placement
 from conftest import caps_for
+from reference import relaxed_rate
 
 
 def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
@@ -392,7 +393,6 @@ class TestSolveRelaxed:
 
     def test_relaxed_optimum_upper_bounds_feasible_points(self):
         """No cache-feasible fractional placement beats the relaxed optimum."""
-        from d2d_cachescale import relaxed_rate
         rng = random.Random(606)
         for _ in range(100):
             grid, caps, pop, l_c = random_instance(rng, m_max=5, l_max=2000)

@@ -1,4 +1,4 @@
-"""Each command computes the network's interference sums once per (grid, params).
+"""Each command computes the network's interference sums once per grid.
 
 `sweep` reuses the PHY side and the Zipf model between points whose inputs
 are equal; these tests count the O(sqrt n) interference sums and check that
@@ -11,7 +11,6 @@ from dataclasses import replace
 import pytest
 
 from d2d_cachescale import (
-    NetworkInterference,
     cluster_rate,
     edge_capacities,
     optimize_placement,
@@ -49,9 +48,9 @@ def _count(sums, capsys, *argv) -> int:
 
 class TestInterferenceSums:
     def test_tau_sweep_count_does_not_grow_with_points(self, sums, capsys):
-        five = _count(sums, capsys, "sweep", "--M", "6", "--axis", "tau",
+        five = _count(sums, capsys, "sweep", "--M", "8", "--axis", "tau",
                       "--range", "0.5:2.5:0.5")
-        one = _count(sums, capsys, "sweep", "--M", "6", "--axis", "tau",
+        one = _count(sums, capsys, "sweep", "--M", "8", "--axis", "tau",
                      "--range", "0.5:0.5:0.5")
         assert five == one == 2  # one sum per PHY mode
         assert len(set(sums)) == 2
@@ -63,9 +62,14 @@ class TestInterferenceSums:
     @pytest.mark.parametrize("argv", [
         ("place", "--M", "6"),
         ("simulate", "--M", "6", "--requests", "1000"),
+        ("oracle", "--M", "2", "--l", "8", "--lc", "1.0"),
     ])
     def test_single_instance_commands(self, sums, capsys, argv):
-        assert _count(sums, capsys, *argv) <= 3
+        assert _count(sums, capsys, *argv) == 2  # one sum per PHY mode
+
+    def test_scaling_sums_once_per_level_count(self, sums, capsys):
+        """The lower bound's envelope of each M = 8..12 reads the cooperative sum."""
+        assert _count(sums, capsys, "scaling", "--range", "0:1:0.5") == 5
 
     def test_no_memo_across_calls(self, sums, capsys):
         argv = ("sweep", "--M", "6", "--axis", "beta2", "--range", "0.2:0.4:0.1")
@@ -75,21 +79,20 @@ class TestInterferenceSums:
 
 
 def _fresh_rows(argv) -> list[tuple]:
-    """Sweep rows built with nothing shared: a fresh build per point and
-    every rate with its own interference sums."""
+    """Sweep rows built with nothing shared between points: each point's
+    fresh grid computes and holds its own interference sums."""
     cfg, extras = _resolve(_build_parser().parse_args(list(argv)))
     axis = extras["axis"]
     rows = []
     for value in _parse_range(extras["range_spec"]):
         point = replace(cfg, **{axis: value})
         point.validate()
-        grid, params, _, caps, pop = point.build()
+        grid, params, caps, pop = point.build()
         caps_mh = edge_capacities(grid, params, multihop_only=True)
         l_c = point.cache_budget
         r_prop = optimize_placement(grid, caps, pop, l_c).report.rate
         r_mh = optimize_placement(grid, caps_mh, pop, l_c).report.rate
-        r_nocache = cluster_rate(point.n, grid, params,
-                                 NetworkInterference(grid, params)).rate
+        r_nocache = cluster_rate(point.n, grid, params).rate
         bounds = throughput_bounds(grid, params, pop, l_c)
         bw = point.bandwidth_hz
         upper = bounds.r_upper * bw if bounds.r_upper is not None else None
