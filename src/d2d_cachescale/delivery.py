@@ -91,7 +91,7 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
 
     Deterministic for a fixed seed (counter-based generator). Each request's
     serving level is drawn by inverting its uniform over the M boundary
-    masses 1 - suffix_mass[x.prefix(m)], m = 1..M; the level is the number
+    masses 1 - pop.suffix(x.prefix(m)), m = 1..M; the level is the number
     of boundaries at or below the uniform. Prefix masses are nondecreasing,
     so this is exactly the level of the file rank that inverting all L
     prefix masses would draw, ties and empty levels included, in O(M)

@@ -22,8 +22,8 @@ import sys
 
 from .errors import InfeasibleProblemError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
-from .placement import PlacementVector, _load, evaluate_throughput
-from .popularity import PopularityModel
+from .placement import PlacementVector, _load, _require_budget, evaluate_throughput
+from .popularity import PopularityModel, threshold_indices
 
 
 def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
@@ -34,46 +34,15 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     minimal integer threshold; thresholds must also be non-decreasing.
     Raising any threshold only increases the weighted cache mass, so the
     greedy componentwise minimum is feasible iff anything is. Returns None
-    when the budget is exceeded or level m_b would end up empty.
+    when the budget is exceeded or level m_b would end up empty; the
+    threshold scan stops at the first level whose threshold is L, because
+    the top level is then empty whatever the later levels need.
     """
     L = pop.L
     level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
-    thresholds = _raw_thresholds(memoryview(pop.suffix_mass), r, level_caps,
-                                 [0] * m_b, [L] * m_b, L)
+    thresholds = threshold_indices(pop, r, level_caps, [0] * m_b, [L] * m_b)
     x = _staircase(thresholds, caps.M, L, l_c)
     return None if x is None else PlacementVector(x)
-
-
-def _raw_thresholds(suffix, r: float, level_caps: list[float], t_lo: list[int],
-                    t_hi: list[int], L: int) -> list[int]:
-    """Each level's minimal threshold at rate r, before the running max.
-
-    Level m's threshold is the smallest t with suffix[t] * r <= level_caps[m].
-    suffix is non-increasing and, for r >= 0, so is the rounded product
-    suffix[t] * r, so the test is monotone in t and a bisection finds its
-    first pass. The search runs in [t_lo[m], t_hi[m]]: the caller vouches
-    that t_hi[m] passes and no t below t_lo[m] does, as [0, L] always
-    does (suffix[L] = 0). The scan stops at the first level whose
-    threshold is L, because the top level is then empty whatever the
-    later levels need; those levels keep their t_hi entry.
-    """
-    thresholds = list(t_hi)
-    for m, c in enumerate(level_caps):
-        lo = t_lo[m]
-        if suffix[lo] * r <= c:
-            thresholds[m] = lo
-            continue
-        hi = t_hi[m]
-        while hi - lo > 1:  # invariant: suffix[lo] * r > c >= suffix[hi] * r
-            mid = (lo + hi) // 2
-            if suffix[mid] * r <= c:
-                hi = mid
-            else:
-                lo = mid
-        thresholds[m] = hi
-        if hi >= L:
-            break
-    return thresholds
 
 
 def _staircase(thresholds: list[int], M: int, L: int, l_c: float) -> tuple[int, ...] | None:
@@ -113,32 +82,31 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     thresholds found at the current lo and hi. Rounded products s * r
     are non-decreasing in r for s >= 0, so a level's minimal threshold is
     non-decreasing in the rate and a rate in (lo, hi) has its threshold
-    in [t(lo), t(hi)]. The brackets start at 0 and L (suffix[L] = 0).
+    in [t(lo), t(hi)]. The brackets start at 0 and L (suffix(L) = 0).
     Every step therefore gives the same verdict as the full search, and
     the bisection visits the same rates and ends at the same lo.
     """
+    _require_budget(l_c)
     M, L = grid.M, pop.L
     if l_c < L * 4.0 ** (-M) - 1e-12:
         raise InfeasibleProblemError(
             f"cache budget {l_c} cannot hold the library: "
             f"needs at least {L * 4.0 ** (-M)} per node")
-    # memoryview reads give Python floats: the same products, without a copy
-    suffix = memoryview(pop.suffix_mass)
     best: tuple[float, PlacementVector] | None = None
     for m_b in range(1, M + 1):
         if L * 4.0 ** (-m_b) > l_c + 1e-12:
             continue  # even the top-heavy placement cannot fit
         level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
         lo = 0.0
-        # min: when pmf[L] is subnormal the quotient overflows to inf
-        hi = min(caps.cbar[1] / (m_b * float(pop.pmf[L])), sys.float_info.max)
+        # min: when p(L) is subnormal the quotient overflows to inf
+        hi = min(caps.cbar[1] / (m_b * pop.p(L)), sys.float_info.max)
         tol = 1e-12 * caps.cbar[1]
         t_lo, t_hi = [0] * m_b, [L] * m_b
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            thresholds = _raw_thresholds(suffix, mid, level_caps, t_lo, t_hi, L)
+            thresholds = threshold_indices(pop, mid, level_caps, t_lo, t_hi)
             if _staircase(thresholds, caps.M, L, l_c) is not None:
                 lo, t_lo = mid, thresholds
             else:
@@ -163,6 +131,7 @@ def brute_force(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     argmax (ties resolve to the lexicographically smallest vector because
     enumeration is ordered and replacement requires strict improvement).
     """
+    _require_budget(l_c)
     M, L = grid.M, pop.L
     count = math.comb(L + M, M)
     if count > 10 ** 7:

@@ -40,7 +40,7 @@ class NetworkGrid:
             raise InvalidParameterError(f"level count must be an integer >= 1, got {self.M!r}")
         if self.M > MAX_LEVELS:
             raise SizeGuardError(f"level count {self.M} exceeds the guard of {MAX_LEVELS}")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise InvalidParameterError(f"area exponent must be >= 0, got {self.kappa!r}")
         if not self.alpha > 2:
             raise InvalidParameterError(f"path loss exponent must exceed 2, got {self.alpha!r}")

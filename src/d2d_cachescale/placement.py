@@ -71,6 +71,7 @@ class PlacementVector:
 
     def validate(self, L: int, l_c: float) -> None:
         """Raise unless the vector places exactly L files within budget l_c."""
+        _require_budget(l_c)
         if self.L != L:
             raise InvariantViolationError(
                 f"placement holds {self.L} files, library has {L}")
@@ -139,14 +140,13 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
     if m_b == 0:
         return ThroughputReport(rate=math.inf, unbounded=True, binding_level=None,
                                 per_level_slack=(), m_b=0)
-    suffix = pop.suffix_mass
     ratios: list[float] = []
     best = math.inf
     binding: int | None = None
     p = 0
     for m in range(1, m_b + 1):
         p += x.x[m - 1]
-        t = float(suffix[p])
+        t = pop.suffix(p)
         if t <= 0.0:
             ratios.append(math.inf)
             continue
@@ -178,12 +178,10 @@ def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: Popularit
     [i_lo[m], i_hi[m] + 1]: i_lo[m] and i_hi[m] are level m's indices at two
     rates around r, or the extremes 0 and L - 1."""
     M, L = caps.M, pop.L
-    suffix, pmf = memoryview(pop.suffix_mass), memoryview(pop.pmf)
     index = [0] * (M + 1)
     total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     for m in range(m_star + 1, M + 1):
-        x, index[m] = bracketed_tail_inverse(suffix, pmf, caps.cbar[m] / r,
-                                             i_lo[m], i_hi[m] + 1)
+        x, index[m] = bracketed_tail_inverse(pop, caps.cbar[m] / r, i_lo[m], i_hi[m] + 1)
         total += 3.0 * x * 4.0 ** (-m)
     return total, index
 
@@ -224,6 +222,7 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
     with m, so a bisection with one probe per step finds m*. The rate
     solve then meets the budget exactly in (cbar[m*+1], cbar[m*]].
     """
+    _require_budget(l_c)
     M, L = grid.M, pop.L
     min_load = L * 4.0 ** (-M)
     if l_c < min_load - 1e-12:
@@ -259,7 +258,7 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     i_hi[m] + 1, the indices at the current lo and hi, as solve_exact does
     for its thresholds. A correctly rounded cbar[m] / r does not increase
     with r, so a rate in (lo, hi) has its index in that bracket, and the
-    largest i with suffix[i] >= y is unique: each step computes the load
+    largest i with suffix(i) >= y is unique: each step computes the load
     of a full search bit for bit.
     """
     lo = caps.cbar[m_star + 1]
@@ -293,8 +292,8 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
             a += w  # ratio inactive on this segment: inverse pinned at 1
             continue
         k = min(int(tail_inverse(pop, y)), pop.L)
-        p_k = float(pop.pmf[k])
-        a += w * (k + 1.0 + float(pop.suffix_mass[k]) / p_k)
+        p_k = pop.p(k)
+        a += w * (k + 1.0 + pop.suffix(k) / p_k)
         b += w * caps.cbar[m] / p_k
     if a - l_c > 0.0 and b > 0.0:
         r_snap = b / (a - l_c)
@@ -412,6 +411,12 @@ def _lowest_multi(xs: list[int]) -> int | None:
     return None
 
 
+def _require_budget(l_c: float) -> None:
+    """Refuse a NaN cache budget, which every budget comparison would let through."""
+    if math.isnan(l_c):
+        raise InvalidParameterError(f"cache budget must be a number, got {l_c!r}")
+
+
 def _load(xs) -> float:
     """Per-node cache usage sum_m xs[m] 4^{-m} of (possibly fractional) occupancies."""
     return math.fsum(v * 4.0 ** (-m) for m, v in enumerate(xs))
@@ -424,7 +429,7 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
     best = math.inf
     held = 0
     for m in range(m_from, m_to + 1):
-        t = float(pop.suffix_mass[min(held, pop.L)])
+        t = pop.suffix(min(held, pop.L))
         if t > 0.0:
             best = min(best, caps.cbar[m] / t)
         held += xs[m]

@@ -5,13 +5,15 @@ Besides the pmf it exposes the popularity tail mass f(x): the probability
 mass of all ranks at or beyond a (possibly fractional) rank x, linearly
 interpolated between integer ranks. Every capacity constraint downstream
 charges traffic through f, so both f and its inverse are computed exactly
-(per-segment linear inversion) rather than approximated.
+(per-segment linear inversion) rather than approximated. The two integer
+searches over the suffix mass also live here: tail_index for the
+relaxation and threshold_indices for the exact solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +38,11 @@ class PopularityModel:
     per-rank prefix array: the simulator reads 1 - suffix_mass at the M
     level boundaries only. Arrays are read-only so instances can be shared
     between callers.
+
+    This module owns that storage: the solvers read it only through p(k),
+    suffix(k) and the searches below. The point reads go through read-only
+    memoryviews built once per model, so each returns a Python float (the
+    array entry's bits) without a NumPy scalar per read.
     """
 
     L: int
@@ -43,6 +50,20 @@ class PopularityModel:
     z: float
     pmf: np.ndarray
     suffix_mass: np.ndarray
+    _pmf: memoryview = field(init=False, repr=False, compare=False)
+    _suffix: memoryview = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_pmf", memoryview(self.pmf).toreadonly())
+        object.__setattr__(self, "_suffix", memoryview(self.suffix_mass).toreadonly())
+
+    def p(self, k: int) -> float:
+        """Request probability of rank k, for k = 1..L (0.0 at k = 0)."""
+        return self._pmf[k]
+
+    def suffix(self, k: int) -> float:
+        """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L."""
+        return self._suffix[k]
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:
@@ -133,8 +154,8 @@ def tail_mass(model: PopularityModel, x: float) -> float:
         raise DomainError(f"tail-mass argument must lie in [1, {L + 1}], got {x!r}")
     k = math.floor(x)
     if k == x:
-        return float(model.suffix_mass[int(x) - 1])
-    return (k + 1 - x) * float(model.pmf[k]) + float(model.suffix_mass[k])
+        return model.suffix(int(x) - 1)
+    return (k + 1 - x) * model.p(k) + model.suffix(k)
 
 
 def tail_inverse(model: PopularityModel, y: float) -> float:
@@ -144,14 +165,14 @@ def tail_inverse(model: PopularityModel, y: float) -> float:
     mean the corresponding constraint is inactive, and the inverse is
     pinned at the left edge of its domain.
     """
-    if y < 0:
+    if not y >= 0:
         raise DomainError(f"tail mass must be >= 0, got {y!r}")
-    return bracketed_tail_inverse(memoryview(model.suffix_mass), memoryview(model.pmf),
-                                  y, 0, model.L)[0]
+    return bracketed_tail_inverse(model, y, 0, model.L)[0]
 
 
-def bracketed_tail_inverse(suffix, pmf, y: float, lo: int, hi: int) -> tuple[float, int]:
-    """tail_inverse of y >= 0 over the arrays of a model, and y's tail index.
+def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
+                           hi: int) -> tuple[float, int]:
+    """tail_inverse of y >= 0, and y's tail index.
 
     The search runs in [lo, hi], a bracket the caller vouches for as in
     tail_index; [0, L] always qualifies. A clamped y reports index 0
@@ -160,22 +181,22 @@ def bracketed_tail_inverse(suffix, pmf, y: float, lo: int, hi: int) -> tuple[flo
     if y >= 1.0:
         return 1.0, 0
     if y <= 0.0:
-        L = len(suffix) - 1
+        L = model.L
         return float(L + 1), L - 1
-    i = tail_index(suffix, y, lo, hi)
+    i = tail_index(model, y, lo, hi)
     k = i + 1
-    x = (k + 1) - (y - suffix[k]) / pmf[k]
+    x = (k + 1) - (y - model._suffix[k]) / model._pmf[k]
     return min(max(x, float(k)), float(k + 1)), i
 
 
-def tail_index(suffix, y: float, lo: int, hi: int) -> int:
-    """Largest i with suffix[i] >= y, by bisection inside [lo, hi].
+def tail_index(model: PopularityModel, y: float, lo: int, hi: int) -> int:
+    """Largest i with suffix(i) >= y, by bisection inside [lo, hi].
 
-    The caller vouches for the bracket: suffix[lo] >= y > suffix[hi]. For
-    0 < y < 1 the full bracket [0, L] qualifies, since suffix[0] = 1 and
-    suffix[L] = 0. Pass suffix as a memoryview: its reads are Python
-    floats, without a NumPy scalar per probe.
+    The caller vouches for the bracket: suffix(lo) >= y > suffix(hi). For
+    0 < y < 1 the full bracket [0, L] qualifies, since suffix(0) = 1 and
+    suffix(L) = 0.
     """
+    suffix = model._suffix
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if suffix[mid] >= y:
@@ -183,3 +204,34 @@ def tail_index(suffix, y: float, lo: int, hi: int) -> int:
         else:
             hi = mid
     return lo
+
+
+def threshold_indices(model: PopularityModel, r: float, caps: list[float],
+                      t_lo: list[int], t_hi: list[int]) -> list[int]:
+    """For each level m, the smallest t with suffix(t) * r <= caps[m].
+
+    suffix is non-increasing and, for r >= 0, so is the rounded product
+    suffix(t) * r, so the test is monotone in t and a bisection finds its
+    first pass. Level m is searched in [t_lo[m], t_hi[m]]: the caller
+    vouches that t_hi[m] passes and no t below t_lo[m] does, as [0, L]
+    always does (suffix(L) = 0). The scan stops at the first level whose
+    threshold is L; the later levels keep their t_hi entry.
+    """
+    suffix, L = model._suffix, model.L
+    thresholds = list(t_hi)
+    for m, c in enumerate(caps):
+        lo = t_lo[m]
+        if suffix[lo] * r <= c:
+            thresholds[m] = lo
+            continue
+        hi = t_hi[m]
+        while hi - lo > 1:  # invariant: suffix[lo] * r > c >= suffix[hi] * r
+            mid = (lo + hi) // 2
+            if suffix[mid] * r <= c:
+                hi = mid
+            else:
+                lo = mid
+        thresholds[m] = hi
+        if hi >= L:
+            break
+    return thresholds

@@ -12,6 +12,7 @@ from d2d_cachescale import (
     InfeasibleProblemError,
     InvariantViolationError,
     PlacementVector,
+    PopularityModel,
     SizeGuardError,
     brute_force,
     evaluate_throughput,
@@ -20,7 +21,7 @@ from d2d_cachescale import (
     solve_exact,
     zipf_pmf,
 )
-from d2d_cachescale.exact import _raw_thresholds
+from d2d_cachescale.popularity import threshold_indices
 from conftest import caps_for
 from reference import ThresholdForm, from_threshold, to_threshold
 
@@ -275,8 +276,14 @@ class TestBracketedSolver:
         assert peak < L
 
 
-def _threshold(suffix, r, c, lo, hi, L):
-    return _raw_thresholds(suffix, r, [c], [lo], [hi], L)[0]
+def _threshold(pop, r, c, lo, hi):
+    return threshold_indices(pop, r, [c], [lo], [hi])[0]
+
+
+def _model(suffix):
+    """A model over a given non-increasing suffix array, for the threshold search only."""
+    return PopularityModel(L=len(suffix) - 1, tau=0.0, z=1.0, pmf=np.zeros_like(suffix),
+                           suffix_mass=suffix)
 
 
 def _first_pass(suffix, r, c):
@@ -290,13 +297,13 @@ class TestThresholdMonotonicity:
 
     def _check(self, suffix, c, rates):
         L = len(suffix) - 1
-        view = memoryview(suffix)
+        pop = _model(suffix)
         r1, r2, r3 = sorted(rates)
-        t1, t2, t3 = (_threshold(view, r, c, 0, L, L) for r in (r1, r2, r3))
+        t1, t2, t3 = (_threshold(pop, r, c, 0, L) for r in (r1, r2, r3))
         assert t1 <= t2 <= t3
         with np.errstate(over="ignore"):
             assert t2 == reference_min_threshold(suffix, r2, c, L) == _first_pass(suffix, r2, c)
-        assert _threshold(view, r2, c, t1, t3, L) == t2
+        assert _threshold(pop, r2, c, t1, t3) == t2
 
     def test_random_rates_on_zipf_suffixes(self):
         rng = random.Random(31)
@@ -324,7 +331,7 @@ class TestThresholdMonotonicity:
             suffix = zipf_pmf(L, 1.2).suffix_mass
             for c in (1e-300, 1.0, 1e300):
                 self._check(suffix, c, [big, big * rng.random(), c])
-            assert _threshold(memoryview(suffix), big, 1.0, 0, L, L) == L
+            assert _threshold(_model(suffix), big, 1.0, 0, L) == L
 
     def test_products_that_overflow(self):
         """On a non-increasing array with entries above one the products

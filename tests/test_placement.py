@@ -7,11 +7,14 @@ import pytest
 
 from d2d_cachescale import (
     BracketError,
+    DomainError,
     InfeasibleProblemError,
     InvalidParameterError,
     InvariantViolationError,
+    NetworkGrid,
     PlacementVector,
     RelaxedSolution,
+    brute_force,
     check_optimality,
     evaluate_throughput,
     guarantee_factor,
@@ -543,3 +546,25 @@ class TestPipeline:
         assert a.report.rate == b.report.rate
         assert a.relaxed.x_star == b.relaxed.x_star
         assert a.relaxed.r_star == b.relaxed.r_star
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda grid, caps, pop: solve_exact(grid, caps, pop, math.nan), InvalidParameterError),
+    (lambda grid, caps, pop: brute_force(grid, caps, pop, math.nan), InvalidParameterError),
+    (lambda grid, caps, pop: optimize_placement(grid, caps, pop, math.nan),
+     InvalidParameterError),
+    (lambda grid, caps, pop: PlacementVector((20, 0, 0, 0)).validate(20, math.nan),
+     InvalidParameterError),
+    (lambda grid, caps, pop: tail_inverse(pop, math.nan), DomainError),
+    (lambda grid, caps, pop: NetworkGrid(3, math.nan, 4.0), InvalidParameterError),
+], ids=["solve_exact", "brute_force", "optimize_placement", "validate", "tail_inverse",
+        "NetworkGrid"])
+def test_nan_is_refused_up_front(call, error):
+    """A NaN passes every `x < bound` check, so each entry point tests its
+    budget, tail mass or area exponent so that NaN fails, and raises at
+    once: at M = 3 and L = 20 a NaN budget used to give exact a finite
+    rate, brute force an unbounded one, and the pipeline a BracketError
+    only after 2,100 doublings."""
+    grid, _, caps = caps_for(3, 0.0, 4.0)
+    with pytest.raises(error):
+        call(grid, caps, zipf_pmf(20, 1.0))

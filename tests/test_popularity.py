@@ -249,7 +249,7 @@ class TestTailIndex:
                 continue
             # suffix is non-increasing: the ranks with suffix >= y are a prefix
             i = int(np.searchsorted(-pop.suffix_mass, -y, side="right")) - 1
-            assert tail_index(suffix, y, 0, L) == i
+            assert tail_index(pop, y, 0, L) == i
             for a in range(i + 1):
                 for b in range(i + 1, L + 1):
-                    assert tail_index(suffix, y, a, b) == i, (y, a, b)
+                    assert tail_index(pop, y, a, b) == i, (y, a, b)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,8 +23,13 @@ from d2d_cachescale import (
     zipf_pmf,
 )
 from d2d_cachescale.cli import main
-from d2d_cachescale.popularity import CHUNK_RANKS
+from d2d_cachescale.popularity import CHUNK_RANKS, tail_index, threshold_indices
 from conftest import caps_for
+from reference import (
+    memoryview_raw_thresholds,
+    memoryview_tail_index,
+    per_top_level_relaxations,
+)
 from test_delivery import assert_matches_reference
 from test_exact import assert_matches_reference as assert_exact_matches_reference
 from test_placement import assert_relaxed_matches_reference
@@ -45,6 +51,105 @@ def test_tail_inverse_undoes_tail_mass(L, tau, frac):
     pop = zipf_pmf(L, tau)
     x = 1.0 + frac * L
     assert abs(tail_inverse(pop, tail_mass(pop, x)) - x) <= 1e-9 * L
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=1, max_value=3 * CHUNK_RANKS), tau=taus)
+def test_point_reads_are_the_array_entries(data, L, tau):
+    """p(k) and suffix(k) return Python floats with the bits of pmf[k] and
+    suffix_mass[k], at both ends 0 and L and at drawn ranks between."""
+    pop = zipf_pmf(L, tau)
+    ks = [0, L, *data.draw(st.lists(st.integers(min_value=0, max_value=L), max_size=20))]
+    for k in ks:
+        for read, array in ((pop.p, pop.pmf), (pop.suffix, pop.suffix_mass)):
+            got = read(k)
+            assert type(got) is float
+            assert got.hex() == float(array[k]).hex(), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=1, max_value=5000), tau=taus)
+def test_tail_index_matches_memoryview_search(data, L, tau):
+    """The model's tail_index returns the memoryview search's index on every
+    bracket a caller may vouch for, at breakpoints, their float neighbours
+    and between them."""
+    pop = zipf_pmf(L, tau)
+    view = memoryview(pop.suffix_mass)
+    k = data.draw(st.integers(min_value=0, max_value=L))
+    s = float(pop.suffix_mass[k])
+    y = data.draw(st.sampled_from([s, math.nextafter(s, 0.0), math.nextafter(s, 2.0),
+                                   data.draw(st.floats(min_value=0.0, max_value=1.0))]))
+    assume(0.0 < y < 1.0)
+    i = memoryview_tail_index(view, y, 0, L)
+    lo = data.draw(st.integers(min_value=0, max_value=i))
+    hi = data.draw(st.integers(min_value=i + 1, max_value=L))
+    assert tail_index(pop, y, lo, hi) == memoryview_tail_index(view, y, lo, hi) == i
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(min_value=1, max_value=5000), tau=taus,
+       caps=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=6))
+def test_threshold_search_matches_memoryview_search(data, L, tau, caps):
+    """The model's threshold_indices returns the memoryview scan's thresholds
+    on every bracket a caller may vouch for: one level searched in any
+    [lo, hi] around its threshold, and every level searched between its
+    thresholds at a lower and a higher rate, as solve_exact's steps do.
+    Rates sit on a breakpoint c / suffix(k), next to one, anywhere, or at
+    the largest float."""
+    pop = zipf_pmf(L, tau)
+    view = memoryview(pop.suffix_mass)
+    big = sys.float_info.max
+
+    def rate():
+        k = data.draw(st.integers(min_value=0, max_value=L - 1))
+        r = min(data.draw(st.sampled_from(caps)) / float(pop.suffix_mass[k]), big)
+        return data.draw(st.sampled_from([r, math.nextafter(r, 0.0),
+                                          min(math.nextafter(r, math.inf), big), big,
+                                          data.draw(st.floats(min_value=0.0, max_value=1e300))]))
+
+    r1, r, r2 = sorted(rate() for _ in range(3))
+    c = caps[0]
+    t = memoryview_raw_thresholds(view, r, [c], [0], [L], L)[0]
+    lo = data.draw(st.integers(min_value=0, max_value=t))
+    hi = data.draw(st.integers(min_value=t, max_value=L))
+    assert threshold_indices(pop, r, [c], [lo], [hi]) == [t]
+    assert memoryview_raw_thresholds(view, r, [c], [lo], [hi], L) == [t]
+    full = ([0] * len(caps), [L] * len(caps))
+    t_lo = memoryview_raw_thresholds(view, r1, caps, *full, L)
+    t_hi = memoryview_raw_thresholds(view, r2, caps, *full, L)
+    assert threshold_indices(pop, r1, caps, *full) == t_lo
+    assert (threshold_indices(pop, r, caps, t_lo, t_hi)
+            == memoryview_raw_thresholds(view, r, caps, t_lo, t_hi, L))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=9), L=st.integers(min_value=1, max_value=20000),
+       tau=taus, alpha=st.sampled_from([2.5, 4.0]), kappa=st.sampled_from([0.0, 1.0]),
+       frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+def test_exact_lies_between_the_per_top_level_relaxations(m_levels, L, tau, alpha, kappa, frac):
+    """Past brute force's reach: solve_exact's rate is at most the largest
+    relaxed rate over the admissible top levels m_b (each level charged its
+    round-robin share cbar[m] / m_b), and at least the rate of every such
+    relaxation's rounded placement on the real capacities.
+
+    solve_exact searches top levels m_b >= 1 only, so a rounded placement
+    with every file local (an unbounded rate) is outside its search. That
+    placement fits only within the 1e-12 budget tolerance of L, the
+    dust-budget case of test_integer_side_fails_with_less_than_one_file_uncached,
+    where brute force reports the unbounded rate and solve_exact a finite one."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    lo = L * 4.0 ** (-m_levels)
+    l_c = lo + (L - lo) * frac
+    assume(l_c < L)
+    pop = zipf_pmf(L, tau)
+    _, rate = solve_exact(grid, caps, pop, l_c)
+    pairs = per_top_level_relaxations(grid, caps, pop, l_c)
+    assert rate <= max(bound for bound, _ in pairs) * (1.0 + 1e-12)
+    for _, rounded in pairs:
+        if math.isinf(rounded):
+            assert L <= l_c + 1e-12
+            continue
+        assert rounded <= rate * (1.0 + 1e-12)
 
 
 @st.composite
