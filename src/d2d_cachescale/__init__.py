@@ -5,9 +5,7 @@ from .analysis import (
     BoundsResult,
     ScalingExponent,
     achievable_exponent,
-    baseline_exponent,
     classify_regime,
-    converse_exponent,
     critical_skewness,
     lower_bound,
     throughput_bounds,

@@ -5,10 +5,13 @@ piecewise formulas in the skewness tau, built from a power-law envelope
 of the per-level capacities: the lower side divided by the rounding
 guarantee factor floors what the integer solver achieves (while
 L_C <= L - 1), and the upper side is meant to cap it (but see
-upper_bound). The exponent calculators give the large-n power of the
-per-node throughput for the cooperative scheme, the multihop baseline,
-and the information-theoretic ceiling, as functions of the library and
-cache growth orders (L ~ a1 n^beta1, L_C ~ a2 n^beta2).
+upper_bound). One scaling law, achievable_exponent, gives the large-n
+power of the per-node throughput as a function of the library and cache
+growth orders (L ~ a1 n^beta1, L_C ~ a2 n^beta2): for the cooperative
+scheme at the path loss exponent alpha, for the multihop baseline at
+alpha = 3 (cooperation gains only for alpha < 3), and for the
+information-theoretic ceiling, which differs from the achievable law only
+by an arbitrarily small epsilon.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidParameterError
 from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope, multihop_envelope
 from .phy import PhyParams
-from .placement import guarantee_factor
+from .placement import _require_budget, guarantee_factor
 from .popularity import PopularityModel
 
 
@@ -144,6 +147,7 @@ def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel
     side="baseline" the multihop profile, where both coefficient pairs
     coincide. Each bound selects its tau branch against its own gamma.
     """
+    _require_budget(l_c)
     if side == "proposed":
         env = capacity_envelope(grid, params)
     elif side == "baseline":
@@ -165,8 +169,7 @@ class ScalingExponent:
     """One branch of a throughput scaling law.
 
     exponent is the clean power of n; epsilon_term is the magnitude of the
-    finite-size correction attached to it (subtracted for achievability
-    results, added for converse ceilings), zero where no correction
+    finite-size correction subtracted from it, zero where no correction
     applies or none was requested.
     """
 
@@ -202,6 +205,10 @@ def achievable_exponent(beta1: float, beta2: float, a1: float, a2: float,
     The clean exponent is exact for alpha >= 3; for 2 < alpha < 3 it
     carries a Theta(1/sqrt(log n)) correction, reported as 1/(s_M + 1)
     with s_M = sqrt(M ln 4) when m_levels is given (0.0 otherwise).
+    At alpha = 3 it is the multihop/decode-and-forward baselines' law,
+    whose branch point sits at 3/2 whatever the path loss. The converse
+    ceiling is this law with the correction's sign flipped (an arbitrarily
+    small +epsilon), so its clean exponent is this one.
     """
     regime = classify_regime(beta1, beta2, a1, a2)
     if regime == "I":
@@ -220,49 +227,9 @@ def achievable_exponent(beta1: float, beta2: float, a1: float, a2: float,
     return ScalingExponent("II", "tau>min(3,alpha)/2", beta2 * (tau - 1.0), eps)
 
 
-def baseline_exponent(beta1: float, beta2: float, a1: float, a2: float,
-                      tau: float) -> ScalingExponent:
-    """Scaling exponent of the multihop/decode-and-forward baselines.
-
-    Identical to the cooperative scheme in regime I; in regime II the
-    branch point sits at 3/2 regardless of the path loss exponent. The
-    attached correction is arbitrarily small, reported as 0.0.
-    """
-    regime = classify_regime(beta1, beta2, a1, a2)
-    if regime == "I":
-        if tau <= 1.0:
-            return ScalingExponent("I", "tau<=1", 0.0, 0.0)
-        return ScalingExponent("I", "tau>1", beta2 * (tau - 1.0), 0.0)
-    if tau <= 1.0:
-        return ScalingExponent("II", "tau<=1", (beta2 - beta1) / 2.0, 0.0)
-    if tau <= 1.5:
-        return ScalingExponent("II", "1<tau<=3/2",
-                               beta1 * (tau - 1.5) + beta2 / 2.0, 0.0)
-    return ScalingExponent("II", "tau>3/2", beta2 * (tau - 1.0), 0.0)
-
-
-def converse_exponent(beta1: float, beta2: float, a1: float, a2: float,
-                      tau: float, alpha: float) -> ScalingExponent:
-    """Information-theoretic ceiling on any scheme's scaling exponent.
-
-    Branchwise identical to the achievable exponent; the correction enters
-    with the opposite sign (an arbitrarily small +epsilon), so achieved
-    minus ceiling is never positive. Reported with epsilon_term 0.0.
-    """
-    ach = achievable_exponent(beta1, beta2, a1, a2, tau, alpha, m_levels=None)
-    return ScalingExponent(ach.regime, ach.tau_case, ach.exponent, 0.0)
-
-
-def critical_skewness(alpha: float, scheme: str) -> tuple[float, float]:
-    """Skewness values where the scaling exponent changes branch.
-
-    The first is 1 for every scheme; the second is min(3, alpha)/2 for the
-    cooperative scheme and 3/2 for the baselines.
-    """
+def critical_skewness(alpha: float) -> tuple[float, float]:
+    """Skewness values where the scaling exponent changes branch: 1 and
+    min(3, alpha)/2; the baselines' are critical_skewness(3.0)."""
     if not alpha > 2:
         raise InvalidParameterError(f"path loss exponent must exceed 2, got {alpha!r}")
-    if scheme == "proposed":
-        return 1.0, min(3.0, alpha) / 2.0
-    if scheme == "baseline":
-        return 1.0, 1.5
-    raise InvalidParameterError(f"scheme must be 'proposed' or 'baseline', got {scheme!r}")
+    return 1.0, min(3.0, alpha) / 2.0

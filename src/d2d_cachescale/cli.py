@@ -7,9 +7,12 @@ brute-force solvers on a small instance), simulate (flow-level delivery
 simulation). Output is versioned CSV (default) or JSON; every command is
 deterministic given its flags and seed.
 
-Config precedence: CLI flags override config-file keys override defaults.
-The config file is flat ``key=value`` text; a key is a flag name without
-its dashes or the option's dest (see `_OPTIONS`).
+A flag is one row of `_OPTIONS` and a subcommand one row of `_COMMANDS`;
+every command accepts every flag and receives the one resolved
+`ExperimentConfig`. Precedence: CLI flags override config-file keys
+override the command's defaults override the option defaults. The config
+file is flat ``key=value`` text; a key is a flag name without its dashes
+or the option's dest.
 """
 
 from __future__ import annotations
@@ -20,13 +23,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import SCHEMA_VERSION
 from .analysis import (
     achievable_exponent,
-    baseline_exponent,
-    converse_exponent,
     critical_skewness,
     lower_bound,
     throughput_bounds,
@@ -54,7 +55,7 @@ _EXIT_BAD_ARGS = 3
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved instance parameters shared by all subcommands."""
+    """Every resolved option under its `_OPTIONS` dest; `--n` arrives as m_levels."""
 
     m_levels: int
     kappa: float
@@ -64,11 +65,16 @@ class ExperimentConfig:
     a1: float
     a2: float
     tau: float
+    l: int | None  # explicit library size, else a1 n^beta1
+    lc: float | None  # explicit cache budget, else a2 n^beta2
     bandwidth_hz: float
     seed: int
     rc_fraction: float
-    l_override: int | None = None
-    lc_override: float | None = None
+    axis: str
+    range_spec: str | None
+    fmt: str
+    out: str | None
+    requests: int
 
     @property
     def n(self) -> int:
@@ -85,14 +91,14 @@ class ExperimentConfig:
 
     @property
     def library_size(self) -> int:
-        if self.l_override is not None:
-            return self.l_override
+        if self.l is not None:
+            return self.l
         return max(1, math.floor(self._growth("L", self.a1, self.beta1)))
 
     @property
     def cache_budget(self) -> float:
-        if self.lc_override is not None:
-            return self.lc_override
+        if self.lc is not None:
+            return self.lc
         return self._growth("L_C", self.a2, self.beta2)
 
     def validate(self) -> None:
@@ -176,19 +182,21 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+class _Command(NamedTuple):
+    """One subcommand: its help line, its function and the option defaults it sets."""
+
+    help: str
+    run: Callable[[ExperimentConfig], int]
+    defaults: dict = {}
+
+
 @functools.cache  # built on the first call, reused by later calls of main
 def _build_parser() -> _Parser:
     parser = _Parser(prog="d2d-cachescale",
                      description="Hierarchical D2D caching throughput toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("place", "solve one placement instance"),
-        ("sweep", "sweep one axis and tabulate proposed vs baselines"),
-        ("scaling", "scaling-law exponents and bound curves"),
-        ("oracle", "cross-check solvers on a small instance"),
-        ("simulate", "flow-level delivery simulation"),
-    ]:
-        p = sub.add_parser(name, help=desc)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, default=None,
                        help="flat key=value config file")
         # default None: an unset flag must not override a config-file key
@@ -226,18 +234,14 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args, overrides: dict | None = None):
-    """Apply CLI > config-file > defaults precedence and build the config."""
-    fileconf = _read_config_file(args.config) if args.config else {}
+def _resolve(args) -> ExperimentConfig:
+    """Apply CLI > config-file > command > option defaults and build the config."""
     merged = {opt.dest: opt.default for opt in _OPTIONS}
-    if overrides:
-        merged.update(overrides)
-    merged.update(fileconf)
+    merged.update(_COMMANDS[args.command].defaults)
+    merged.update(_read_config_file(args.config) if args.config else {})
     for opt in _OPTIONS:
-        cli_val = getattr(args, opt.dest, None)
-        if cli_val is not None:
-            merged[opt.dest] = cli_val
-    for opt in _OPTIONS:
+        if getattr(args, opt.dest) is not None:
+            merged[opt.dest] = getattr(args, opt.dest)
         value = merged[opt.dest]
         if opt.type is float and value is not None and not math.isfinite(value):
             raise InvalidParameterError(f"{opt.flag} must be finite, got {value!r}")
@@ -251,9 +255,7 @@ def _resolve(args, overrides: dict | None = None):
         if m is None:
             raise InvalidParameterError(f"node count must be a power of 4, got {n}")
         merged["m_levels"] = m
-    extras = {k: merged.pop(k) for k in ("axis", "range_spec", "fmt", "out", "requests")}
-    cfg = ExperimentConfig(l_override=merged.pop("l"), lc_override=merged.pop("lc"), **merged)
-    return cfg, extras
+    return ExperimentConfig(**merged)
 
 
 def _fmt_cell(v) -> str:
@@ -264,17 +266,17 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(fmt: str, out: str | None, header: list[str], rows: list[tuple],
-          doc: dict) -> None:
-    """Write `rows` under `header` as versioned CSV, or `doc` as versioned JSON."""
-    if fmt == "json":
+def _emit(cfg: ExperimentConfig, header: list[str], rows: list[tuple], doc: dict) -> None:
+    """Write `rows` under `header` as versioned CSV, or `doc` as versioned JSON,
+    in cfg's format to cfg.out (default stdout)."""
+    if cfg.fmt == "json":
         text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
     else:
         lines = [f"# {SCHEMA_VERSION}", ",".join(header)]
         lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -299,11 +301,19 @@ def _parse_range(spec: str) -> list[float]:
     return [lo + i * step for i in range(int(math.floor(span)) + 1)]
 
 
-def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
+def _solve(cfg: ExperimentConfig, *checks: Callable[[], None]):
+    """Validate the instance, run the command's own `checks`, build the models
+    and run the placement pipeline: (grid, params, caps, pop, l_c, outcome)."""
     cfg.validate()
+    for check in checks:
+        check()
     grid, params, caps, pop = cfg.build()
     l_c = cfg.cache_budget
-    outcome = optimize_placement(grid, caps, pop, l_c)
+    return grid, params, caps, pop, l_c, optimize_placement(grid, caps, pop, l_c)
+
+
+def cmd_place(cfg: ExperimentConfig) -> int:
+    grid, params, _, pop, l_c, outcome = _solve(cfg)
     bounds = throughput_bounds(grid, params, pop, l_c)
     bw = cfg.bandwidth_hz
     rep = outcome.report
@@ -319,12 +329,11 @@ def cmd_place(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
         "upper_bound_bits_per_s_hz": bounds.r_upper,
     })
     rows = [(k, ";".join(map(str, doc["x"])) if k == "x" else doc[k]) for k in doc]
-    _emit(fmt, out, ["key", "value"], rows, doc)
+    _emit(cfg, ["key", "value"], rows, doc)
     return _EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
-              fmt: str, out: str | None) -> int:
+def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Tabulate the proposed, multihop and no-cache rates and the bounds along one axis.
 
     Each point is validated on its own, in axis order, and reuses the
@@ -335,11 +344,11 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
     axis). R_nocache is the top level of the full table. Nothing is kept
     beyond this call.
     """
-    values = _parse_range(range_spec or _SWEEP_RANGES[axis])
+    values = _parse_range(cfg.range_spec or _SWEEP_RANGES[cfg.axis])
     rows = []
     phy_key = pop_key = None
     for value in values:
-        point = replace(cfg, **{axis: value})
+        point = replace(cfg, **{cfg.axis: value})
         point.validate()
         if point.phy_key != phy_key:
             grid, params, caps = point.build_phy()
@@ -359,22 +368,23 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, range_spec: str | None,
         rows.append((value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper))
     header = ["axis_value", "R_proposed", "R_multihop_baseline", "R_nocache",
               "R_L_floor", "R_U"]
-    _emit(fmt, out, header, rows, {"axis": axis, "columns": header, "rows": rows})
+    _emit(cfg, header, rows, {"axis": cfg.axis, "columns": header, "rows": rows})
     return _EXIT_OK
 
 
-def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
-                fmt: str, out: str | None) -> int:
+def cmd_scaling(cfg: ExperimentConfig) -> int:
     """Tabulate the exponents over tau and the lower bound over M = 8..12.
 
-    The table does not depend on --M/--n, but a level count that every
-    other command refuses is refused here too. A lower-bound cell is empty,
-    and not evaluated, where L_C >= L, a budget that stores the whole library.
+    The baseline column is the achievable law at alpha = 3 and the
+    converse column the achievable law itself (see `analysis`). The table
+    does not depend on --M/--n, but a level count that every other command
+    refuses is refused here too. A lower-bound cell is empty, and not
+    evaluated, where L_C >= L, a budget that stores the whole library.
     """
     NetworkGrid(cfg.m_levels, cfg.kappa, cfg.alpha)
-    taus = _parse_range(range_spec or "0:3:0.05")
-    tau_a, tau_b_prop = critical_skewness(cfg.alpha, "proposed")
-    _, tau_b_base = critical_skewness(cfg.alpha, "baseline")
+    taus = _parse_range(cfg.range_spec or "0:3:0.05")
+    tau_a, tau_b_prop = critical_skewness(cfg.alpha)
+    _, tau_b_base = critical_skewness(3.0)
     marks = {tau_a, tau_b_prop, tau_b_base}
     keyed = {round(t, 12): t for t in taus}
     for t in marks:
@@ -383,13 +393,12 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
     rows = []
     for t in taus:
         ach = achievable_exponent(cfg.beta1, cfg.beta2, cfg.a1, cfg.a2, t, cfg.alpha)
-        base = baseline_exponent(cfg.beta1, cfg.beta2, cfg.a1, cfg.a2, t)
-        conv = converse_exponent(cfg.beta1, cfg.beta2, cfg.a1, cfg.a2, t, cfg.alpha)
-        rows.append(("exponent", t, None, ach.exponent, base.exponent, conv.exponent,
+        base = achievable_exponent(cfg.beta1, cfg.beta2, cfg.a1, cfg.a2, t, 3.0)
+        rows.append(("exponent", t, None, ach.exponent, base.exponent, ach.exponent,
                      None, int(t == tau_a), int(t == tau_b_prop), int(t == tau_b_base)))
     params = PhyParams(cfg.alpha, cfg.rc_fraction)
     for m_levels in range(8, 13):
-        point = replace(cfg, m_levels=m_levels, l_override=None, lc_override=None)
+        point = replace(cfg, m_levels=m_levels, l=None, lc=None)
         env = capacity_envelope(NetworkGrid(m_levels, cfg.kappa, cfg.alpha), params)
         big_l, l_c = point.library_size, point.cache_budget
         for t in taus:
@@ -399,15 +408,12 @@ def cmd_scaling(cfg: ExperimentConfig, range_spec: str | None,
             rows.append(("lower_bound", t, point.n, None, None, None, val, None, None, None))
     header = ["record", "tau", "n", "achievable", "baseline", "converse",
               "lower_bound", "tau_a", "tau_b_proposed", "tau_b_baseline"]
-    _emit(fmt, out, header, rows, {"columns": header, "rows": rows})
+    _emit(cfg, header, rows, {"columns": header, "rows": rows})
     return _EXIT_OK
 
 
-def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
-    cfg.validate()
-    grid, _, caps, pop = cfg.build()
-    l_c = cfg.cache_budget
-    algo = optimize_placement(grid, caps, pop, l_c)
+def cmd_oracle(cfg: ExperimentConfig) -> int:
+    grid, _, caps, pop, l_c, algo = _solve(cfg)
     exact_x, exact_rate = solve_exact(grid, caps, pop, l_c)
     brute_x, brute_rate = brute_force(grid, caps, pop, l_c)
     factor = guarantee_factor(grid.M, cfg.tau)
@@ -418,7 +424,7 @@ def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
         ("brute_floor", brute_rate * factor, ""),
     ]
     header = ["scheme", "rate_bits_per_s_hz", "x"]
-    _emit(fmt, out, header, rows, {"columns": header, "rows": rows})
+    _emit(cfg, header, rows, {"columns": header, "rows": rows})
     violations = []
     if exact_rate != brute_rate:
         violations.append(f"exact rate {exact_rate} != brute-force rate {brute_rate}")
@@ -433,39 +439,30 @@ def cmd_oracle(cfg: ExperimentConfig, fmt: str, out: str | None) -> int:
     return _EXIT_OK
 
 
-def cmd_simulate(cfg: ExperimentConfig, requests: int, fmt: str,
-                 out: str | None) -> int:
-    cfg.validate()
-    check_request_count(requests)
-    grid, _, caps, pop = cfg.build()
-    l_c = cfg.cache_budget
-    outcome = optimize_placement(grid, caps, pop, l_c)
-    report = simulate(SimConfig(grid, outcome.placement, pop, requests, cfg.seed))
+def cmd_simulate(cfg: ExperimentConfig) -> int:
+    grid, _, _, pop, _, outcome = _solve(cfg, lambda: check_request_count(cfg.requests))
+    report = simulate(SimConfig(grid, outcome.placement, pop, cfg.requests, cfg.seed))
     rows = report_csv_rows(report)
     header = ["level", "empirical_load", "analytic_load", "relative_error"]
-    _emit(fmt, out, header, rows, {"columns": header, "rows": rows,
-                                   "local_hit_fraction": report.local_hit_fraction})
+    _emit(cfg, header, rows, {"columns": header, "rows": rows,
+                              "local_hit_fraction": report.local_hit_fraction})
     return _EXIT_OK
 
 
+# One row per subcommand, in the parser's order.
+_COMMANDS = {
+    "place": _Command("solve one placement instance", cmd_place),
+    "sweep": _Command("sweep one axis and tabulate proposed vs baselines", cmd_sweep),
+    "scaling": _Command("scaling-law exponents and bound curves", cmd_scaling, {"kappa": 1.0}),
+    "oracle": _Command("cross-check solvers on a small instance", cmd_oracle),
+    "simulate": _Command("flow-level delivery simulation", cmd_simulate),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        overrides = {"kappa": 1.0} if args.command == "scaling" else None
-        cfg, extras = _resolve(args, overrides)
-        fmt, out = extras["fmt"], extras["out"]
-        if args.command == "place":
-            return cmd_place(cfg, fmt, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, extras["axis"], extras["range_spec"], fmt, out)
-        if args.command == "scaling":
-            return cmd_scaling(cfg, extras["range_spec"], fmt, out)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, fmt, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, extras["requests"], fmt, out)
-        raise InvalidParameterError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command].run(_resolve(args))
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE

@@ -85,6 +85,9 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     in [t(lo), t(hi)]. The brackets start at 0 and L (suffix(L) = 0).
     Every step therefore gives the same verdict as the full search, and
     the bisection visits the same rates and ends at the same lo.
+
+    A budget within 1e-12 of L holds the all-local placement, whose rate
+    is unbounded: it is returned at rate inf, as brute_force returns it.
     """
     _require_budget(l_c)
     M, L = grid.M, pop.L
@@ -92,6 +95,8 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
         raise InfeasibleProblemError(
             f"cache budget {l_c} cannot hold the library: "
             f"needs at least {L * 4.0 ** (-M)} per node")
+    if L <= l_c + 1e-12:
+        return PlacementVector((L,) + (0,) * M), math.inf
     best: tuple[float, PlacementVector] | None = None
     for m_b in range(1, M + 1):
         if L * 4.0 ** (-m_b) > l_c + 1e-12:

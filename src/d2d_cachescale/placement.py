@@ -168,6 +168,8 @@ def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
     increasing in r wherever some capacity-to-rate ratio is below one,
     and saturating at L 4^{-m_star} as r grows.
     """
+    if math.isnan(r):
+        raise InvalidParameterError(f"rate must be a number, got {r!r}")
     M, L = caps.M, pop.L
     return _bracketed_load(m_star, r, caps, pop, [0] * (M + 1), [L - 1] * (M + 1))[0]
 
@@ -326,14 +328,20 @@ def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
     return res
 
 
-def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid) -> PlacementVector:
-    """Carry-based integer rounding of the fractional solution.
+def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid, l_c: float) -> PlacementVector:
+    """Carry-based integer rounding of the fractional solution for budget l_c.
 
     Level by level from m* upward, each level keeps the floor of its
     target plus whatever cache the levels below released (rescaled to this
     level's per-file cost), and the level where the running total reaches
     L absorbs the remainder; levels above it get nothing. Floors only ever
-    release cache, so the weighted load never exceeds the fractional one.
+    release cache. A target within 1e-9 of an integer is rounded to it, and
+    a round-up hands its cost to the levels above as a negative carry. The
+    level that absorbs the remainder has no level above to hand a cost to,
+    so where the remainder would take the placement past l_c (plus the
+    1e-12 tolerance of PlacementVector.validate), be it by a round-up or by
+    the rounding error of a target, it keeps one file fewer and the next
+    level absorbs that file.
     """
     M = grid.M
     L = round(math.fsum(sol.x_star))
@@ -344,6 +352,8 @@ def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid) -> PlacementVecto
         val = sol.x_star[m] + carry * 4.0 ** m
         near = round(val)
         xm = near if abs(val - near) < 1e-9 else math.floor(val)
+        if cum + xm >= L and _load(xo[:m] + [L - cum]) > l_c + 1e-12:
+            xm = L - cum - 1
         carry = sol.x_star[m] * 4.0 ** (-m) + carry - xm * 4.0 ** (-m)
         if cum + xm >= L:
             xo[m] = L - cum
@@ -465,7 +475,7 @@ def optimize_placement(grid: NetworkGrid, caps: LevelCapacities,
     lose a whole file's tail and no integer placement reaches the floor.
     """
     sol = solve_relaxed(grid, caps, pop, l_c)
-    rounded = round_to_feasible(sol, grid)
+    rounded = round_to_feasible(sol, grid, l_c)
     balanced = rebalance(rounded, caps, pop, l_c)
     report = evaluate_throughput(balanced, caps, pop, l_c)
     floor = guarantee_floor(sol.r_star, grid.M, pop.tau)

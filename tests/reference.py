@@ -1,7 +1,8 @@
 """Reference forms that only tests use: the threshold form of a placement,
 the relaxed rate of a fractional placement, the per-top-level relaxation
-that brackets the exact optimum, and the memoryview searches the
-popularity model's searches replaced.
+that brackets the exact optimum, the memoryview searches the popularity
+model's searches replaced, and the multihop baseline's scaling law that
+the achievable law at alpha = 3 replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 
 from d2d_cachescale import (
     InvariantViolationError,
+    ScalingExponent,
     LevelCapacities,
     NetworkGrid,
     PlacementVector,
     evaluate_throughput,
+    classify_regime,
     round_to_feasible,
     solve_relaxed,
     tail_mass,
@@ -94,7 +97,7 @@ def per_top_level_relaxations(grid, caps, pop, l_c):
             M=m_b, cbar=(math.inf,) + tuple(caps.cbar[m] / m_b for m in range(1, m_b + 1)),
             rates=caps.rates[:m_b + 1])
         sol = solve_relaxed(sub_grid, sub_caps, pop, l_c)
-        rounded = round_to_feasible(sol, sub_grid).x + (0,) * (M - m_b)
+        rounded = round_to_feasible(sol, sub_grid, l_c).x + (0,) * (M - m_b)
         out.append((sol.r_star, evaluate_throughput(PlacementVector(rounded), caps, pop).rate))
     return out
 
@@ -133,3 +136,19 @@ def memoryview_raw_thresholds(suffix, r, level_caps, t_lo, t_hi, L):
         if hi >= L:
             break
     return thresholds
+
+
+def baseline_exponent(beta1, beta2, a1, a2, tau) -> ScalingExponent:
+    """The multihop/decode-and-forward baselines' scaling law as its own
+    function: the cooperative law in regime I, and in regime II a branch
+    point at 3/2 whatever the path loss exponent, with no correction."""
+    regime = classify_regime(beta1, beta2, a1, a2)
+    if regime == "I":
+        if tau <= 1.0:
+            return ScalingExponent("I", "tau<=1", 0.0, 0.0)
+        return ScalingExponent("I", "tau>1", beta2 * (tau - 1.0), 0.0)
+    if tau <= 1.0:
+        return ScalingExponent("II", "tau<=1", (beta2 - beta1) / 2.0, 0.0)
+    if tau <= 1.5:
+        return ScalingExponent("II", "1<tau<=3/2", beta1 * (tau - 1.5) + beta2 / 2.0, 0.0)
+    return ScalingExponent("II", "tau>3/2", beta2 * (tau - 1.0), 0.0)

@@ -9,10 +9,8 @@ from d2d_cachescale import (
     NetworkGrid,
     PhyParams,
     achievable_exponent,
-    baseline_exponent,
     capacity_envelope,
     classify_regime,
-    converse_exponent,
     critical_skewness,
     lower_bound,
     solve_exact,
@@ -21,6 +19,7 @@ from d2d_cachescale import (
     upper_bound,
     zipf_pmf,
 )
+from d2d_cachescale.cli import main
 from conftest import caps_for
 
 
@@ -182,36 +181,39 @@ class TestScalingExponents:
             == pytest.approx(0.9, abs=1e-15)
 
     def test_baseline_hand_values(self):
-        """(0.9, 0.3, tau=1.2): 0.9(1.2-1.5) + 0.15 = -0.12."""
-        assert baseline_exponent(0.9, 0.3, 1, 1, 1.2).exponent \
+        """The baseline is the law at alpha = 3. (0.9, 0.3, tau=1.2):
+        0.9(1.2-1.5) + 0.15 = -0.12; its branch point is 3/2."""
+        assert achievable_exponent(0.9, 0.3, 1, 1, 1.2, 3.0).exponent \
             == pytest.approx(-0.12, abs=1e-15)
-        assert baseline_exponent(0.9, 0.3, 1, 1, 0.5).exponent \
+        assert achievable_exponent(0.9, 0.3, 1, 1, 0.5, 3.0).exponent \
             == pytest.approx(-0.3, abs=1e-15)
+        assert achievable_exponent(0.9, 0.3, 1, 1, 1.2, 3.0).tau_case \
+            == "1<tau<=min(3,alpha)/2"
 
     def test_gupta_kumar_corner(self):
         """beta1 - beta2 = 1, tau < 1: baseline lands on -1/2; so does the
         cooperative scheme once alpha >= 3."""
-        assert baseline_exponent(1.0, 0.0, 1.0, 1.0, 0.5).exponent == -0.5
         assert achievable_exponent(1.0, 0.0, 1.0, 1.0, 0.5, 3.0).exponent == -0.5
         assert achievable_exponent(1.0, 0.0, 1.0, 1.0, 0.5, 5.0).exponent == -0.5
 
     def test_tail_branch_matches_baseline(self):
         for tau in (1.6, 2.0, 3.0):
             a = achievable_exponent(0.9, 0.3, 1, 1, tau, 4.0).exponent
-            b = baseline_exponent(0.9, 0.3, 1, 1, tau).exponent
+            b = achievable_exponent(0.9, 0.3, 1, 1, tau, 3.0).exponent
             assert a == b == pytest.approx(0.3 * (tau - 1), abs=1e-14)
 
-    def test_converse_identical_branchwise(self):
-        for tau in (0.0, 0.5, 1.0, 1.1, 1.25, 1.4, 2.0, 3.0):
-            for alpha in (2.5, 3.0, 4.0):
-                ach = achievable_exponent(0.9, 0.3, 1, 1, tau, alpha)
-                conv = converse_exponent(0.9, 0.3, 1, 1, tau, alpha)
-                assert conv.exponent == ach.exponent
-                assert conv.tau_case == ach.tau_case
+    def test_converse_identical_branchwise(self, capsys):
+        """`scaling` tabulates the converse as the achievable law itself."""
+        for alpha in ("2.5", "3", "4"):
+            assert main(["scaling", "--alpha", alpha, "--range", "0:3:0.1"]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+            exps = [row for row in rows if row[0] == "exponent"]
+            assert len(exps) >= 31
+            assert all(row[5] == row[3] != "" for row in exps)
 
     def test_converse_regime_one_value(self):
         """Regime I ceiling at tau=2 with beta2=0.3: 0.3(2-1) = 0.3."""
-        conv = converse_exponent(0.3, 0.3, 2.0, 1.0, 2.0, 2.5)
+        conv = achievable_exponent(0.3, 0.3, 2.0, 1.0, 2.0, 2.5)
         assert conv.regime == "I"
         assert conv.exponent == pytest.approx(0.3, abs=1e-15)
 
@@ -226,7 +228,7 @@ class TestScalingExponents:
         """The piecewise exponents are continuous at both critical points."""
         eps = 1e-9
         for alpha in (2.5, 3.0, 4.0):
-            tau_a, tau_b = critical_skewness(alpha, "proposed")
+            tau_a, tau_b = critical_skewness(alpha)
             for t0 in (tau_a, tau_b):
                 left = achievable_exponent(0.9, 0.3, 1, 1, t0 - eps, alpha).exponent
                 mid = achievable_exponent(0.9, 0.3, 1, 1, t0, alpha).exponent
@@ -234,29 +236,29 @@ class TestScalingExponents:
                 assert left == pytest.approx(mid, abs=1e-8)
                 assert right == pytest.approx(mid, abs=1e-8)
         for t0 in (1.0, 1.5):
-            left = baseline_exponent(0.9, 0.3, 1, 1, t0 - eps).exponent
-            right = baseline_exponent(0.9, 0.3, 1, 1, t0 + eps).exponent
+            left = achievable_exponent(0.9, 0.3, 1, 1, t0 - eps, 3.0).exponent
+            right = achievable_exponent(0.9, 0.3, 1, 1, t0 + eps, 3.0).exponent
             assert left == pytest.approx(right, abs=1e-8)
 
     def test_proposed_dominates_baseline(self):
         """Strictly better for alpha < 3 and tau < 3/2, equal otherwise."""
         for tau in (0.0, 0.5, 1.0, 1.2, 1.4):
             a = achievable_exponent(0.9, 0.3, 1, 1, tau, 2.5).exponent
-            b = baseline_exponent(0.9, 0.3, 1, 1, tau).exponent
+            b = achievable_exponent(0.9, 0.3, 1, 1, tau, 3.0).exponent
             assert a > b
         for tau in (0.0, 0.5, 1.0, 1.2, 1.4, 2.0):
             for alpha in (3.0, 4.0):
                 a = achievable_exponent(0.9, 0.3, 1, 1, tau, alpha).exponent
-                b = baseline_exponent(0.9, 0.3, 1, 1, tau).exponent
+                b = achievable_exponent(0.9, 0.3, 1, 1, tau, 3.0).exponent
                 assert a == pytest.approx(b, abs=1e-15)
 
 
 class TestCriticalSkewness:
     def test_values(self):
-        assert critical_skewness(2.5, "proposed") == (1.0, 1.25)
-        assert critical_skewness(4.0, "proposed") == (1.0, 1.5)
-        assert critical_skewness(2.5, "baseline") == (1.0, 1.5)
-        assert critical_skewness(17.0, "baseline") == (1.0, 1.5)
+        assert critical_skewness(2.5) == (1.0, 1.25)
+        assert critical_skewness(4.0) == (1.0, 1.5)
+        assert critical_skewness(17.0) == (1.0, 1.5)
+        assert critical_skewness(3.0) == (1.0, 1.5)  # the baselines
 
 
 class TestSlopeConsistency:

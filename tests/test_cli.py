@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, formats, exit codes, config precedence."""
 
+import dataclasses
 import json
 import math
 import re
@@ -201,6 +202,19 @@ class TestOracle:
         rows = dict((r.split(",")[0], r.split(",")[1]) for r in out.splitlines()[2:])
         assert rows["algorithm1"] == rows["exact"] == rows["brute_force"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--M", "3", "--l", "20", "--lc", "19.9999999999999", "--tau", "0", "--alpha", "2.5"),
+        ("--M", "1", "--l", "1", "--lc", "0.9999999999999998"),
+    ])
+    def test_budget_within_tolerance_of_the_library_is_all_local(self, capsys, argv):
+        """The all-local placement fits within the 1e-12 budget tolerance, and
+        exact finds it as brute force does (it exited 2 on a finite exact rate)."""
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert code == 0 and err == ""
+        all_local = ";".join([argv[3]] + ["0"] * int(argv[1]))
+        rows = [r.split(",")[1:] for r in out.splitlines()[2:5]]  # algorithm1, exact, brute
+        assert rows == [["inf", all_local]] * 3
+
 
 class TestSimulate:
     def test_csv_shape(self, capsys):
@@ -299,7 +313,7 @@ class TestInputChecks:
         """At the default beta1 = 0.9, M = 14 (L about 3.8e7) is within the
         Zipf guard and M = 15 (L about 1.3e8) is refused before allocating."""
         def library_size(m):
-            cfg, _ = cli._resolve(cli._build_parser().parse_args(["place", "--M", str(m)]))
+            cfg = cli._resolve(cli._build_parser().parse_args(["place", "--M", str(m)]))
             return cfg.library_size
         assert library_size(14) <= MAX_RANKS < library_size(15)
 
@@ -345,6 +359,25 @@ class TestInputChecks:
         lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
         assert lines["L"] == "1"
         assert lines["upper_bound_bits_per_s_hz"] == ""
+
+    @pytest.mark.parametrize("m_levels, L, l_c, tau", [
+        ("9", "1000", "999.9999999999", "1"),
+        ("1", "8192", "8191.999999999998", "0"),
+        ("1", "5", "4.999999999997", "0"),
+        ("4", "64", "63.9999999995", "1"),
+        ("1", "65536", "65535.99999999999", "0"),
+    ])
+    def test_budget_just_below_the_library_keeps_one_file_off_node(self, capsys, m_levels,
+                                                                   L, l_c, tau):
+        """Rounding used to put all L files on level 0, past the budget, and
+        the run exited 2 with "placement needs L cache per node": by snapping
+        a target within 1e-9 of L up to L, or (the last case, one float step
+        below L) from a target that rounds to L itself."""
+        code, out, err = run_cli(capsys, "place", "--M", m_levels, "--l", L, "--lc", l_c,
+                                 "--tau", tau)
+        assert code == 0 and err == ""
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert lines["x"].split(";")[0] == str(int(L) - 1)
 
     def test_budget_a_rounding_error_below_the_library_has_no_upper_bound(self, capsys):
         """L_C + 1 rounds to L + 1, so the tau >= gamma + 1 denominator is
@@ -419,6 +452,25 @@ class TestOptionTable:
             path.write_text(f"{key}=1\n")
             with pytest.raises(InvalidParameterError, match="unknown key"):
                 _read_config_file(str(path))
+
+    def test_config_fields_are_the_option_dests(self):
+        """Every option but --n, which resolves to m_levels, is a config field."""
+        fields = tuple(f.name for f in dataclasses.fields(cli.ExperimentConfig))
+        assert fields == tuple(opt.dest for opt in _OPTIONS if opt.dest != "n")
+
+    def test_every_command_is_a_subparser_listing_every_flag(self, capsys):
+        def help_text(*argv):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        assert f"{{{','.join(cli._COMMANDS)}}}" in help_text()
+        for name in cli._COMMANDS:
+            out = help_text(name)
+            assert out.startswith(f"usage: d2d-cachescale {name} ")
+            for flag in [opt.flag for opt in _OPTIONS] + ["--config"]:
+                assert re.search(f"^  {re.escape(flag)} ", out, re.M), (name, flag)
 
     def test_every_flag_in_readme(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -12,6 +12,7 @@ from d2d_cachescale import (
     InvalidParameterError,
     InvariantViolationError,
     NetworkGrid,
+    PhyParams,
     PlacementVector,
     RelaxedSolution,
     brute_force,
@@ -431,7 +432,7 @@ class TestRoundToFeasible:
     def test_integer_input_passthrough(self):
         grid, _, caps = caps_for(2, 0.0, 4.0)
         sol = RelaxedSolution((3.0, 5.0, 8.0), 1.0, 0)
-        assert round_to_feasible(sol, grid).x == (3, 5, 8)
+        assert round_to_feasible(sol, grid, 4.75).x == (3, 5, 8)
 
     def test_hand_traced_carry(self):
         """x* = [0.5, 1.5]: floor(0.5) = 0 releases half a file of cache, the
@@ -440,7 +441,7 @@ class TestRoundToFeasible:
         from d2d_cachescale import NetworkGrid
         grid = NetworkGrid(1, 0.0, 4.0)
         sol = RelaxedSolution((0.5, 1.5), 1.0, 0)
-        assert round_to_feasible(sol, grid).x == (0, 2)
+        assert round_to_feasible(sol, grid, 0.875).x == (0, 2)
 
     def test_cache_never_increases_and_suffix_bound(self):
         """Rounded suffix sums stay below the fractional suffix sums plus one."""
@@ -448,7 +449,7 @@ class TestRoundToFeasible:
         for _ in range(200):
             grid, caps, pop, l_c = random_instance(rng, l_max=5000)
             sol = solve_relaxed(grid, caps, pop, l_c)
-            xo = round_to_feasible(sol, grid)
+            xo = round_to_feasible(sol, grid, l_c)
             assert xo.L == pop.L
             frac_load = math.fsum(v * 4.0 ** (-m) for m, v in enumerate(sol.x_star))
             assert xo.cache_load() <= frac_load + 1e-9
@@ -479,7 +480,7 @@ class TestRebalance:
         grid, _, caps = caps_for(9, 0.0, alpha)
         pop = zipf_pmf(math.floor(grid.n ** 0.5), 0.5)
         l_c = grid.n ** 0.4
-        x = round_to_feasible(solve_relaxed(grid, caps, pop, l_c), grid)
+        x = round_to_feasible(solve_relaxed(grid, caps, pop, l_c), grid, l_c)
         assert (x.x, evaluate_throughput(x, caps, pop).rate) == (rounded, rounded_rate)
         out = optimize_placement(grid, caps, pop, l_c)
         assert (out.placement.x, out.report.rate) == (balanced, balanced_rate)
@@ -557,14 +558,17 @@ class TestPipeline:
      InvalidParameterError),
     (lambda grid, caps, pop: tail_inverse(pop, math.nan), DomainError),
     (lambda grid, caps, pop: NetworkGrid(3, math.nan, 4.0), InvalidParameterError),
+    (lambda grid, caps, pop: throughput_bounds(grid, PhyParams(4.0), pop, math.nan),
+     InvalidParameterError),
+    (lambda grid, caps, pop: relaxed_cache_load(1, math.nan, caps, pop), InvalidParameterError),
 ], ids=["solve_exact", "brute_force", "optimize_placement", "validate", "tail_inverse",
-        "NetworkGrid"])
+        "NetworkGrid", "throughput_bounds", "relaxed_cache_load"])
 def test_nan_is_refused_up_front(call, error):
     """A NaN passes every `x < bound` check, so each entry point tests its
-    budget, tail mass or area exponent so that NaN fails, and raises at
-    once: at M = 3 and L = 20 a NaN budget used to give exact a finite
-    rate, brute force an unbounded one, and the pipeline a BracketError
-    only after 2,100 doublings."""
+    budget, rate, tail mass or area exponent so that NaN fails, and raises
+    at once: at M = 3 and L = 20 a NaN budget used to give exact a finite
+    rate, brute force an unbounded one, the pipeline a BracketError only
+    after 2,100 doublings, and the bounds and the relaxed load NaN."""
     grid, _, caps = caps_for(3, 0.0, 4.0)
     with pytest.raises(error):
         call(grid, caps, zipf_pmf(20, 1.0))

@@ -10,8 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from d2d_cachescale import (
+    DomainError,
     PlacementVector,
     SimConfig,
+    achievable_exponent,
     brute_force,
     capacity_envelope,
     optimize_placement,
@@ -26,6 +28,7 @@ from d2d_cachescale.cli import main
 from d2d_cachescale.popularity import CHUNK_RANKS, tail_index, threshold_indices
 from conftest import caps_for
 from reference import (
+    baseline_exponent,
     memoryview_raw_thresholds,
     memoryview_tail_index,
     per_top_level_relaxations,
@@ -126,30 +129,76 @@ def test_threshold_search_matches_memoryview_search(data, L, tau, caps):
 @given(m_levels=st.integers(min_value=1, max_value=9), L=st.integers(min_value=1, max_value=20000),
        tau=taus, alpha=st.sampled_from([2.5, 4.0]), kappa=st.sampled_from([0.0, 1.0]),
        frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+@example(m_levels=1, L=8192, tau=0.0, alpha=2.5, kappa=0.0, frac=0.9999999999999998)
 def test_exact_lies_between_the_per_top_level_relaxations(m_levels, L, tau, alpha, kappa, frac):
     """Past brute force's reach: solve_exact's rate is at most the largest
     relaxed rate over the admissible top levels m_b (each level charged its
     round-robin share cbar[m] / m_b), and at least the rate of every such
     relaxation's rounded placement on the real capacities.
 
-    solve_exact searches top levels m_b >= 1 only, so a rounded placement
-    with every file local (an unbounded rate) is outside its search. That
-    placement fits only within the 1e-12 budget tolerance of L, the
-    dust-budget case of test_integer_side_fails_with_less_than_one_file_uncached,
-    where brute force reports the unbounded rate and solve_exact a finite one."""
+    Within the 1e-12 budget tolerance of L, the dust-budget case of
+    test_integer_side_fails_with_less_than_one_file_uncached, the all-local
+    placement fits and solve_exact returns its unbounded rate, as brute
+    force does; no top level m_b >= 1 bounds that. The example's budget is
+    1.8e-12 below L: rounding once snapped its level 0 up to all 8192 files."""
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     lo = L * 4.0 ** (-m_levels)
     l_c = lo + (L - lo) * frac
     assume(l_c < L)
     pop = zipf_pmf(L, tau)
     _, rate = solve_exact(grid, caps, pop, l_c)
+    if L <= l_c + 1e-12:
+        assert rate == math.inf
+        return
     pairs = per_top_level_relaxations(grid, caps, pop, l_c)
     assert rate <= max(bound for bound, _ in pairs) * (1.0 + 1e-12)
     for _, rounded in pairs:
-        if math.isinf(rounded):
-            assert L <= l_c + 1e-12
-            continue
         assert rounded <= rate * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=9), L=st.integers(min_value=2, max_value=70000),
+       tau=taus, alpha=st.sampled_from([2.5, 4.0]),
+       ulps=st.one_of(st.integers(min_value=1, max_value=64),
+                      st.integers(min_value=1, max_value=2 ** 20)))
+@example(m_levels=9, L=1000, tau=1.0, alpha=4.0, ulps=880)
+@example(m_levels=1, L=65536, tau=0.0, alpha=2.5, ulps=1)
+def test_pipeline_fits_a_budget_just_below_the_library(m_levels, L, tau, alpha, ulps):
+    """A budget a few float steps below L: rounding neither snaps the level
+    that absorbs the last files up past it (the first example, 1e-10 below
+    L) nor lets the relaxed targets' own rounding error do so (the second,
+    where level 0's target is exactly L). Both once exited 2."""
+    l_c = L - ulps * math.ulp(math.nextafter(L, 0.0))
+    grid, _, caps = caps_for(m_levels, 0.0, alpha)
+    placement = optimize_placement(grid, caps, zipf_pmf(L, tau), l_c).placement
+    assert placement.cache_load() <= l_c + 1e-12
+
+
+def _law(fn, *args):
+    try:
+        e = fn(*args)
+    except DomainError as exc:
+        return str(exc)
+    return e.regime, e.exponent.hex(), e.epsilon_term.hex()
+
+
+_branch_taus = st.sampled_from([1.0, 1.5]).flatmap(
+    lambda t: st.sampled_from([math.nextafter(t, 0.0), t, math.nextafter(t, 9.0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta1=st.floats(min_value=0.0, max_value=2.0), beta2_frac=st.floats(0.0, 1.0),
+       a1=st.sampled_from([0.5, 1.0, 2.0]), a2=st.sampled_from([0.5, 1.0, 2.0]),
+       tau=st.one_of(taus, _branch_taus))
+def test_baseline_is_the_achievable_law_at_alpha_3(beta1, beta2_frac, a1, a2, tau):
+    """The achievable law at alpha = 3 gives the baseline's regime, exponent
+    and correction bit for bit, errors included, branch points and their
+    neighbours too; only the regime-II tau_case labels differ. The m_levels
+    correction is zero at alpha = 3 whatever the level count."""
+    beta2 = beta1 * beta2_frac
+    args = (beta1, beta2, a1, a2, tau)
+    assert _law(achievable_exponent, *args, 3.0, 9) == _law(baseline_exponent, *args)
+    assert _law(achievable_exponent, *args, 3.0) == _law(baseline_exponent, *args)
 
 
 @st.composite

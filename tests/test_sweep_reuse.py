@@ -81,11 +81,10 @@ class TestInterferenceSums:
 def _fresh_rows(argv) -> list[tuple]:
     """Sweep rows built with nothing shared between points: each point's
     fresh grid computes and holds its own interference sums."""
-    cfg, extras = _resolve(_build_parser().parse_args(list(argv)))
-    axis = extras["axis"]
+    cfg = _resolve(_build_parser().parse_args(list(argv)))
     rows = []
-    for value in _parse_range(extras["range_spec"]):
-        point = replace(cfg, **{axis: value})
+    for value in _parse_range(cfg.range_spec):
+        point = replace(cfg, **{cfg.axis: value})
         point.validate()
         grid, params, caps, pop = point.build()
         caps_mh = edge_capacities(grid, params, multihop_only=True)
