@@ -5,9 +5,12 @@ Besides the pmf it exposes the popularity tail mass f(x): the probability
 mass of all ranks at or beyond a (possibly fractional) rank x, linearly
 interpolated between integer ranks. Every capacity constraint downstream
 charges traffic through f, so both f and its inverse are computed exactly
-(per-segment linear inversion) rather than approximated. The two integer
-searches over the suffix mass also live here: tail_index for the
-relaxation and threshold_indices for the exact solver.
+(per-segment linear inversion) rather than approximated. The model stores
+one per-rank array, the suffix masses; a rank's probability is computed
+from tau and the extended-precision normaliser in blocks of ranks, each
+on its first read. The two integer searches over the suffix mass also
+live here: bracketed_tail_inverse's tail index for the relaxation and
+threshold_indices for the exact solver.
 """
 
 from __future__ import annotations
@@ -20,11 +23,18 @@ import numpy as np
 from .errors import DomainError, InvalidParameterError, SizeGuardError
 
 
-# Ranks per chunk of the Zipf build: the scratch (two float64 and one
+# Ranks per chunk of the Zipf build: the scratch (one float64 and one
 # extended-precision buffer of this length, about 1 MiB) stays in cache.
 CHUNK_RANKS = 1 << 15
 
-# Largest library the model is built for: at 16 bytes per rank, about 1.1 GB.
+# Ranks per block of the probability table: block b holds p(k) for
+# k = b * BLOCK_RANKS .. (b + 1) * BLOCK_RANKS - 1, 32 KiB of float64.
+BLOCK_SHIFT = 12
+BLOCK_RANKS = 1 << BLOCK_SHIFT
+_BLOCK_MASK = BLOCK_RANKS - 1
+
+# Largest library the model is built for: at 8 bytes per rank of suffix
+# mass, plus the probability blocks read so far, about 0.5 GB.
 MAX_RANKS = 1 << 26
 
 
@@ -32,38 +42,56 @@ MAX_RANKS = 1 << 26
 class PopularityModel:
     """Truncated Zipf popularity over ranks 1..L.
 
-    pmf[l] is the request probability of rank l (pmf[0] is unused and 0).
     suffix_mass[k] is the mass of ranks k+1..L, so 1 - suffix_mass[k] is
-    the mass of ranks 1..k; suffix_mass[L] = 0 exactly. The model holds no
-    per-rank prefix array: the simulator reads 1 - suffix_mass at the M
-    level boundaries only. Arrays are read-only so instances can be shared
-    between callers.
+    the mass of ranks 1..k; suffix_mass[L] = 0 exactly. It is the only
+    per-rank array: z is the normaliser Z_tau(L) in extended precision,
+    and p(k) is k^{-tau} / z rounded to float64, computed a block of
+    BLOCK_RANKS ranks at a time on the block's first read and kept. The
+    block is computed with the build's own operations (a vectorised pow,
+    an extended-precision division, a cast), so p(k) has the bits the
+    build's weights divided by z would have. The array is read-only and
+    filled blocks never change, so instances can be shared between
+    callers.
 
     This module owns that storage: the solvers read it only through p(k),
-    suffix(k) and the searches below. The point reads go through read-only
-    memoryviews built once per model, so each returns a Python float (the
-    array entry's bits) without a NumPy scalar per read.
+    suffix(k) and the searches below. The point reads go through
+    read-only memoryviews, so each returns a Python float (the entry's
+    bits) without a NumPy scalar per read.
     """
 
     L: int
     tau: float
-    z: float
-    pmf: np.ndarray
+    z: np.longdouble
     suffix_mass: np.ndarray
-    _pmf: memoryview = field(init=False, repr=False, compare=False)
     _suffix: memoryview = field(init=False, repr=False, compare=False)
+    _blocks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_pmf", memoryview(self.pmf).toreadonly())
         object.__setattr__(self, "_suffix", memoryview(self.suffix_mass).toreadonly())
+        object.__setattr__(self, "_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
 
     def p(self, k: int) -> float:
         """Request probability of rank k, for k = 1..L (0.0 at k = 0)."""
-        return self._pmf[k]
+        block = self._blocks[k >> BLOCK_SHIFT]
+        if block is None:
+            block = self._fill_block(k >> BLOCK_SHIFT)
+        return block[k & _BLOCK_MASK]
 
     def suffix(self, k: int) -> float:
         """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L."""
         return self._suffix[k]
+
+    def _fill_block(self, b: int) -> memoryview:
+        """Compute, keep and return block b of the probability table."""
+        start = b << BLOCK_SHIFT
+        stop = min(start + BLOCK_RANKS, self.L + 1)
+        first = max(start, 1)  # rank 0 has no weight: p(0) = 0.0
+        block = np.zeros(stop - start)
+        weights = np.arange(first, stop, dtype=np.float64) ** (-self.tau)
+        block[first - start:] = weights.astype(np.longdouble) / self.z
+        view = memoryview(block).toreadonly()
+        self._blocks[b] = view
+        return view
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:
@@ -73,17 +101,19 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     summing from the tail (smallest terms first), so suffix masses stay
     within 1e-12 of exact for L up to 1e7.
 
-    The build holds only the two returned float64 arrays plus one chunk of
-    CHUNK_RANKS ranks of scratch. Pass 1 walks the chunks from the tail
-    end, writes each chunk's weights into pmf, and accumulates them onto
-    the carry (the extended-precision sum of all later ranks), recording
-    the carry each chunk starts from; the last carry is Z. Pass 2
-    re-accumulates each chunk from its recorded carry, divides by Z and
-    writes suffix_mass, then divides the chunk's weights by Z in place.
-    Extended-precision accumulation is strictly sequential, so seeding
-    each chunk with its carry reproduces one cumulative sum over all L
-    ranks term for term: the result is bit-identical to building every
-    array at full length.
+    The build holds only the returned float64 suffix array plus one chunk
+    of CHUNK_RANKS ranks of scratch. Pass 1 walks the chunks from the tail
+    end, writes rank j's weight j^{-tau} into suffix_mass[j-1], and
+    accumulates each chunk's weights onto the carry (the extended-precision
+    sum of all later ranks), recording the carry each chunk starts from;
+    the last carry is Z. Pass 2 copies each chunk's weights into the
+    extended-precision scratch, re-accumulates them from the recorded
+    carry, divides by Z and writes the chunk's suffix masses over its
+    weights. Extended-precision accumulation is strictly sequential, so
+    seeding each chunk with its carry reproduces one cumulative sum over
+    all L ranks term for term: the result is bit-identical to building
+    every array at full length. The probabilities themselves are not
+    stored; PopularityModel.p computes them from tau and Z.
 
     Raises SizeGuardError, before allocating, when L exceeds MAX_RANKS,
     and DomainError when the probability of rank L rounds to 0.0 (large
@@ -97,47 +127,41 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     L = int(L)
     if L > MAX_RANKS:
         raise SizeGuardError(f"{L} files exceed the Zipf model guard of {MAX_RANKS} ranks")
-    pmf = np.empty(L + 1)
     suffix = np.empty(L + 1)
-    pmf[0] = suffix[L] = 0.0
+    suffix[L] = 0.0
     acc = np.empty(min(L, CHUNK_RANKS) + 1, dtype=np.longdouble)
-    # Chunk (lo, hi] holds ranks lo+1..hi: pmf[lo+1:hi+1] and suffix[lo:hi].
+    # Chunk (lo, hi] holds ranks lo+1..hi: their weights, then their suffix
+    # masses, in suffix[lo:hi].
     chunks = []
     carry = np.longdouble(0.0)
     for hi in range(L, 0, -CHUNK_RANKS):
         lo = max(hi - CHUNK_RANKS, 0)
-        ranks = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        pmf[lo + 1:hi + 1] = ranks ** (-float(tau))
+        suffix[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-float(tau))
         chunks.append((lo, hi, carry))
-        carry = _accumulate(acc, carry, pmf, lo, hi)[-1]
+        carry = _accumulate(acc, carry, suffix[lo:hi])[-1]
     z = carry
-    for lo, hi, carry in chunks:
-        run = _accumulate(acc, carry, pmf, lo, hi)
-        run /= z
-        suffix[lo:hi] = run[::-1]
-        scaled = acc[:hi - lo]
-        scaled[:] = pmf[lo + 1:hi + 1]
-        scaled /= z
-        pmf[lo + 1:hi + 1] = scaled
-    if pmf[L] == 0.0:
+    # p(L) as PopularityModel.p computes it, from rank L's weight in suffix[L-1]
+    if float(np.longdouble(suffix[L - 1]) / z) == 0.0:
         raise DomainError(
             f"skewness {tau!r} leaves rank L = {L} with zero probability in double precision")
-    pmf.setflags(write=False)
+    for lo, hi, carry in chunks:
+        run = _accumulate(acc, carry, suffix[lo:hi])
+        run /= z
+        suffix[lo:hi] = run[::-1]
     suffix.setflags(write=False)
-    return PopularityModel(L=L, tau=float(tau), z=float(z), pmf=pmf, suffix_mass=suffix)
+    return PopularityModel(L=L, tau=float(tau), z=z, suffix_mass=suffix)
 
 
-def _accumulate(acc: np.ndarray, carry: np.longdouble, pmf: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
-    """Running tail sums of the chunk's weights, seeded with `carry`.
+def _accumulate(acc: np.ndarray, carry: np.longdouble, weights: np.ndarray) -> np.ndarray:
+    """Running tail sums of a chunk's weights (in rank order), seeded with `carry`.
 
-    Returns a view of `acc` whose entry j is the sum of the weights of
-    ranks hi-j..L, for j = 0..hi-lo-1: the chunk's tail sums in reverse
-    rank order.
+    Copies the weights into `acc` and returns a view of it whose entry j
+    is carry plus the chunk's last j+1 weights, for j = 0..len(weights)-1:
+    the chunk's tail sums in reverse rank order.
     """
-    run = acc[:hi - lo + 1]
+    run = acc[:len(weights) + 1]
     run[0] = carry
-    run[1:] = pmf[hi:lo:-1]
+    run[1:] = weights[::-1]
     np.add.accumulate(run, out=run)
     return run[1:]
 
@@ -172,30 +196,22 @@ def tail_inverse(model: PopularityModel, y: float) -> float:
 
 def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
                            hi: int) -> tuple[float, int]:
-    """tail_inverse of y >= 0, and y's tail index.
+    """tail_inverse of y >= 0, and y's tail index: the largest i with
+    suffix(i) >= y, found by bisection inside [lo, hi].
 
-    The search runs in [lo, hi], a bracket the caller vouches for as in
-    tail_index; [0, L] always qualifies. A clamped y reports index 0
-    (y >= 1) or L - 1 (y = 0), the ends of any later bracket.
+    For 0 < y < 1 the caller vouches for the bracket: suffix(lo) >= y >
+    suffix(hi). The full bracket [0, L] always qualifies, since suffix(0)
+    = 1 and suffix(L) = 0. A clamped y reports index 0 (y >= 1) or L - 1
+    (y = 0), the ends of any later bracket.
+
+    This is the relaxation's per-level hot path, so the search and the
+    read of p(k) are inline, with no call per step or per read.
     """
     if y >= 1.0:
         return 1.0, 0
     if y <= 0.0:
         L = model.L
         return float(L + 1), L - 1
-    i = tail_index(model, y, lo, hi)
-    k = i + 1
-    x = (k + 1) - (y - model._suffix[k]) / model._pmf[k]
-    return min(max(x, float(k)), float(k + 1)), i
-
-
-def tail_index(model: PopularityModel, y: float, lo: int, hi: int) -> int:
-    """Largest i with suffix(i) >= y, by bisection inside [lo, hi].
-
-    The caller vouches for the bracket: suffix(lo) >= y > suffix(hi). For
-    0 < y < 1 the full bracket [0, L] qualifies, since suffix(0) = 1 and
-    suffix(L) = 0.
-    """
     suffix = model._suffix
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -203,7 +219,12 @@ def tail_index(model: PopularityModel, y: float, lo: int, hi: int) -> int:
             lo = mid
         else:
             hi = mid
-    return lo
+    k = lo + 1
+    block = model._blocks[k >> BLOCK_SHIFT]
+    if block is None:
+        block = model._fill_block(k >> BLOCK_SHIFT)
+    x = (k + 1) - (y - suffix[k]) / block[k & _BLOCK_MASK]
+    return min(max(x, float(k)), float(k + 1)), lo
 
 
 def threshold_indices(model: PopularityModel, r: float, caps: list[float],

@@ -1,18 +1,20 @@
-"""Reference forms that only tests use: the threshold form of a placement,
-the relaxed rate of a fractional placement, the per-top-level relaxation
-that brackets the exact optimum, the memoryview searches the popularity
-model's searches replaced, and the multihop baseline's scaling law that
-the achievable law at alpha = 3 replaced.
+"""Reference forms that only tests use: the dense Zipf build, the threshold
+form of a placement, the relaxed rate of a fractional placement, the
+per-top-level relaxation that brackets the exact optimum, the memoryview
+searches the popularity model's searches replaced, and the multihop
+baseline's scaling law that the achievable law at alpha = 3 replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
-model's searches bit for bit.
+model's build, point reads and searches bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from d2d_cachescale import (
     InvariantViolationError,
@@ -26,6 +28,26 @@ from d2d_cachescale import (
     solve_relaxed,
     tail_mass,
 )
+
+
+def dense_zipf(L, tau):
+    """The Zipf model with every array at full length and one cumulative sum.
+
+    Returns (z, pmf, suffix_mass): z in extended precision, pmf[k] the
+    probability of rank k (pmf[0] = 0) and suffix_mass[k] the mass of
+    ranks k+1..L. zipf_pmf must reproduce z and suffix_mass, and the
+    model's p(k) every pmf[k], bit for bit.
+    """
+    ranks = np.arange(1, L + 1, dtype=np.float64)
+    weights = ranks ** (-float(tau))
+    w_ext = weights.astype(np.longdouble)
+    tail = np.cumsum(w_ext[::-1])[::-1]  # tail[i] = sum of weights[i:]
+    z = tail[0]
+    pmf = np.zeros(L + 1)
+    pmf[1:] = (w_ext / z).astype(np.float64)
+    suffix = np.zeros(L + 1)
+    suffix[:L] = (tail / z).astype(np.float64)
+    return z, pmf, suffix
 
 
 @dataclass(frozen=True)

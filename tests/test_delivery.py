@@ -20,6 +20,7 @@ from d2d_cachescale import (
 from d2d_cachescale import delivery
 from d2d_cachescale.delivery import MAX_REQUESTS
 from conftest import caps_for
+from reference import dense_zipf
 
 
 def rank_draw_levels(pop, x, u):
@@ -76,14 +77,16 @@ class TestSimulate:
 
     def test_analytic_column_matches_direct_formula(self):
         """The analytic load equals the tail-sum formula evaluated from the
-        raw pmf, computed here without touching the report builder's path."""
+        dense oracle's pmf, computed here without touching the report
+        builder's path."""
         grid, _, _ = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(40, 1.4)
+        pmf = dense_zipf(40, 1.4)[1]
         x = PlacementVector((3, 7, 10, 20))
         rep = simulate(SimConfig(grid, x, pop, 1000, seed=3))
         for i, m in enumerate(rep.levels):
             cut = sum(x.x[:m])
-            direct = float(np.sum(pop.pmf[cut + 1:])) * 1000 * 4.0 ** (m - 1) / grid.n
+            direct = float(np.sum(pmf[cut + 1:])) * 1000 * 4.0 ** (m - 1) / grid.n
             assert rep.analytic_load[i] == pytest.approx(direct, rel=1e-10)
 
     def test_conservation_and_fractions(self):

@@ -23,7 +23,7 @@ from d2d_cachescale import (
 )
 from d2d_cachescale.popularity import threshold_indices
 from conftest import caps_for
-from reference import ThresholdForm, from_threshold, to_threshold
+from reference import ThresholdForm, dense_zipf, from_threshold, to_threshold
 
 
 def reference_min_threshold(suffix, r, c, L):
@@ -59,19 +59,23 @@ def reference_feasible_for_rate(r, m_b, caps, pop, l_c):
 
 
 def reference_solve_exact(grid, caps, pop, l_c):
-    """Rate bisection that decides every step with a full feasibility check.
+    """Rate bisection that decides every step with a full feasibility check,
+    reading p(L) from the dense oracle.
 
     solve_exact must reproduce its placement and the bits of its rate.
     """
     M, L = grid.M, pop.L
     if l_c < L * 4.0 ** (-M) - 1e-12:
         raise InfeasibleProblemError("budget below L / n")
+    if L <= l_c + 1e-12:
+        return PlacementVector((L,) + (0,) * M), math.inf
+    p_last = float(dense_zipf(L, pop.tau)[1][L])
     best = None
     for m_b in range(1, M + 1):
         if L * 4.0 ** (-m_b) > l_c + 1e-12:
             continue
         lo = 0.0
-        hi = min(caps.cbar[1] / (m_b * float(pop.pmf[L])), sys.float_info.max)
+        hi = min(caps.cbar[1] / (m_b * p_last), sys.float_info.max)
         tol = 1e-12 * caps.cbar[1]
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -143,7 +147,7 @@ class TestFeasibleForRate:
         leaving the top level empty."""
         grid, _, caps = caps_for(2, 0.0, 4.0)
         pop = zipf_pmf(8, 1.0)
-        r = caps.cbar[1] / float(pop.pmf[8]) * 1.01
+        r = caps.cbar[1] / float(dense_zipf(8, 1.0)[1][8]) * 1.01
         assert feasible_for_rate(r, 1, caps, pop, l_c=6.0) is None
 
     def test_matches_enumeration(self):
@@ -186,12 +190,13 @@ class TestSolveExactVsBruteForce:
 
     @pytest.mark.parametrize("tau", [355.0, 358.0])
     def test_subnormal_last_rank(self, tau):
-        """pmf[L] is subnormal here, so the top of the rate bracket overflows
+        """p(L) is subnormal here, so the top of the rate bracket overflows
         to inf unless it is clamped; the bisection must still find the optimum."""
         grid, _, caps = caps_for(2, 0.0, 4.0)
         pop = zipf_pmf(8, tau)
-        assert pop.pmf[8] < np.finfo(float).tiny
-        assert math.isinf(caps.cbar[1] / float(pop.pmf[8]))
+        p_last = float(dense_zipf(8, tau)[1][8])
+        assert p_last < np.finfo(float).tiny
+        assert math.isinf(caps.cbar[1] / p_last)
         ex, erate = solve_exact(grid, caps, pop, 1.0)
         bx, brate = brute_force(grid, caps, pop, 1.0)
         assert erate == brate
@@ -282,7 +287,7 @@ def _threshold(pop, r, c, lo, hi):
 
 def _model(suffix):
     """A model over a given non-increasing suffix array, for the threshold search only."""
-    return PopularityModel(L=len(suffix) - 1, tau=0.0, z=1.0, pmf=np.zeros_like(suffix),
+    return PopularityModel(L=len(suffix) - 1, tau=0.0, z=np.longdouble(1.0),
                            suffix_mass=suffix)
 
 

@@ -33,7 +33,7 @@ from d2d_cachescale import (
 )
 from d2d_cachescale import placement
 from conftest import caps_for
-from reference import relaxed_rate
+from reference import dense_zipf, relaxed_rate
 
 
 def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
@@ -116,6 +116,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
             hi = mid
     a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
     b = 0.0
+    pmf = dense_zipf(pop.L, pop.tau)[1]
     for m in range(m_star + 1, caps.M + 1):
         y = caps.cbar[m] / hi
         w = 3.0 * 4.0 ** (-m)
@@ -123,7 +124,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
             a += w
             continue
         k = min(int(tail_inverse(pop, y)), pop.L)
-        p_k = float(pop.pmf[k])
+        p_k = float(pmf[k])
         a += w * (k + 1.0 + float(pop.suffix_mass[k]) / p_k)
         b += w * caps.cbar[m] / p_k
     if a - l_c > 0.0 and b > 0.0:

@@ -15,36 +15,28 @@ from d2d_cachescale import (
     tail_mass,
     zipf_pmf,
 )
-from d2d_cachescale.popularity import CHUNK_RANKS, MAX_RANKS, tail_index
+from d2d_cachescale.popularity import (
+    BLOCK_RANKS,
+    CHUNK_RANKS,
+    MAX_RANKS,
+    bracketed_tail_inverse,
+)
+from reference import dense_zipf
 
 
-def dense_zipf(L, tau):
-    """Reference build: every array at full length, one cumulative sum.
-
-    Returns (z, pmf, suffix_mass); zipf_pmf must reproduce each of them
-    bit for bit.
-    """
-    ranks = np.arange(1, L + 1, dtype=np.float64)
-    weights = ranks ** (-float(tau))
-    w_ext = weights.astype(np.longdouble)
-    tail = np.cumsum(w_ext[::-1])[::-1]  # tail[i] = sum of weights[i:]
-    z = tail[0]
-    pmf = np.zeros(L + 1)
-    pmf[1:] = (w_ext / z).astype(np.float64)
-    suffix = np.zeros(L + 1)
-    suffix[:L] = (tail / z).astype(np.float64)
-    return float(z), pmf, suffix
+def point_reads(model):
+    """p(k) for k = 0..L, as a float64 array."""
+    return np.fromiter(map(model.p, range(model.L + 1)), np.float64, model.L + 1)
 
 
-def reference_tail_inverse(model, y):
-    """tail_inverse as one bisection over all of [0, L], reading the NumPy
-    arrays; tail_inverse must return its bits."""
+def reference_tail_inverse(suffix, pmf, y):
+    """tail_inverse as one bisection over all of [0, L], reading the dense
+    oracle's arrays; tail_inverse must return its bits."""
     if y >= 1.0:
         return 1.0
-    L = model.L
+    L = len(suffix) - 1
     if y <= 0.0:
         return float(L + 1)
-    suffix = model.suffix_mass
     lo, hi = 0, L
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -53,7 +45,7 @@ def reference_tail_inverse(model, y):
         else:
             hi = mid
     k = lo + 1
-    x = (k + 1) - (y - float(suffix[k])) / float(model.pmf[k])
+    x = (k + 1) - (y - float(suffix[k])) / float(pmf[k])
     return min(max(x, float(k)), float(k + 1))
 
 
@@ -68,8 +60,8 @@ def breakpoint_arguments(model):
 def assert_matches_dense(L, tau):
     z, pmf, suffix = dense_zipf(L, tau)
     pop = zipf_pmf(L, tau)
-    assert pop.z == z
-    assert pop.pmf.tobytes() == pmf.tobytes()
+    assert type(pop.z) is np.longdouble and pop.z == z
+    assert point_reads(pop).tobytes() == pmf.tobytes()
     assert pop.suffix_mass.tobytes() == suffix.tobytes()
 
 
@@ -77,25 +69,27 @@ class TestZipfPmf:
     def test_uniform_case(self):
         """tau = 0 gives the uniform pmf."""
         pop = zipf_pmf(4, 0.0)
-        assert pop.pmf[1:].tolist() == pytest.approx([0.25] * 4, abs=1e-15)
+        assert [pop.p(k) for k in range(1, 5)] == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_harmonic_case(self):
         """L=4, tau=1: Z = 1 + 1/2 + 1/3 + 1/4 = 25/12, so p_1 = 12/25."""
         pop = zipf_pmf(4, 1.0)
         assert pop.z == pytest.approx(25.0 / 12.0, rel=1e-15)
-        assert pop.pmf[1] == pytest.approx(0.48, rel=1e-14)
+        assert pop.p(1) == pytest.approx(0.48, rel=1e-14)
 
     def test_quadratic_case(self):
         """L=2, tau=2: Z = 1.25, p = [0.8, 0.2]."""
         pop = zipf_pmf(2, 2.0)
-        assert pop.pmf[1] == pytest.approx(0.8, rel=1e-15)
-        assert pop.pmf[2] == pytest.approx(0.2, rel=1e-15)
+        assert pop.p(1) == pytest.approx(0.8, rel=1e-15)
+        assert pop.p(2) == pytest.approx(0.2, rel=1e-15)
 
     @pytest.mark.parametrize("L,tau", [(1, 0.0), (7, 1.3), (1000, 2.7), (10000, 0.6)])
     def test_invariants(self, L, tau):
         pop = zipf_pmf(L, tau)
-        assert abs(float(np.sum(pop.pmf)) - 1.0) <= 1e-12
-        assert np.all(np.diff(pop.pmf[1:]) <= 0)
+        pmf = point_reads(pop)
+        assert pmf[0] == 0.0
+        assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
+        assert np.all(np.diff(pmf[1:]) <= 0)
         assert pop.suffix_mass[0] == 1.0
         assert pop.suffix_mass[L] == 0.0
         assert np.all(np.diff(pop.suffix_mass) <= 0)
@@ -127,7 +121,7 @@ class TestZipfPmf:
     @pytest.mark.parametrize("L, tau", [(8, 355.0), (8, 358.0), (1, 1e6)])
     def test_subnormal_last_rank_accepted(self, L, tau):
         pop = zipf_pmf(L, tau)
-        assert pop.pmf[L] > 0.0
+        assert pop.p(L) > 0.0
         assert np.all(np.diff(pop.suffix_mass) < 0)
 
     def test_stochastic_dominance(self):
@@ -149,8 +143,8 @@ class TestChunkedBuild:
         assert_matches_dense(L, tau)
 
     def test_peak_memory_per_rank(self):
-        """Only pmf and suffix_mass (16 B/rank) plus one chunk of scratch;
-        the dense build peaks at 88 B/rank."""
+        """Only suffix_mass (8 B/rank) plus one chunk of scratch; the dense
+        build peaks at 88 B/rank."""
         L = 2 ** 20
         tracemalloc.start()
         try:
@@ -158,12 +152,23 @@ class TestChunkedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / L <= 20.0
+        assert peak / L <= 10.0
 
     def test_arrays_read_only(self):
         pop = zipf_pmf(10, 1.0)
-        for arr in (pop.pmf, pop.suffix_mass):
-            assert not arr.flags.writeable
+        assert not pop.suffix_mass.flags.writeable
+        assert not hasattr(pop, "pmf")
+
+    def test_probability_blocks_fill_on_first_read(self):
+        """Building the model computes no block; reading a rank computes its
+        block once, and a second read reuses it."""
+        L = 3 * BLOCK_RANKS
+        pop = zipf_pmf(L, 1.0)
+        assert [b is not None for b in pop._blocks] == [False] * 4
+        p = pop.p(BLOCK_RANKS + 5)
+        block = pop._blocks[1]
+        assert [b is not None for b in pop._blocks] == [False, True, False, False]
+        assert pop.p(BLOCK_RANKS + 5) == p and pop._blocks[1] is block
 
 
 class TestTailMass:
@@ -181,7 +186,7 @@ class TestTailMass:
         pop = zipf_pmf(9, 1.7)
         for k in range(1, 10):
             assert tail_mass(pop, float(k)) == pytest.approx(
-                1.0 - float(np.sum(pop.pmf[:k])), abs=1e-12)
+                1.0 - sum(pop.p(j) for j in range(k)), abs=1e-12)
 
     def test_strictly_decreasing_and_continuous(self):
         pop = zipf_pmf(8, 2.2)
@@ -232,15 +237,17 @@ class TestTailInverse:
                                         (300, 2.5), (5000, 1.0), (5000, 3.0)])
     def test_matches_full_search_at_every_breakpoint(self, L, tau):
         pop = zipf_pmf(L, tau)
+        _, pmf, suffix = dense_zipf(L, tau)
         for y in breakpoint_arguments(pop):
-            assert tail_inverse(pop, y).hex() == reference_tail_inverse(pop, y).hex(), y
+            assert tail_inverse(pop, y).hex() == reference_tail_inverse(suffix, pmf, y).hex(), y
 
 
 class TestTailIndex:
     @pytest.mark.parametrize("L, tau", [(1, 1.0), (2, 0.0), (7, 0.7), (24, 1.4), (40, 3.0)])
     def test_every_vouched_bracket_gives_the_full_search(self, L, tau):
-        """For 0 < y < 1, every [a, b] with suffix[a] >= y > suffix[b] returns
-        the largest i with suffix[i] >= y, at breakpoints and between them."""
+        """For 0 < y < 1, every [a, b] with suffix[a] >= y > suffix[b] gives
+        the largest i with suffix[i] >= y as the tail index, and the inverse
+        of the full search, at breakpoints and between them."""
         pop = zipf_pmf(L, tau)
         suffix = memoryview(pop.suffix_mass)
         mids = (0.5 * (a + b) for a, b in zip(suffix, suffix[1:]))
@@ -249,7 +256,8 @@ class TestTailIndex:
                 continue
             # suffix is non-increasing: the ranks with suffix >= y are a prefix
             i = int(np.searchsorted(-pop.suffix_mass, -y, side="right")) - 1
-            assert tail_index(pop, y, 0, L) == i
+            full = bracketed_tail_inverse(pop, y, 0, L)
+            assert full == (tail_inverse(pop, y), i)
             for a in range(i + 1):
                 for b in range(i + 1, L + 1):
-                    assert tail_index(pop, y, a, b) == i, (y, a, b)
+                    assert bracketed_tail_inverse(pop, y, a, b) == full, (y, a, b)

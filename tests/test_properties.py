@@ -5,6 +5,7 @@ import io
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,10 +26,16 @@ from d2d_cachescale import (
     zipf_pmf,
 )
 from d2d_cachescale.cli import main
-from d2d_cachescale.popularity import CHUNK_RANKS, tail_index, threshold_indices
+from d2d_cachescale.popularity import (
+    BLOCK_RANKS,
+    CHUNK_RANKS,
+    bracketed_tail_inverse,
+    threshold_indices,
+)
 from conftest import caps_for
 from reference import (
     baseline_exponent,
+    dense_zipf,
     memoryview_raw_thresholds,
     memoryview_tail_index,
     per_top_level_relaxations,
@@ -36,7 +43,7 @@ from reference import (
 from test_delivery import assert_matches_reference
 from test_exact import assert_matches_reference as assert_exact_matches_reference
 from test_placement import assert_relaxed_matches_reference
-from test_popularity import assert_matches_dense
+from test_popularity import assert_matches_dense, reference_tail_inverse
 
 taus = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 
@@ -59,23 +66,72 @@ def test_tail_inverse_undoes_tail_mass(L, tau, frac):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), L=st.integers(min_value=1, max_value=3 * CHUNK_RANKS), tau=taus)
 def test_point_reads_are_the_array_entries(data, L, tau):
-    """p(k) and suffix(k) return Python floats with the bits of pmf[k] and
-    suffix_mass[k], at both ends 0 and L and at drawn ranks between."""
+    """p(k) and suffix(k) return Python floats with the bits of the dense
+    oracle's pmf[k] and suffix_mass[k], at both ends 0 and L and at drawn
+    ranks between."""
     pop = zipf_pmf(L, tau)
+    _, pmf, suffix = dense_zipf(L, tau)
     ks = [0, L, *data.draw(st.lists(st.integers(min_value=0, max_value=L), max_size=20))]
     for k in ks:
-        for read, array in ((pop.p, pop.pmf), (pop.suffix, pop.suffix_mass)):
+        for read, array in ((pop.p, pmf), (pop.suffix, suffix)):
             got = read(k)
             assert type(got) is float
             assert got.hex() == float(array[k]).hex(), k
 
 
+# Ranks next to a probability block's or a build chunk's edge.
+EDGES = (1, BLOCK_RANKS - 1, BLOCK_RANKS, BLOCK_RANKS + 1,
+         CHUNK_RANKS - 1, CHUNK_RANKS, CHUNK_RANKS + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       L=st.one_of(st.sampled_from(EDGES), st.integers(min_value=1, max_value=3 * CHUNK_RANKS)),
+       tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), taus))
+def test_block_reads_match_oracle_at_edges(data, L, tau):
+    """p(k), tail_mass and bracketed_tail_inverse give the dense oracle's bits
+    at every block and chunk edge the library reaches, at ranks 0, L - 1
+    and L, and at drawn ranks; p(0) is 0.0. Each rank k is read through
+    tail_mass at k and inside its segment, and through the inverse at
+    arguments whose tail index is k - 1 (so the inverse divides by p(k)),
+    on the full bracket and on a drawn bracket around that index."""
+    pop = zipf_pmf(L, tau)
+    _, pmf, suffix = dense_zipf(L, tau)
+    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=L), max_size=10))
+    ks = sorted({k for k in (*EDGES, 0, L - 1, L, *drawn) if 0 <= k <= L})
+    assert pop.p(0) == 0.0
+    for k in ks:
+        assert pop.p(k).hex() == float(pmf[k]).hex(), k
+        if k == 0:
+            continue
+        frac = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+        for x in (float(k), k + frac):
+            j = math.floor(x)
+            want = float(suffix[j - 1]) if j == x else (j + 1 - x) * float(pmf[j]) + float(suffix[j])
+            assert tail_mass(pop, x).hex() == want.hex(), (k, x)
+        s_hi, s_lo = float(suffix[k - 1]), float(suffix[k])
+        for y in (s_hi, 0.5 * (s_hi + s_lo), math.nextafter(s_lo, 1.0), s_lo):
+            x_ref = reference_tail_inverse(suffix, pmf, y)
+            if y >= 1.0:
+                i = 0
+            elif y <= 0.0:
+                i = L - 1
+            else:  # suffix is non-increasing: the ranks with suffix >= y are a prefix
+                i = int(np.searchsorted(-suffix, -y, side="right")) - 1
+            assert bracketed_tail_inverse(pop, y, 0, L) == (x_ref, i), (k, y)
+            if 0.0 < y < 1.0:
+                lo = data.draw(st.integers(min_value=0, max_value=i))
+                hi = data.draw(st.integers(min_value=i + 1, max_value=L))
+                x, j = bracketed_tail_inverse(pop, y, lo, hi)
+                assert (x.hex(), j) == (x_ref.hex(), i), (k, y, lo, hi)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), L=st.integers(min_value=1, max_value=5000), tau=taus)
 def test_tail_index_matches_memoryview_search(data, L, tau):
-    """The model's tail_index returns the memoryview search's index on every
-    bracket a caller may vouch for, at breakpoints, their float neighbours
-    and between them."""
+    """bracketed_tail_inverse reports the memoryview search's tail index, and
+    the inverse of the full search, on every bracket a caller may vouch
+    for, at breakpoints, their float neighbours and between them."""
     pop = zipf_pmf(L, tau)
     view = memoryview(pop.suffix_mass)
     k = data.draw(st.integers(min_value=0, max_value=L))
@@ -86,7 +142,9 @@ def test_tail_index_matches_memoryview_search(data, L, tau):
     i = memoryview_tail_index(view, y, 0, L)
     lo = data.draw(st.integers(min_value=0, max_value=i))
     hi = data.draw(st.integers(min_value=i + 1, max_value=L))
-    assert tail_index(pop, y, lo, hi) == memoryview_tail_index(view, y, lo, hi) == i
+    x, j = bracketed_tail_inverse(pop, y, lo, hi)
+    assert j == memoryview_tail_index(view, y, lo, hi) == i
+    assert x.hex() == tail_inverse(pop, y).hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,6 +297,7 @@ def test_exact_is_optimal_and_bounds_the_pipeline(m_levels, L, tau, alpha, kappa
 
 
 @settings(max_examples=150, deadline=None)
+@example(m_levels=1, L=1, tau=0.0, alpha=2.5, kappa=0.0, frac=0.9999999999999998)
 @given(m_levels=st.integers(min_value=1, max_value=8),
        L=st.integers(min_value=1, max_value=3 * CHUNK_RANKS),
        tau=taus, alpha=st.sampled_from([2.5, 3.0, 4.0]), kappa=st.sampled_from([0.0, 1.0]),

@@ -1,9 +1,10 @@
 """The popularity model's storage is one module's business.
 
-Only popularity.py may name the model's arrays or build a memoryview:
-every other module reads popularity through p(k), suffix(k), tail_mass,
-tail_inverse and the model's searches, so the storage can change behind
-them without touching a solver.
+Only popularity.py may name the model's suffix array, its memoryview, its
+table of probability blocks or the method that fills one, or build a
+memoryview: every other module reads popularity through p(k), suffix(k),
+tail_mass, tail_inverse and the model's searches, so the storage can
+change behind them without touching a solver.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "d2d_cachescale"
-FORBIDDEN = {"suffix_mass", "pmf", "memoryview"}
+FORBIDDEN = {"suffix_mass", "pmf", "memoryview", "_suffix", "_blocks", "_fill_block",
+             "_BLOCK_MASK"}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "popularity.py")
 
 
@@ -42,6 +44,8 @@ def test_module_reads_no_popularity_storage(path):
 def test_guard_sees_each_kind_of_read():
     source = ("from x import pmf\n"
               "def f(pop, suffix_mass):\n"
-              "    return memoryview(pop.pmf), g(pmf=1)\n")
+              "    return memoryview(pop.pmf), g(pmf=1)\n"
+              "def g(pop, k):\n"
+              "    return pop._blocks[k >> 12] or pop._fill_block(k >> 12), pop._suffix[k]\n")
     assert sorted(name for _, name in storage_names(source)) == [
-        "memoryview", "pmf", "pmf", "pmf", "suffix_mass"]
+        "_blocks", "_fill_block", "_suffix", "memoryview", "pmf", "pmf", "pmf", "suffix_mass"]
