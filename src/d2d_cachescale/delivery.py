@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidParameterError, InvariantViolationError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector
-from .popularity import PopularityModel, tail_mass
+from .popularity import PopularityModel
 
 
 # Largest request count simulate accepts: it allocates three 8-byte arrays per
@@ -96,13 +96,13 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
     so this is exactly the level of the file rank that inverting all L
     prefix masses would draw, ties and empty levels included, in O(M)
     memory rather than O(L). The analytic column is evaluated from the
-    tail-mass formula, never from the sampled counts. verbose=True
+    same tail masses, never from the sampled counts. verbose=True
     additionally retains per-edge crossing histograms.
     """
     grid, x, pop = cfg.grid, cfg.placement, cfg.pop
-    M, n, L = grid.M, grid.n, pop.L
+    M, n = grid.M, grid.n
     levels = tuple(range(1, M + 1))
-    tails = tuple(tail_mass(pop, min(x.prefix(m), L) + 1.0) for m in levels)
+    tails = tuple(pop.suffix(x.prefix(m)) for m in levels)
     bounds = 1.0 - np.asarray(tails)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     nodes = rng.integers(0, n, size=cfg.num_requests)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import InfeasibleProblemError, SizeGuardError
+from .errors import InfeasibleProblemError, InvalidParameterError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import PlacementVector, _load, _require_budget, evaluate_throughput
 from .popularity import PopularityModel, threshold_indices
@@ -38,6 +38,8 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     threshold scan stops at the first level whose threshold is L, because
     the top level is then empty whatever the later levels need.
     """
+    if math.isnan(r):
+        raise InvalidParameterError(f"rate must be a number, got {r!r}")
     L = pop.L
     level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
     thresholds = threshold_indices(pop, r, level_caps, [0] * m_b, [L] * m_b)
@@ -72,10 +74,8 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
 
     The absolute capacities depend on how many levels are active, so each
     candidate top level m_b runs its own bisection with capacities
-    cbar[m] / m_b; a candidate whose returned placement does not actually
-    top out at m_b is discarded. The winner's rate is re-evaluated from
-    the placement itself, so the reported value is exact, not a bisection
-    endpoint.
+    cbar[m] / m_b. The winner's rate is re-evaluated from the placement
+    itself, so the reported value is exact, not a bisection endpoint.
 
     Each bisection step decides feasibility as `feasible_for_rate` does,
     but searches every level's threshold only inside its bracket: the
@@ -116,9 +116,10 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
                 lo, t_lo = mid, thresholds
             else:
                 hi, t_hi = mid, thresholds
+        # Never None and tops out at m_b: lo is 0.0 or a rate whose thresholds
+        # passed _staircase, the full search returns those same thresholds,
+        # and _staircase never leaves level m_b empty.
         found = feasible_for_rate(lo, m_b, caps, pop, l_c)
-        if found is None or found.m_b != m_b:
-            continue
         rate = evaluate_throughput(found, caps, pop).rate
         if best is None or rate > best[0] or (rate == best[0] and found.x < best[1].x):
             best = (rate, found)

@@ -20,6 +20,7 @@ ends on the same bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -221,8 +222,9 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
     The lowest occupied level m* is the first m whose load at the top of
     its rate bracket, relaxed_cache_load(m, cbar[m+1]), is below the
     budget, or M (all files at the top level). That load does not increase
-    with m, so a bisection with one probe per step finds m*. The rate
-    solve then meets the budget exactly in (cbar[m*+1], cbar[m*]].
+    with m, so the test "below the budget" is monotone and bisect_left
+    over range(M) finds m* with one probe per step. The rate solve then
+    meets the budget exactly in (cbar[m*+1], cbar[m*]].
     """
     _require_budget(l_c)
     M, L = grid.M, pop.L
@@ -234,13 +236,8 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
     if l_c >= L:
         raise InvalidParameterError(
             f"cache budget {l_c} stores the whole library locally; nothing to optimise")
-    lo, m_star = -1, M
-    while m_star - lo > 1:
-        mid = (lo + m_star) // 2
-        if relaxed_cache_load(mid, caps.cbar[mid + 1], caps, pop) >= l_c:
-            lo = mid
-        else:
-            m_star = mid
+    m_star = bisect_left(range(M), True,
+                         key=lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop) < l_c)
     r_star = caps.cbar[M] if m_star == M else _solve_rate(m_star, caps, pop, l_c)
     xs = relaxed_solution_at(m_star, r_star, caps, pop)
     return RelaxedSolution(tuple(xs), r_star, m_star)

@@ -9,14 +9,18 @@ charges traffic through f, so both f and its inverse are computed exactly
 one per-rank array, the suffix masses; a rank's probability is computed
 from tau and the extended-precision normaliser in blocks of ranks, each
 on its first read. The two integer searches over the suffix mass also
-live here: bracketed_tail_inverse's tail index for the relaxation and
+live here, each one standard-library bisect call with a C key function:
+bracketed_tail_inverse's tail index for the relaxation and
 threshold_indices for the exact solver.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -204,8 +208,9 @@ def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
     = 1 and suffix(L) = 0. A clamped y reports index 0 (y >= 1) or L - 1
     (y = 0), the ends of any later bracket.
 
-    This is the relaxation's per-level hot path, so the search and the
-    read of p(k) are inline, with no call per step or per read.
+    This is the relaxation's per-level hot path: bisect_right with the C
+    key operator.neg (exact) finds the first i in (lo, hi) with
+    suffix(i) < y, one past the tail index, and p(k) is read inline.
     """
     if y >= 1.0:
         return 1.0, 0
@@ -213,18 +218,12 @@ def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
         L = model.L
         return float(L + 1), L - 1
     suffix = model._suffix
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if suffix[mid] >= y:
-            lo = mid
-        else:
-            hi = mid
-    k = lo + 1
+    k = bisect_right(suffix, -y, lo + 1, hi, key=operator.neg)
     block = model._blocks[k >> BLOCK_SHIFT]
     if block is None:
         block = model._fill_block(k >> BLOCK_SHIFT)
     x = (k + 1) - (y - suffix[k]) / block[k & _BLOCK_MASK]
-    return min(max(x, float(k)), float(k + 1)), lo
+    return min(max(x, float(k)), float(k + 1)), k - 1
 
 
 def threshold_indices(model: PopularityModel, r: float, caps: list[float],
@@ -232,27 +231,18 @@ def threshold_indices(model: PopularityModel, r: float, caps: list[float],
     """For each level m, the smallest t with suffix(t) * r <= caps[m].
 
     suffix is non-increasing and, for r >= 0, so is the rounded product
-    suffix(t) * r, so the test is monotone in t and a bisection finds its
-    first pass. Level m is searched in [t_lo[m], t_hi[m]]: the caller
-    vouches that t_hi[m] passes and no t below t_lo[m] does, as [0, L]
-    always does (suffix(L) = 0). The scan stops at the first level whose
-    threshold is L; the later levels keep their t_hi entry.
+    suffix(t) * r, so the test is monotone in t. Level m is searched in
+    [t_lo[m], t_hi[m]]: the caller vouches that t_hi[m] passes and no t
+    below t_lo[m] does, as [0, L] always does (suffix(L) = 0). The C key
+    (-r) * s is exactly -(s * r) under round-to-nearest, so bisect_left's
+    first t with key >= -c is the first pass. The scan stops at the first
+    level whose threshold is L; the later levels keep their t_hi entry.
     """
     suffix, L = model._suffix, model.L
+    key = partial(operator.mul, -r)
     thresholds = list(t_hi)
     for m, c in enumerate(caps):
-        lo = t_lo[m]
-        if suffix[lo] * r <= c:
-            thresholds[m] = lo
-            continue
-        hi = t_hi[m]
-        while hi - lo > 1:  # invariant: suffix[lo] * r > c >= suffix[hi] * r
-            mid = (lo + hi) // 2
-            if suffix[mid] * r <= c:
-                hi = mid
-            else:
-                lo = mid
-        thresholds[m] = hi
-        if hi >= L:
+        t = thresholds[m] = bisect_left(suffix, -c, t_lo[m], t_hi[m], key=key)
+        if t >= L:
             break
     return thresholds

@@ -18,6 +18,7 @@ from d2d_cachescale import (
     brute_force,
     check_optimality,
     evaluate_throughput,
+    feasible_for_rate,
     guarantee_factor,
     guarantee_floor,
     optimize_placement,
@@ -562,14 +563,18 @@ class TestPipeline:
     (lambda grid, caps, pop: throughput_bounds(grid, PhyParams(4.0), pop, math.nan),
      InvalidParameterError),
     (lambda grid, caps, pop: relaxed_cache_load(1, math.nan, caps, pop), InvalidParameterError),
+    (lambda grid, caps, pop: feasible_for_rate(math.nan, 2, caps, pop, 5.0),
+     InvalidParameterError),
 ], ids=["solve_exact", "brute_force", "optimize_placement", "validate", "tail_inverse",
-        "NetworkGrid", "throughput_bounds", "relaxed_cache_load"])
+        "NetworkGrid", "throughput_bounds", "relaxed_cache_load", "feasible_for_rate"])
 def test_nan_is_refused_up_front(call, error):
     """A NaN passes every `x < bound` check, so each entry point tests its
     budget, rate, tail mass or area exponent so that NaN fails, and raises
     at once: at M = 3 and L = 20 a NaN budget used to give exact a finite
     rate, brute force an unbounded one, the pipeline a BracketError only
-    after 2,100 doublings, and the bounds and the relaxed load NaN."""
+    after 2,100 doublings, and the bounds and the relaxed load NaN. A NaN
+    rate fails every comparison of the threshold search, so feasible_for_rate
+    would return a placement whose rate is NaN."""
     grid, _, caps = caps_for(3, 0.0, 4.0)
     with pytest.raises(error):
         call(grid, caps, zipf_pmf(20, 1.0))

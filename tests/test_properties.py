@@ -126,53 +126,81 @@ def test_block_reads_match_oracle_at_edges(data, L, tau):
                 assert (x.hex(), j) == (x_ref.hex(), i), (k, y, lo, hi)
 
 
+# y one float below, on or above the breakpoint suffix(k) (step -1, 0, 1), or drawn
+steps = st.one_of(st.none(), st.integers(min_value=-1, max_value=1))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), L=st.integers(min_value=1, max_value=5000), tau=taus)
-def test_tail_index_matches_memoryview_search(data, L, tau):
+@given(L=st.integers(min_value=1, max_value=5000), tau=taus,
+       k=st.integers(min_value=0, max_value=5000), step=steps,
+       u=st.floats(min_value=0.0, max_value=1.0),
+       lo_gap=st.integers(min_value=0, max_value=5000),
+       hi_gap=st.integers(min_value=0, max_value=5000))
+# tau = 0, L = 4: suffix = [1, 0.75, 0.5, 0.25, 0]
+@example(L=4, tau=0.0, k=2, step=0, u=0.0, lo_gap=1, hi_gap=0)  # y on a breakpoint
+@example(L=4, tau=0.0, k=2, step=-1, u=0.0, lo_gap=1, hi_gap=1)
+@example(L=4, tau=0.0, k=2, step=1, u=0.0, lo_gap=1, hi_gap=1)
+@example(L=4, tau=0.0, k=2, step=0, u=0.0, lo_gap=0, hi_gap=0)  # hi == lo + 1
+def test_tail_index_matches_memoryview_search(L, tau, k, step, u, lo_gap, hi_gap):
     """bracketed_tail_inverse reports the memoryview search's tail index, and
     the inverse of the full search, on every bracket a caller may vouch
-    for, at breakpoints, their float neighbours and between them."""
+    for, at breakpoints, their float neighbours and between them. The
+    bracket [lo, hi] reaches lo_gap below and hi_gap above [i, i + 1]."""
     pop = zipf_pmf(L, tau)
     view = memoryview(pop.suffix_mass)
-    k = data.draw(st.integers(min_value=0, max_value=L))
-    s = float(pop.suffix_mass[k])
-    y = data.draw(st.sampled_from([s, math.nextafter(s, 0.0), math.nextafter(s, 2.0),
-                                   data.draw(st.floats(min_value=0.0, max_value=1.0))]))
+    s = float(pop.suffix_mass[k % (L + 1)])
+    y = u if step is None else math.nextafter(s, (0.0, s, 2.0)[step + 1])
     assume(0.0 < y < 1.0)
     i = memoryview_tail_index(view, y, 0, L)
-    lo = data.draw(st.integers(min_value=0, max_value=i))
-    hi = data.draw(st.integers(min_value=i + 1, max_value=L))
+    lo, hi = max(i - lo_gap, 0), min(i + 1 + hi_gap, L)
     x, j = bracketed_tail_inverse(pop, y, lo, hi)
     assert j == memoryview_tail_index(view, y, lo, hi) == i
     assert x.hex() == tail_inverse(pop, y).hex()
 
 
+# A rate: drawn, the largest float, or (k, j, step): the breakpoint
+# caps[j] / suffix(k) (capped at the largest float) or its float neighbour
+rates = st.one_of(
+    st.tuples(st.integers(min_value=0, max_value=4999), st.integers(min_value=0, max_value=5),
+              st.integers(min_value=-1, max_value=1)),
+    st.floats(min_value=0.0, max_value=1e300), st.just(sys.float_info.max))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), L=st.integers(min_value=1, max_value=5000), tau=taus,
-       caps=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=6))
-def test_threshold_search_matches_memoryview_search(data, L, tau, caps):
+@given(L=st.integers(min_value=1, max_value=5000), tau=taus,
+       caps=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=6),
+       specs=st.lists(rates, min_size=3, max_size=3),
+       lo_gap=st.integers(min_value=0, max_value=5000),
+       hi_gap=st.integers(min_value=0, max_value=5000))
+# tau = 0, L = 4: suffix = [1, 0.75, 0.5, 0.25, 0]; at r = 2, 0.5 * r == 1.0
+@example(L=4, tau=0.0, caps=[1.0, 0.5], specs=[0.0, (2, 0, 0), (3, 1, 0)], lo_gap=2, hi_gap=2)
+@example(L=4, tau=0.0, caps=[1.0], specs=[(2, 0, -1), (2, 0, 1), (1, 0, 0)], lo_gap=1, hi_gap=1)
+@example(L=4, tau=0.0, caps=[1.0], specs=[0.0, (2, 0, 0), 4.0], lo_gap=0, hi_gap=0)  # lo == hi
+@example(L=4, tau=0.0, caps=[1.0], specs=[0.0, (2, 0, 0), 4.0], lo_gap=1, hi_gap=0)  # hi == lo + 1
+@example(L=4, tau=0.0, caps=[1.0], specs=[0.0, 0.0, 0.0], lo_gap=0, hi_gap=1)  # key -0.0
+@example(L=3, tau=1.0, caps=[1e300, 1.0], specs=[sys.float_info.max] * 3, lo_gap=3, hi_gap=0)
+def test_threshold_search_matches_memoryview_search(L, tau, caps, specs, lo_gap, hi_gap):
     """The model's threshold_indices returns the memoryview scan's thresholds
     on every bracket a caller may vouch for: one level searched in any
-    [lo, hi] around its threshold, and every level searched between its
-    thresholds at a lower and a higher rate, as solve_exact's steps do.
-    Rates sit on a breakpoint c / suffix(k), next to one, anywhere, or at
-    the largest float."""
+    [lo, hi] around its threshold t (lo_gap below, hi_gap above), and every
+    level searched between its thresholds at a lower and a higher rate, as
+    solve_exact's steps do. Rates sit on a breakpoint c / suffix(k), next
+    to one, anywhere, at 0 (the key is -0.0) or at the largest float."""
     pop = zipf_pmf(L, tau)
     view = memoryview(pop.suffix_mass)
     big = sys.float_info.max
 
-    def rate():
-        k = data.draw(st.integers(min_value=0, max_value=L - 1))
-        r = min(data.draw(st.sampled_from(caps)) / float(pop.suffix_mass[k]), big)
-        return data.draw(st.sampled_from([r, math.nextafter(r, 0.0),
-                                          min(math.nextafter(r, math.inf), big), big,
-                                          data.draw(st.floats(min_value=0.0, max_value=1e300))]))
+    def rate(spec):
+        if isinstance(spec, float):
+            return spec
+        k, j, step = spec
+        r = min(caps[j % len(caps)] / float(pop.suffix_mass[k % L]), big)
+        return min(math.nextafter(r, (0.0, r, math.inf)[step + 1]), big)
 
-    r1, r, r2 = sorted(rate() for _ in range(3))
+    r1, r, r2 = sorted(rate(spec) for spec in specs)
     c = caps[0]
     t = memoryview_raw_thresholds(view, r, [c], [0], [L], L)[0]
-    lo = data.draw(st.integers(min_value=0, max_value=t))
-    hi = data.draw(st.integers(min_value=t, max_value=L))
+    lo, hi = max(t - lo_gap, 0), min(t + hi_gap, L)
     assert threshold_indices(pop, r, [c], [lo], [hi]) == [t]
     assert memoryview_raw_thresholds(view, r, [c], [lo], [hi], L) == [t]
     full = ([0] * len(caps), [L] * len(caps))
