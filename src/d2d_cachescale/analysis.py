@@ -1,15 +1,16 @@
 """Closed-form throughput bounds and asymptotic scaling exponents.
 
-The bounds sandwich the optimised per-node throughput between two
-piecewise formulas in the skewness tau, built from a power-law envelope
-of the per-level capacities: the lower side divided by the rounding
-guarantee factor floors what the integer solver achieves (while
-L_C <= L - 1), and the upper side is meant to cap it (but see
-upper_bound). One scaling law, achievable_exponent, gives the large-n
-power of the per-node throughput as a function of the library and cache
-growth orders (L ~ a1 n^beta1, L_C ~ a2 n^beta2): for the cooperative
-scheme at the path loss exponent alpha, for the multihop baseline at
-alpha = 3 (cooperation gains only for alpha < 3), and for the
+The bounds sandwich the cooperative scheme's optimised per-node
+throughput between two piecewise formulas in the skewness tau, each
+built from its own coefficient pair of the power-law envelope of the
+per-level capacities: the lower side divided by the rounding guarantee
+factor floors what the integer solver achieves (while L_C <= L - 1), and
+the upper side is meant to cap it (but see upper_bound). One scaling
+law, achievable_exponent, gives the large-n power of the per-node
+throughput as a function of the library and cache growth orders
+(L ~ a1 n^beta1, L_C ~ a2 n^beta2): for the cooperative scheme at the
+path loss exponent alpha, for the multihop baseline at alpha = 3
+(cooperation gains only for alpha < 3), and for the
 information-theoretic ceiling, which differs from the achievable law only
 by an arbitrarily small epsilon.
 """
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
-from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope, multihop_envelope
+from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope
 from .phy import PhyParams
 from .placement import _require_budget, guarantee_factor
 from .popularity import PopularityModel
@@ -34,8 +35,8 @@ class BoundsResult:
     M (1 + 2^tau) (the guarantee_factor) floors the integer solution.
     r_upper is None when its branch formula degenerates for small
     libraries (a non-positive denominator, or log L = 0 at tau = 1).
-    Each side uses its own envelope coefficient pair, recorded in
-    `envelope` and `side`.
+    Each side uses its own coefficient pair of the cooperative capacity
+    envelope, recorded in `envelope`.
     """
 
     r_lower: float
@@ -43,7 +44,6 @@ class BoundsResult:
     guarantee_factor: float
     lower_branch: str
     upper_branch: str
-    side: str
     envelope: CapacityEnvelope
 
     @property
@@ -140,20 +140,15 @@ def upper_bound(c: float, gamma: float, L: int, l_c: float, M: int,
 
 
 def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel,
-                      l_c: float, side: str = "proposed") -> BoundsResult:
-    """Throughput bracket for the cooperative scheme or the multihop baseline.
+                      l_c: float) -> BoundsResult:
+    """Throughput bracket for the cooperative scheme.
 
-    side="proposed" uses the two-sided cooperative capacity envelope;
-    side="baseline" the multihop profile, where both coefficient pairs
-    coincide. Each bound selects its tau branch against its own gamma.
+    Both bounds take their coefficients from the two-sided cooperative
+    capacity envelope, and each selects its tau branch against its own
+    gamma.
     """
     _require_budget(l_c)
-    if side == "proposed":
-        env = capacity_envelope(grid, params)
-    elif side == "baseline":
-        env = multihop_envelope(grid, params)
-    else:
-        raise InvalidParameterError(f"side must be 'proposed' or 'baseline', got {side!r}")
+    env = capacity_envelope(grid, params)
     r_low, low_branch = lower_bound(env.c_lower, env.gamma_lower, pop.L, l_c,
                                     grid.M, pop.tau)
     r_up, up_branch = upper_bound(env.c_upper, env.gamma_upper, pop.L, l_c,
@@ -161,7 +156,7 @@ def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel
     return BoundsResult(r_lower=r_low, r_upper=r_up,
                         guarantee_factor=guarantee_factor(grid.M, pop.tau),
                         lower_branch=low_branch, upper_branch=up_branch,
-                        side=side, envelope=env)
+                        envelope=env)
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,10 @@ class ExperimentConfig:
         return self._growth("L_C", self.a2, self.beta2)
 
     def validate(self) -> None:
-        L, l_c = self.library_size, self.cache_budget
+        L = self.library_size
+        if L < 1:
+            raise InvalidParameterError(f"--l must be >= 1, got {L}")
+        l_c = self.cache_budget
         if l_c < L / self.n - 1e-12:
             raise InfeasibleProblemError(
                 f"L_C = {l_c} is below the minimum L/n = {L / self.n}: "
@@ -282,6 +285,15 @@ def _emit(cfg: ExperimentConfig, header: list[str], rows: list[tuple], doc: dict
         sys.stdout.write(text)
 
 
+def _scaled(rate: float, bandwidth_hz: float) -> float:
+    """rate * bandwidth_hz; a finite rate whose product overflows is a bad argument."""
+    value = rate * bandwidth_hz
+    if math.isfinite(rate) and not math.isfinite(value):
+        raise InvalidParameterError(
+            f"--bandwidth-hz {bandwidth_hz!r} times the rate {rate!r} bit/s/Hz overflows a float")
+    return value
+
+
 def _parse_range(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -319,7 +331,7 @@ def cmd_place(cfg: ExperimentConfig) -> int:
     rep = outcome.report
     doc = placement_document(outcome.placement, l_c, rep.rate)
     doc.update({
-        "rate_bits_per_s": rep.rate * bw,
+        "rate_bits_per_s": _scaled(rep.rate, bw),
         "bandwidth_hz": bw,
         "binding_level": rep.binding_level,
         "m_b": rep.m_b,
@@ -364,8 +376,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         r_nocache = caps.rates[grid.M].rate
         bounds = throughput_bounds(grid, params, pop, l_c)
         bw = point.bandwidth_hz
-        upper = bounds.r_upper * bw if bounds.r_upper is not None else None
-        rows.append((value, r_prop * bw, r_mh * bw, r_nocache * bw, bounds.floor * bw, upper))
+        upper = _scaled(bounds.r_upper, bw) if bounds.r_upper is not None else None
+        rows.append((value, _scaled(r_prop, bw), _scaled(r_mh, bw), _scaled(r_nocache, bw),
+                     _scaled(bounds.floor, bw), upper))
     header = ["axis_value", "R_proposed", "R_multihop_baseline", "R_nocache",
               "R_L_floor", "R_U"]
     _emit(cfg, header, rows, {"axis": cfg.axis, "columns": header, "rows": rows})

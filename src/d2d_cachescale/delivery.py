@@ -11,7 +11,8 @@ those crossings per level and compares them with the closed-form
 expectation that the capacity constraints charge. Scheduling overheads
 (the 1/3 intra-cluster share and the 1/M_b round-robin across levels)
 already live inside the capacity constants, so the simulator tracks
-loads, not time slots.
+loads, not time slots, and leaves the capacities themselves to
+placement.evaluate_throughput.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError, SizeGuardError
-from .hierarchy import LevelCapacities, NetworkGrid
+from .hierarchy import NetworkGrid
 from .placement import PlacementVector
 from .popularity import PopularityModel
 
@@ -29,9 +30,6 @@ from .popularity import PopularityModel
 # Largest request count simulate accepts: it allocates three 8-byte arrays per
 # request (nodes, uniforms, levels), so the guard caps those at about 240 MB.
 MAX_REQUESTS = 10 ** 7
-
-# Relative slack that lets capacity_check pass the tight level at the achieved rate.
-_CAPACITY_REL_TOL = 1e-9
 
 
 def check_request_count(num_requests: int) -> None:
@@ -131,20 +129,6 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
         total_edge_crossings=int(np.sum(lv)),
         per_edge_counts=per_edge,
     )
-
-
-def capacity_check(report: EdgeLoadReport, caps: LevelCapacities,
-                   r: float) -> tuple[bool, ...]:
-    """Whether the analytic traffic at rate r fits each active level's capacity.
-
-    At the achieved rate of the placement exactly one level is tight and
-    the rest hold with slack; any larger rate fails at the binding level.
-    """
-    flags: list[bool] = []
-    for m in range(1, report.m_b + 1):
-        t = report.tail_mass[m - 1]
-        flags.append(t * r <= caps.cbar[m] / report.m_b * (1.0 + _CAPACITY_REL_TOL))
-    return tuple(flags)
 
 
 def report_csv_rows(report: EdgeLoadReport) -> list[tuple[int, float, float, float]]:

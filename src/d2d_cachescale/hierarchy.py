@@ -133,16 +133,3 @@ def capacity_envelope(grid: NetworkGrid, params: PhyParams) -> CapacityEnvelope:
     return CapacityEnvelope(c_lower=c_lower, gamma_lower=gamma_lower,
                             c_upper=c_upper, gamma_upper=gamma_upper, s_m=s_m)
 
-
-def multihop_envelope(grid: NetworkGrid, params: PhyParams) -> CapacityEnvelope:
-    """Envelope of the multihop-only capacity profile.
-
-    The multihop rate is an exact power law in the cluster size, so both
-    sides share gamma = 1/2 and the same constant.
-    """
-    _require_grid_alpha(grid, params)
-    s_m = math.sqrt(grid.M * math.log(4.0))
-    p_i = grid.interference_multihop
-    c = 4.0 / (3.0 * params.t_r_multihop ** 2) \
-        * math.log2(1.0 + params.snr_multihop / (1.0 + p_i))
-    return CapacityEnvelope(c_lower=c, gamma_lower=0.5, c_upper=c, gamma_upper=0.5, s_m=s_m)

@@ -30,7 +30,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .hierarchy import LevelCapacities, NetworkGrid
-from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse, tail_mass
+from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse
 
 
 # Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
@@ -302,27 +302,6 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
             if err_snap <= err_hi:
                 return r_snap
     return hi
-
-
-def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
-                     pop: PopularityModel, l_c: float) -> list[float]:
-    """Relative residuals of the optimality system; all ~0 at a true optimum.
-
-    Order: the per-level balance equalities for m = m*+1..M, the rate cap
-    at level m*, the total-files equality, the cache-budget equality.
-    """
-    M, L = caps.M, pop.L
-    res: list[float] = []
-    prefix = 0.0
-    for m in range(sol.m_star + 1, M + 1):
-        prefix += sol.x_star[m - 1]
-        t = tail_mass(pop, min(prefix, float(L)) + 1.0)
-        res.append(abs(t * sol.r_star - caps.cbar[m]) / caps.cbar[m])
-    cap = caps.cbar[sol.m_star]
-    res.append(max(0.0, (sol.r_star - cap) / cap) if math.isfinite(cap) else 0.0)
-    res.append(abs(math.fsum(sol.x_star) - L) / L)
-    res.append(abs(_load(sol.x_star) - l_c) / l_c)
-    return res
 
 
 def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid, l_c: float) -> PlacementVector:

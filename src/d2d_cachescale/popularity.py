@@ -1,16 +1,17 @@
 """Zipf popularity model with exact tail-mass inversion.
 
-The model is a truncated Zipf pmf over ranks 1..L with skewness tau.
-Besides the pmf it exposes the popularity tail mass f(x): the probability
-mass of all ranks at or beyond a (possibly fractional) rank x, linearly
-interpolated between integer ranks. Every capacity constraint downstream
-charges traffic through f, so both f and its inverse are computed exactly
-(per-segment linear inversion) rather than approximated. The model stores
-one per-rank array, the suffix masses; a rank's probability is computed
-from tau and the extended-precision normaliser in blocks of ranks, each
-on its first read. The two integer searches over the suffix mass also
-live here, each one standard-library bisect call with a C key function:
-bracketed_tail_inverse's tail index for the relaxation and
+The model is a truncated Zipf pmf over ranks 1..L with skewness tau. The
+popularity tail mass f(x) is the probability mass of all ranks at or
+beyond a (possibly fractional) rank x, linearly interpolated between
+integer ranks. Every capacity constraint downstream charges traffic
+through f, so its inverse, tail_inverse, is computed exactly
+(per-segment linear inversion) rather than approximated; at integer
+ranks f is the suffix mass, which the solvers read directly. The model
+stores one per-rank array, the suffix masses; a rank's probability is
+computed from tau and the extended-precision normaliser in blocks of
+ranks, each on its first read. The two integer searches over the suffix
+mass also live here, each one standard-library bisect call with a C key
+function: bracketed_tail_inverse's tail index for the relaxation and
 threshold_indices for the exact solver.
 """
 
@@ -170,24 +171,8 @@ def _accumulate(acc: np.ndarray, carry: np.longdouble, weights: np.ndarray) -> n
     return run[1:]
 
 
-def tail_mass(model: PopularityModel, x: float) -> float:
-    """Popularity tail mass f(x) for x in [1, L + 1].
-
-    f is piecewise linear with breakpoints at integer ranks, strictly
-    decreasing from f(1) = 1 to f(L + 1) = 0; at an integer k it equals
-    the mass of ranks >= k.
-    """
-    L = model.L
-    if not 1.0 <= x <= L + 1:
-        raise DomainError(f"tail-mass argument must lie in [1, {L + 1}], got {x!r}")
-    k = math.floor(x)
-    if k == x:
-        return model.suffix(int(x) - 1)
-    return (k + 1 - x) * model.p(k) + model.suffix(k)
-
-
 def tail_inverse(model: PopularityModel, y: float) -> float:
-    """Exact inverse of tail_mass, by binary search over integer breakpoints.
+    """Exact inverse of the tail mass f, by binary search over integer breakpoints.
 
     Arguments y >= 1 clamp to rank 1: capacity-to-rate ratios above one
     mean the corresponding constraint is inactive, and the inverse is

@@ -1,8 +1,10 @@
-"""Reference forms that only tests use: the dense Zipf build, the threshold
-form of a placement, the relaxed rate of a fractional placement, the
-per-top-level relaxation that brackets the exact optimum, the memoryview
-searches the popularity model's searches replaced, and the multihop
-baseline's scaling law that the achievable law at alpha = 3 replaced.
+"""Reference forms that only tests use: the dense Zipf build, the popularity
+tail mass f(x) that tail_inverse inverts, the residuals of the relaxation's
+optimality system, the threshold form of a placement, the relaxed rate of
+a fractional placement, the per-top-level relaxation that brackets the
+exact optimum, the memoryview searches the popularity model's searches
+replaced, and the multihop baseline's scaling law that the achievable law
+at alpha = 3 replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
@@ -17,17 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2d_cachescale import (
+    DomainError,
     InvariantViolationError,
-    ScalingExponent,
-    LevelCapacities,
     NetworkGrid,
     PlacementVector,
     evaluate_throughput,
-    classify_regime,
-    round_to_feasible,
-    solve_relaxed,
-    tail_mass,
 )
+from d2d_cachescale.analysis import ScalingExponent, classify_regime
+from d2d_cachescale.hierarchy import LevelCapacities
+from d2d_cachescale.placement import RelaxedSolution, _load, round_to_feasible, solve_relaxed
+from d2d_cachescale.popularity import PopularityModel
 
 
 def dense_zipf(L, tau):
@@ -48,6 +49,43 @@ def dense_zipf(L, tau):
     suffix = np.zeros(L + 1)
     suffix[:L] = (tail / z).astype(np.float64)
     return z, pmf, suffix
+
+
+def tail_mass(model: PopularityModel, x: float) -> float:
+    """Popularity tail mass f(x) for x in [1, L + 1].
+
+    f is piecewise linear with breakpoints at integer ranks, strictly
+    decreasing from f(1) = 1 to f(L + 1) = 0; at an integer k it equals
+    the mass of ranks >= k.
+    """
+    L = model.L
+    if not 1.0 <= x <= L + 1:
+        raise DomainError(f"tail-mass argument must lie in [1, {L + 1}], got {x!r}")
+    k = math.floor(x)
+    if k == x:
+        return model.suffix(int(x) - 1)
+    return (k + 1 - x) * model.p(k) + model.suffix(k)
+
+
+def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
+                     pop: PopularityModel, l_c: float) -> list[float]:
+    """Relative residuals of the optimality system; all ~0 at a true optimum.
+
+    Order: the per-level balance equalities for m = m*+1..M, the rate cap
+    at level m*, the total-files equality, the cache-budget equality.
+    """
+    M, L = caps.M, pop.L
+    res: list[float] = []
+    prefix = 0.0
+    for m in range(sol.m_star + 1, M + 1):
+        prefix += sol.x_star[m - 1]
+        t = tail_mass(pop, min(prefix, float(L)) + 1.0)
+        res.append(abs(t * sol.r_star - caps.cbar[m]) / caps.cbar[m])
+    cap = caps.cbar[sol.m_star]
+    res.append(max(0.0, (sol.r_star - cap) / cap) if math.isfinite(cap) else 0.0)
+    res.append(abs(math.fsum(sol.x_star) - L) / L)
+    res.append(abs(_load(sol.x_star) - l_c) / l_c)
+    return res
 
 
 @dataclass(frozen=True)

@@ -12,21 +12,19 @@ import pytest
 from d2d_cachescale import (
     NetworkGrid,
     PhyParams,
+    PlacementVector,
     SimConfig,
-    achievable_exponent,
     brute_force,
-    critical_skewness,
     edge_capacities,
-    guarantee_floor,
     optimize_placement,
     simulate,
     solve_exact,
-    solve_relaxed,
-    check_optimality,
     throughput_bounds,
     zipf_pmf,
-    PlacementVector,
 )
+from d2d_cachescale.analysis import achievable_exponent, critical_skewness
+from d2d_cachescale.placement import guarantee_floor, solve_relaxed
+from reference import check_optimality
 from d2d_cachescale.cli import main as cli_main
 from conftest import caps_for
 
@@ -146,7 +144,7 @@ def test_criterion_4_bound_sandwich():
                 points += 1
                 l_c = n ** beta2
                 rate = optimize_placement(grid, caps, pop, l_c).report.rate
-                bounds = throughput_bounds(grid, params, pop, l_c, "proposed")
+                bounds = throughput_bounds(grid, params, pop, l_c)
                 if bounds.floor > rate * (1 + 1e-9):
                     violations += 1
                 if bounds.r_upper is not None and rate > bounds.r_upper * (1 + 1e-9):

@@ -8,17 +8,19 @@ from d2d_cachescale import (
     DomainError,
     NetworkGrid,
     PhyParams,
+    solve_exact,
+    throughput_bounds,
+    zipf_pmf,
+)
+from d2d_cachescale.analysis import (
     achievable_exponent,
-    capacity_envelope,
     classify_regime,
     critical_skewness,
     lower_bound,
-    solve_exact,
-    solve_relaxed,
-    throughput_bounds,
     upper_bound,
-    zipf_pmf,
 )
+from d2d_cachescale.hierarchy import capacity_envelope
+from d2d_cachescale.placement import solve_relaxed
 from d2d_cachescale.cli import main
 from conftest import caps_for
 
@@ -97,16 +99,21 @@ class TestBoundFormulas:
         assert math.isfinite(val)
 
     def test_bracket_ordering_on_instances(self):
+        """Lower below upper on the cooperative envelope, and on the multihop
+        profile: gamma = 1/2 and its constant cbar[m] 4^{m/2}."""
         grid, params, _ = caps_for(9, 0.0, 4.0)
-        L = int(grid.n ** 0.9)
+        _, _, caps_mh = caps_for(9, 0.0, 4.0, True)
+        c_mh = caps_mh.cbar[1] * 2.0
+        L, l_c = int(grid.n ** 0.9), grid.n ** 0.3
         for tau in (0.0, 0.5, 1.0, 1.2, 2.0, 3.0):
-            pop = zipf_pmf(L, tau)
-            for side in ("proposed", "baseline"):
-                res = throughput_bounds(grid, params, pop, grid.n ** 0.3, side)
-                assert res.floor == pytest.approx(
-                    res.r_lower / (9 * (1 + 2 ** tau)), rel=1e-15)
-                if res.r_upper is not None:
-                    assert res.r_lower <= res.r_upper
+            res = throughput_bounds(grid, params, zipf_pmf(L, tau), l_c)
+            assert res.floor == pytest.approx(
+                res.r_lower / (9 * (1 + 2 ** tau)), rel=1e-15)
+            base_lower, _ = lower_bound(c_mh, 0.5, L, l_c, 9, tau)
+            base_upper, _ = upper_bound(c_mh, 0.5, L, l_c, 9, tau)
+            for lower, upper in ((res.r_lower, res.r_upper), (base_lower, base_upper)):
+                if upper is not None:
+                    assert lower <= upper
 
     def test_mid_branch_upper_falls_below_the_optimum(self):
         """Pins a known defect: at M = 9, tau = 1.05 (inside 1 < tau <
@@ -139,13 +146,14 @@ class TestBoundFormulas:
         grid, params, _ = caps_for(9, 0.0, 4.0)
         pop = zipf_pmf(int(grid.n ** 0.9), 0.5)
         env = capacity_envelope(grid, params)
-        res = throughput_bounds(grid, params, pop, grid.n ** 0.3, "proposed")
+        res = throughput_bounds(grid, params, pop, grid.n ** 0.3)
         assert res.envelope == env
         lo_direct, _ = lower_bound(env.c_lower, env.gamma_lower, pop.L,
                                    grid.n ** 0.3, 9, 0.5)
         assert res.r_lower == lo_direct
-        base = throughput_bounds(grid, params, pop, grid.n ** 0.3, "baseline")
-        assert base.envelope.gamma_lower == base.envelope.gamma_upper == 0.5
+        up_direct, _ = upper_bound(env.c_upper, env.gamma_upper, pop.L,
+                                   grid.n ** 0.3, 9, 0.5)
+        assert res.r_upper == up_direct
 
 
 class TestScalingExponents:

@@ -51,6 +51,14 @@ class TestPlace:
         assert d2["rate_bits_per_s"] == pytest.approx(d1["rate_bits_per_s"] * 2e8)
         assert d2["rate_bits_per_s_hz"] == d1["rate_bits_per_s_hz"]
 
+    def test_all_local_rate_stays_inf_at_any_bandwidth(self, capsys):
+        """inf marks the all-local placement; it is not a bandwidth overflow."""
+        code, out, err = run_cli(capsys, "place", "--M", "2", "--l", "2",
+                                 "--lc", "1.999999999999", "--bandwidth-hz", "1e308")
+        assert code == 0 and err == ""
+        lines = dict(line.split(",", 1) for line in out.splitlines()[2:])
+        assert lines["rate_bits_per_s"] == lines["rate_bits_per_s_hz"] == "inf"
+
     def test_pinned_dense_grid_point(self, capsys):
         """n=4^9, beta1=0.9, beta2=0.3, tau=1, alpha=4 at 200 MHz: frozen
         after the first verified run."""
@@ -262,6 +270,9 @@ class TestInputChecks:
         (("place", "--bandwidth-hz", "-1"), None, "--bandwidth-hz must be > 0, got -1.0"),
         (("sweep", "--bandwidth-hz", "0"), None, "--bandwidth-hz must be > 0, got 0.0"),
         (("simulate",), "bandwidth_hz=-1e-300", "--bandwidth-hz must be > 0, got -1e-300"),
+        (("place", "--l", "0"), None, "--l must be >= 1, got 0"),
+        (("place", "--l", "-5"), None, "--l must be >= 1, got -5"),
+        (("sweep",), "l=0", "--l must be >= 1, got 0"),
     ])
     def test_non_finite_or_negative_seed_rejected(self, capsys, monkeypatch, tmp_path,
                                                   argv, conf, message):
@@ -341,6 +352,10 @@ class TestInputChecks:
          "L_C = 1.0 * 4^1000000.0 overflows a float"),
         (("place", "--beta1", "1e6"), "L = 1.0 * 262144^1000000.0 overflows a float"),
         (("scaling", "--alpha", "600"), "path loss exponent 600.0 overflows"),
+        (("place", "--M", "1", "--l", "4", "--lc", "3.5", "--bandwidth-hz", "1e308",
+          "--format", "json"), "--bandwidth-hz 1e+308 times the rate "),
+        (("sweep", "--M", "3", "--bandwidth-hz", "1e308", "--range", "0.3:0.3:0.1"),
+         "--bandwidth-hz 1e+308 times the rate "),
     ])
     def test_float_overflow_exits_3(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

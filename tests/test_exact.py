@@ -12,16 +12,15 @@ from d2d_cachescale import (
     InfeasibleProblemError,
     InvariantViolationError,
     PlacementVector,
-    PopularityModel,
     SizeGuardError,
     brute_force,
     evaluate_throughput,
-    feasible_for_rate,
     optimize_placement,
     solve_exact,
     zipf_pmf,
 )
-from d2d_cachescale.popularity import threshold_indices
+from d2d_cachescale.exact import feasible_for_rate
+from d2d_cachescale.popularity import PopularityModel, threshold_indices
 from conftest import caps_for
 from reference import ThresholdForm, dense_zipf, from_threshold, to_threshold
 

@@ -9,13 +9,11 @@ from d2d_cachescale import (
     NetworkGrid,
     PhyParams,
     SizeGuardError,
-    capacity_envelope,
     edge_capacities,
-    multihop_envelope,
     throughput_bounds,
     zipf_pmf,
 )
-from d2d_cachescale.hierarchy import MAX_LEVELS
+from d2d_cachescale.hierarchy import MAX_LEVELS, capacity_envelope
 from conftest import caps_for
 
 
@@ -36,10 +34,8 @@ class TestNetworkGrid:
         edge_capacities,
         lambda grid, p: edge_capacities(grid, p, multihop_only=True),
         capacity_envelope,
-        multihop_envelope,
         lambda grid, p: throughput_bounds(grid, p, zipf_pmf(16, 1.0), 2.0),
-    ], ids=["edge_capacities", "multihop_only", "capacity_envelope", "multihop_envelope",
-            "throughput_bounds"])
+    ], ids=["edge_capacities", "multihop_only", "capacity_envelope", "throughput_bounds"])
     def test_params_with_another_alpha_are_refused(self, build):
         """The grid's interference sums use its own alpha, so PhyParams with
         another alpha would mix the rates of two networks."""
@@ -94,11 +90,12 @@ class TestCapacityEnvelope:
             assert env.c_lower > 0 and env.c_upper > 0
 
     def test_multihop_envelope_is_exact(self):
-        grid, params, caps = caps_for(7, 1.0, 4.0, True)
-        env = multihop_envelope(grid, params)
-        assert env.gamma_lower == env.gamma_upper == 0.5
+        """The multihop-only capacities are an exact power law with gamma = 1/2:
+        cbar[m] 4^{m/2} is one constant at every level."""
+        _, _, caps = caps_for(7, 1.0, 4.0, True)
+        c = caps.cbar[1] * 2.0
         for m in range(1, 8):
-            assert caps.cbar[m] == pytest.approx(env.c_lower * 4.0 ** (-m / 2), rel=1e-12)
+            assert caps.cbar[m] * 4.0 ** (m / 2) == pytest.approx(c, rel=1e-12)
 
     @pytest.mark.parametrize("m_levels", [6, 9, 11])
     @pytest.mark.parametrize("kappa", [0.0, 1.0])

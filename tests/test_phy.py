@@ -4,18 +4,16 @@ import math
 
 import pytest
 
-from d2d_cachescale import (
-    InvalidParameterError,
-    NetworkGrid,
+from d2d_cachescale import InvalidParameterError, NetworkGrid, PhyParams
+from d2d_cachescale.phy import (
     PhyMode,
-    PhyParams,
     cluster_rate,
+    exact_log4,
     interference_power,
     optimal_stages,
     rate_hcoop,
     rate_multihop,
 )
-from d2d_cachescale.phy import exact_log4
 
 
 class TestPhyParams:

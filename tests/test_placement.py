@@ -14,27 +14,28 @@ from d2d_cachescale import (
     NetworkGrid,
     PhyParams,
     PlacementVector,
-    RelaxedSolution,
     brute_force,
-    check_optimality,
     evaluate_throughput,
-    feasible_for_rate,
+    optimize_placement,
+    solve_exact,
+    throughput_bounds,
+    zipf_pmf,
+)
+from d2d_cachescale.exact import feasible_for_rate
+from d2d_cachescale.placement import (
+    RelaxedSolution,
     guarantee_factor,
     guarantee_floor,
-    optimize_placement,
     rebalance,
     relaxed_cache_load,
     relaxed_solution_at,
     round_to_feasible,
-    solve_exact,
     solve_relaxed,
-    tail_inverse,
-    throughput_bounds,
-    zipf_pmf,
 )
+from d2d_cachescale.popularity import tail_inverse
 from d2d_cachescale import placement
 from conftest import caps_for
-from reference import dense_zipf, relaxed_rate
+from reference import check_optimality, dense_zipf, relaxed_rate
 
 
 def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
@@ -297,7 +298,7 @@ class TestRelaxedSolutionAt:
 
     def test_balance_residuals(self):
         """The construction satisfies the per-level equalities by design."""
-        from d2d_cachescale import tail_mass
+        from reference import tail_mass
         rng = random.Random(7)
         for _ in range(100):
             grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=2000)

@@ -7,21 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from d2d_cachescale import (
-    DomainError,
-    InvalidParameterError,
-    SizeGuardError,
-    tail_inverse,
-    tail_mass,
-    zipf_pmf,
-)
+from d2d_cachescale import DomainError, InvalidParameterError, SizeGuardError, zipf_pmf
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
     CHUNK_RANKS,
     MAX_RANKS,
     bracketed_tail_inverse,
+    tail_inverse,
 )
-from reference import dense_zipf
+from reference import dense_zipf, tail_mass
 
 
 def point_reads(model):

@@ -14,22 +14,21 @@ from d2d_cachescale import (
     DomainError,
     PlacementVector,
     SimConfig,
-    achievable_exponent,
     brute_force,
-    capacity_envelope,
     optimize_placement,
-    relaxed_cache_load,
     solve_exact,
     throughput_bounds,
-    tail_inverse,
-    tail_mass,
     zipf_pmf,
 )
+from d2d_cachescale.analysis import achievable_exponent
+from d2d_cachescale.hierarchy import capacity_envelope
+from d2d_cachescale.placement import relaxed_cache_load
 from d2d_cachescale.cli import main
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
     CHUNK_RANKS,
     bracketed_tail_inverse,
+    tail_inverse,
     threshold_indices,
 )
 from conftest import caps_for
@@ -39,6 +38,7 @@ from reference import (
     memoryview_raw_thresholds,
     memoryview_tail_index,
     per_top_level_relaxations,
+    tail_mass,
 )
 from test_delivery import assert_matches_reference
 from test_exact import assert_matches_reference as assert_exact_matches_reference

@@ -3,8 +3,8 @@
 Only popularity.py may name the model's suffix array, its memoryview, its
 table of probability blocks or the method that fills one, or build a
 memoryview: every other module reads popularity through p(k), suffix(k),
-tail_mass, tail_inverse and the model's searches, so the storage can
-change behind them without touching a solver.
+tail_inverse and the model's searches, so the storage can change behind
+them without touching a solver.
 """
 
 import ast

@@ -10,12 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from d2d_cachescale import (
-    cluster_rate,
-    edge_capacities,
-    optimize_placement,
-    throughput_bounds,
-)
+from d2d_cachescale import edge_capacities, optimize_placement, throughput_bounds
+from d2d_cachescale.phy import cluster_rate
 from d2d_cachescale import hierarchy, phy
 from d2d_cachescale.cli import _build_parser, _parse_range, _resolve, main
 
