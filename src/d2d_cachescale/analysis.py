@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidParameterError
 from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope
 from .phy import PhyParams
-from .placement import _require_budget, guarantee_factor
+from .placement import _require_budget, guarantee_floor
 from .popularity import PopularityModel
 
 
@@ -31,8 +31,8 @@ from .popularity import PopularityModel
 class BoundsResult:
     """Throughput bracket for one instance.
 
-    r_lower bounds the relaxed optimum from below; dividing it by
-    M (1 + 2^tau) (the guarantee_factor) floors the integer solution.
+    r_lower bounds the relaxed optimum from below; multiplying it by the
+    guarantee factor 1 / (M (1 + 2^tau)) floors the integer solution.
     r_upper is None when its branch formula degenerates for small
     libraries (a non-positive denominator, or log L = 0 at tau = 1).
     Each side uses its own coefficient pair of the cooperative capacity
@@ -154,7 +154,7 @@ def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel
     r_up, up_branch = upper_bound(env.c_upper, env.gamma_upper, pop.L, l_c,
                                   grid.M, pop.tau)
     return BoundsResult(r_lower=r_low, r_upper=r_up,
-                        guarantee_factor=guarantee_factor(grid.M, pop.tau),
+                        guarantee_factor=guarantee_floor(1.0, grid.M, pop.tau),
                         lower_branch=low_branch, upper_branch=up_branch,
                         envelope=env)
 

@@ -44,7 +44,7 @@ from .errors import (
 from .exact import brute_force, solve_exact
 from .hierarchy import NetworkGrid, capacity_envelope, edge_capacities
 from .phy import PhyParams, exact_log4
-from .placement import guarantee_factor, optimize_placement, placement_document
+from .placement import BUDGET_SLACK, guarantee_floor, optimize_placement, placement_document
 from .popularity import zipf_pmf
 
 _EXIT_OK = 0
@@ -106,7 +106,7 @@ class ExperimentConfig:
         if L < 1:
             raise InvalidParameterError(f"--l must be >= 1, got {L}")
         l_c = self.cache_budget
-        if l_c < L / self.n - 1e-12:
+        if l_c < L / self.n - BUDGET_SLACK:
             raise InfeasibleProblemError(
                 f"L_C = {l_c} is below the minimum L/n = {L / self.n}: "
                 "the network cannot hold one copy of the library")
@@ -269,11 +269,25 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """v with every non-finite float, at any depth of lists, tuples and
+    dicts, replaced by None: strict JSON has no Infinity or NaN."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, (list, tuple)):
+        return [_json_value(c) for c in v]
+    if isinstance(v, dict):
+        return {k: _json_value(c) for k, c in v.items()}
+    return v
+
+
 def _emit(cfg: ExperimentConfig, header: list[str], rows: list[tuple], doc: dict) -> None:
     """Write `rows` under `header` as versioned CSV, or `doc` as versioned JSON,
-    in cfg's format to cfg.out (default stdout)."""
+    in cfg's format to cfg.out (default stdout). JSON writes a non-finite
+    float as null; CSV writes inf."""
     if cfg.fmt == "json":
-        text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+        doc = _json_value({"schema_version": SCHEMA_VERSION, **doc})
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         lines = [f"# {SCHEMA_VERSION}", ",".join(header)]
         lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
@@ -429,12 +443,14 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     grid, _, caps, pop, l_c, algo = _solve(cfg)
     exact_x, exact_rate = solve_exact(grid, caps, pop, l_c)
     brute_x, brute_rate = brute_force(grid, caps, pop, l_c)
-    factor = guarantee_factor(grid.M, cfg.tau)
+    factor = guarantee_floor(1.0, grid.M, cfg.tau)
+    # 0.0 once 2^tau overflows, also under an unbounded brute-force rate
+    brute_floor = brute_rate * factor if factor else 0.0
     rows = [
         ("algorithm1", algo.report.rate, ";".join(map(str, algo.placement.x))),
         ("exact", exact_rate, ";".join(map(str, exact_x.x))),
         ("brute_force", brute_rate, ";".join(map(str, brute_x.x))),
-        ("brute_floor", brute_rate * factor, ""),
+        ("brute_floor", brute_floor, ""),
     ]
     header = ["scheme", "rate_bits_per_s_hz", "x"]
     _emit(cfg, header, rows, {"columns": header, "rows": rows})
@@ -443,7 +459,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
         violations.append(f"exact rate {exact_rate} != brute-force rate {brute_rate}")
     if algo.report.rate > brute_rate * (1.0 + 1e-12):
         violations.append("algorithm1 exceeds the exhaustive optimum")
-    if algo.report.rate < brute_rate * factor * (1.0 - 1e-12):
+    if algo.report.rate < brute_floor * (1.0 - 1e-12):
         violations.append("algorithm1 falls below the guarantee floor")
     if violations:
         for v in violations:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvariantViolationError, SizeGuardError
+from .errors import InvalidParameterError, SizeGuardError
 from .hierarchy import NetworkGrid
 from .placement import PlacementVector
 from .popularity import PopularityModel
@@ -53,12 +53,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_request_count(self.num_requests)
-        if self.placement.L != self.pop.L:
-            raise InvariantViolationError(
-                f"placement holds {self.placement.L} files, library has {self.pop.L}")
-        if self.placement.M != self.grid.M:
-            raise InvariantViolationError(
-                f"placement has {self.placement.M} levels, grid has {self.grid.M}")
+        self.placement.check_shape(self.pop.L, self.grid.M)
 
 
 @dataclass(frozen=True)

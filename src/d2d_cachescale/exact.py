@@ -22,7 +22,8 @@ import sys
 
 from .errors import InfeasibleProblemError, InvalidParameterError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
-from .placement import PlacementVector, _load, _require_budget, evaluate_throughput
+from .placement import (BUDGET_SLACK, PlacementVector, _load, _require_admissible,
+                        _require_budget, _require_depth, evaluate_throughput)
 from .popularity import PopularityModel, threshold_indices
 
 
@@ -63,7 +64,7 @@ def _staircase(thresholds: list[int], M: int, L: int, l_c: float) -> tuple[int, 
     x.append(L - theta)
     x.extend([0] * (M - len(thresholds)))
     x = tuple(x)
-    if _load(x) > l_c + 1e-12:
+    if _load(x) > l_c + BUDGET_SLACK:
         return None
     return x
 
@@ -86,20 +87,17 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     Every step therefore gives the same verdict as the full search, and
     the bisection visits the same rates and ends at the same lo.
 
-    A budget within 1e-12 of L holds the all-local placement, whose rate
-    is unbounded: it is returned at rate inf, as brute_force returns it.
+    A budget within BUDGET_SLACK of L holds the all-local placement, whose
+    rate is unbounded: it is returned at rate inf, as brute_force returns it.
     """
-    _require_budget(l_c)
-    M, L = grid.M, pop.L
-    if l_c < L * 4.0 ** (-M) - 1e-12:
-        raise InfeasibleProblemError(
-            f"cache budget {l_c} cannot hold the library: "
-            f"needs at least {L * 4.0 ** (-M)} per node")
-    if L <= l_c + 1e-12:
+    _require_depth(grid, caps)
+    M, L = caps.M, pop.L
+    _require_admissible(L, M, l_c)
+    if L <= l_c + BUDGET_SLACK:
         return PlacementVector((L,) + (0,) * M), math.inf
     best: tuple[float, PlacementVector] | None = None
     for m_b in range(1, M + 1):
-        if L * 4.0 ** (-m_b) > l_c + 1e-12:
+        if L * 4.0 ** (-m_b) > l_c + BUDGET_SLACK:
             continue  # even the top-heavy placement cannot fit
         level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
         lo = 0.0
@@ -112,7 +110,7 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
             if not lo < mid < hi:
                 break
             thresholds = threshold_indices(pop, mid, level_caps, t_lo, t_hi)
-            if _staircase(thresholds, caps.M, L, l_c) is not None:
+            if _staircase(thresholds, M, L, l_c) is not None:
                 lo, t_lo = mid, thresholds
             else:
                 hi, t_hi = mid, thresholds
@@ -137,8 +135,9 @@ def brute_force(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     argmax (ties resolve to the lexicographically smallest vector because
     enumeration is ordered and replacement requires strict improvement).
     """
+    _require_depth(grid, caps)
     _require_budget(l_c)
-    M, L = grid.M, pop.L
+    M, L = caps.M, pop.L
     count = math.comb(L + M, M)
     if count > 10 ** 7:
         raise SizeGuardError(
@@ -146,7 +145,7 @@ def brute_force(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     best: tuple[float, PlacementVector] | None = None
     for xs in _compositions(L, M + 1):
         pv = PlacementVector(xs)
-        if pv.cache_load() > l_c + 1e-12:
+        if pv.cache_load() > l_c + BUDGET_SLACK:
             continue
         report = evaluate_throughput(pv, caps, pop)
         rate = report.rate

@@ -75,9 +75,12 @@ class LevelCapacities:
     with cbar[m] / M_b.
     """
 
-    M: int
     cbar: tuple[float, ...]
     rates: tuple[ClusterRate | None, ...]
+
+    @property
+    def M(self) -> int:
+        return len(self.cbar) - 1
 
 
 def edge_capacities(grid: NetworkGrid, params: PhyParams, *,
@@ -91,7 +94,7 @@ def edge_capacities(grid: NetworkGrid, params: PhyParams, *,
     for m in range(1, grid.M + 1):
         rates.append(cluster_rate(4 ** m, grid, params, multihop_only=multihop_only))
     cbar = (math.inf,) + tuple(4.0 * r.rate / 3.0 for r in rates[1:])
-    return LevelCapacities(M=grid.M, cbar=cbar, rates=tuple(rates))
+    return LevelCapacities(cbar=cbar, rates=tuple(rates))
 
 
 @dataclass(frozen=True)

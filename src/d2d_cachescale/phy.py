@@ -12,7 +12,6 @@ are spectral efficiencies in bit/s/Hz (base-2 logarithms throughout).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -21,13 +20,6 @@ from .errors import InvalidParameterError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hierarchy import NetworkGrid
-
-
-class PhyMode(enum.Enum):
-    """Transmission mode serving a cluster."""
-
-    HIER_COOP = "hcoop"
-    MULTIHOP = "multihop"
 
 
 def reuse_factor(snr: float, alpha: float) -> int:
@@ -79,14 +71,11 @@ class ClusterRate:
     """Winning per-node rate for one cluster size.
 
     stages is the cooperative stage count when the cooperative mode won,
-    None for multihop; interference is the P_I value the winning rate used.
+    None for multihop; the rate used the grid's interference sum of that mode.
     """
 
-    cluster_size: int
     rate: float
-    mode: PhyMode
     stages: int | None
-    interference: float
 
 
 def interference_power(n: int, snr: float, t_r: int, alpha: float) -> float:
@@ -164,10 +153,9 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
         raise InvalidParameterError(
             f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
     _require_grid_alpha(grid, params)
-    p_i_m = grid.interference_multihop
-    r_m = rate_multihop(N, params, p_i_m)
+    r_m = rate_multihop(N, params, grid.interference_multihop)
     if multihop_only:
-        return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
+        return ClusterRate(r_m, None)
     p_i_h = grid.interference_hcoop
     s_star = optimal_stages(N, params, p_i_h)
     try:
@@ -179,8 +167,8 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
             f"penalty N A_c^(-alpha/2) of a {N}-node cluster") from None
     r_h = penalty * rate_hcoop(N, s_star, params, p_i_h)
     if r_h >= r_m:
-        return ClusterRate(N, r_h, PhyMode.HIER_COOP, s_star, p_i_h)
-    return ClusterRate(N, r_m, PhyMode.MULTIHOP, None, p_i_m)
+        return ClusterRate(r_h, s_star)
+    return ClusterRate(r_m, None)
 
 
 def exact_log4(N: int) -> int | None:

@@ -36,6 +36,9 @@ from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse
 # Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
 _RATE_REL_TOL = 4e-16
 
+# A placement may exceed the per-node cache budget by this much and still fit.
+BUDGET_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class PlacementVector:
@@ -70,14 +73,19 @@ class PlacementVector:
         """Per-node cache usage in file-size units: sum_m x_m 4^{-m}."""
         return _load(self.x)
 
+    def check_shape(self, L: int, M: int) -> None:
+        """Raise unless the vector places exactly L files over levels 0..M."""
+        if (self.L, self.M) != (L, M):
+            raise InvariantViolationError(
+                f"placement holds {self.L} files on levels 0..{self.M}, "
+                f"the instance has {L} files on levels 0..{M}")
+
     def validate(self, L: int, l_c: float) -> None:
         """Raise unless the vector places exactly L files within budget l_c."""
         _require_budget(l_c)
-        if self.L != L:
-            raise InvariantViolationError(
-                f"placement holds {self.L} files, library has {L}")
+        self.check_shape(L, self.M)
         load = self.cache_load()
-        if load > l_c + 1e-12:
+        if load > l_c + BUDGET_SLACK:
             raise InvariantViolationError(
                 f"placement needs {load} cache per node, budget is {l_c}")
 
@@ -98,12 +106,11 @@ class ThroughputReport:
     per_level_slack[m - 1] is the headroom of level m's capacity ratio
     over the achieved rate for m = 1..m_b (inf where the level carries no
     traffic); the entry at the binding level is zero. A placement with
-    every file at level 0 produces an unbounded report: rate == inf is a
-    marker there, never an operand.
+    every file at level 0 (m_b == 0) produces an unbounded report: rate ==
+    inf is a marker there, never an operand.
     """
 
     rate: float
-    unbounded: bool
     binding_level: int | None
     per_level_slack: tuple[float, ...]
     m_b: int
@@ -120,8 +127,7 @@ class PlacementOutcome:
 
 
 def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
-                        pop: PopularityModel,
-                        l_c: float | None = None) -> ThroughputReport:
+                        pop: PopularityModel) -> ThroughputReport:
     """Largest rate the tree supports for placement x.
 
     Level m carries the popularity tail past the files cached below it,
@@ -129,18 +135,10 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
     minimum ratio over the active levels is the achieved rate. Levels with
     zero tail contribute no constraint.
     """
-    if x.L != pop.L:
-        raise InvariantViolationError(
-            f"placement holds {x.L} files, library has {pop.L}")
-    if x.M != caps.M:
-        raise InvariantViolationError(
-            f"placement has {x.M} levels, capacities have {caps.M}")
-    if l_c is not None:
-        x.validate(pop.L, l_c)
+    x.check_shape(pop.L, caps.M)
     m_b = x.m_b
     if m_b == 0:
-        return ThroughputReport(rate=math.inf, unbounded=True, binding_level=None,
-                                per_level_slack=(), m_b=0)
+        return ThroughputReport(rate=math.inf, binding_level=None, per_level_slack=(), m_b=0)
     ratios: list[float] = []
     best = math.inf
     binding: int | None = None
@@ -156,8 +154,7 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
         if r < best:
             best, binding = r, m
     slack = tuple(r - best if math.isfinite(r) else math.inf for r in ratios)
-    return ThroughputReport(rate=best, unbounded=False, binding_level=binding,
-                            per_level_slack=slack, m_b=m_b)
+    return ThroughputReport(rate=best, binding_level=binding, per_level_slack=slack, m_b=m_b)
 
 
 def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
@@ -215,8 +212,7 @@ def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
     return xs
 
 
-def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
-                  pop: PopularityModel, l_c: float) -> RelaxedSolution:
+def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> RelaxedSolution:
     """Exact solution of the continuous placement relaxation.
 
     The lowest occupied level m* is the first m whose load at the top of
@@ -226,13 +222,8 @@ def solve_relaxed(grid: NetworkGrid, caps: LevelCapacities,
     over range(M) finds m* with one probe per step. The rate solve then
     meets the budget exactly in (cbar[m*+1], cbar[m*]].
     """
-    _require_budget(l_c)
-    M, L = grid.M, pop.L
-    min_load = L * 4.0 ** (-M)
-    if l_c < min_load - 1e-12:
-        raise InfeasibleProblemError(
-            f"cache budget {l_c} cannot hold the library: "
-            f"needs at least {min_load} per node")
+    M, L = caps.M, pop.L
+    _require_admissible(L, M, l_c)
     if l_c >= L:
         raise InvalidParameterError(
             f"cache budget {l_c} stores the whole library locally; nothing to optimise")
@@ -304,7 +295,7 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     return hi
 
 
-def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid, l_c: float) -> PlacementVector:
+def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:
     """Carry-based integer rounding of the fractional solution for budget l_c.
 
     Level by level from m* upward, each level keeps the floor of its
@@ -314,12 +305,11 @@ def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid, l_c: float) -> Pl
     release cache. A target within 1e-9 of an integer is rounded to it, and
     a round-up hands its cost to the levels above as a negative carry. The
     level that absorbs the remainder has no level above to hand a cost to,
-    so where the remainder would take the placement past l_c (plus the
-    1e-12 tolerance of PlacementVector.validate), be it by a round-up or by
-    the rounding error of a target, it keeps one file fewer and the next
-    level absorbs that file.
+    so where the remainder would take the placement past l_c plus
+    BUDGET_SLACK, be it by a round-up or by the rounding error of a target,
+    it keeps one file fewer and the next level absorbs that file.
     """
-    M = grid.M
+    M = len(sol.x_star) - 1
     L = round(math.fsum(sol.x_star))
     xo = [0] * (M + 1)
     carry = 0.0
@@ -328,7 +318,7 @@ def round_to_feasible(sol: RelaxedSolution, grid: NetworkGrid, l_c: float) -> Pl
         val = sol.x_star[m] + carry * 4.0 ** m
         near = round(val)
         xm = near if abs(val - near) < 1e-9 else math.floor(val)
-        if cum + xm >= L and _load(xo[:m] + [L - cum]) > l_c + 1e-12:
+        if cum + xm >= L and _load(xo[:m] + [L - cum]) > l_c + BUDGET_SLACK:
             xm = L - cum - 1
         carry = sol.x_star[m] * 4.0 ** (-m) + carry - xm * 4.0 ** (-m)
         if cum + xm >= L:
@@ -367,7 +357,7 @@ def rebalance(x: PlacementVector, caps: LevelCapacities, pop: PopularityModel,
         top = _highest_occupied(trial)
         while top > m_low + 1 and trial[top] > 0:
             load_after = _load(trial) - 4.0 ** (-top) + 4.0 ** (-(m_low + 1))
-            if load_after > l_c + 1e-12:
+            if load_after > l_c + BUDGET_SLACK:
                 break
             trial[top] -= 1
             trial[m_low + 1] += 1
@@ -403,6 +393,23 @@ def _require_budget(l_c: float) -> None:
         raise InvalidParameterError(f"cache budget must be a number, got {l_c!r}")
 
 
+def _require_admissible(L: int, M: int, l_c: float) -> None:
+    """Refuse a NaN budget, or one below L 4^{-M}, the least that holds the library."""
+    _require_budget(l_c)
+    min_load = L * 4.0 ** (-M)
+    if l_c < min_load - BUDGET_SLACK:
+        raise InfeasibleProblemError(
+            f"cache budget {l_c} cannot hold the library: "
+            f"needs at least {min_load} per node")
+
+
+def _require_depth(grid: NetworkGrid, caps: LevelCapacities) -> None:
+    """Refuse a capacity table built for another depth than the grid's."""
+    if grid.M != caps.M:
+        raise InvariantViolationError(
+            f"grid has {grid.M} levels, capacities have {caps.M}")
+
+
 def _load(xs) -> float:
     """Per-node cache usage sum_m xs[m] 4^{-m} of (possibly fractional) occupancies."""
     return math.fsum(v * 4.0 ** (-m) for m, v in enumerate(xs))
@@ -422,19 +429,9 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
     return best
 
 
-def guarantee_factor(M: int, tau: float) -> float:
-    """Rounding guarantee 1 / (M (1 + 2^tau)): the fraction of the relaxed
-    optimum that the integer placement provably keeps; 0.0 once 2^tau
-    overflows."""
-    try:
-        return 1.0 / (M * (1.0 + 2.0 ** tau))
-    except OverflowError:
-        return 0.0
-
-
 def guarantee_floor(r_star: float, M: int, tau: float) -> float:
-    """Provable fraction of the relaxed optimum that rounding preserves;
-    0.0 once 2^tau overflows."""
+    """r_star / (M (1 + 2^tau)), the provable fraction of the relaxed optimum
+    that rounding preserves (r_star = 1 gives the factor); 0.0 once 2^tau overflows."""
     try:
         return r_star / (M * (1.0 + 2.0 ** tau))
     except OverflowError:
@@ -450,11 +447,13 @@ def optimize_placement(grid: NetworkGrid, caps: LevelCapacities,
     with less than one file left out of each node's cache, rounding can
     lose a whole file's tail and no integer placement reaches the floor.
     """
-    sol = solve_relaxed(grid, caps, pop, l_c)
-    rounded = round_to_feasible(sol, grid, l_c)
+    _require_depth(grid, caps)
+    sol = solve_relaxed(caps, pop, l_c)
+    rounded = round_to_feasible(sol, l_c)
     balanced = rebalance(rounded, caps, pop, l_c)
-    report = evaluate_throughput(balanced, caps, pop, l_c)
-    floor = guarantee_floor(sol.r_star, grid.M, pop.tau)
+    balanced.validate(pop.L, l_c)
+    report = evaluate_throughput(balanced, caps, pop)
+    floor = guarantee_floor(sol.r_star, caps.M, pop.tau)
     return PlacementOutcome(placement=balanced,
                             report=replace(report, guarantee_floor=floor),
                             relaxed=sol)

@@ -21,7 +21,6 @@ import numpy as np
 from d2d_cachescale import (
     DomainError,
     InvariantViolationError,
-    NetworkGrid,
     PlacementVector,
     evaluate_throughput,
 )
@@ -137,7 +136,7 @@ def relaxed_rate(x_real, caps, pop) -> float:
     return best
 
 
-def per_top_level_relaxations(grid, caps, pop, l_c):
+def per_top_level_relaxations(caps, pop, l_c):
     """For each admissible top level m_b: the relaxed rate and the rounded
     placement of the relaxation that charges level m its share cbar[m] / m_b.
 
@@ -147,17 +146,16 @@ def per_top_level_relaxations(grid, caps, pop, l_c):
     and evaluated on the real capacities, bounds it from below. Returns
     (relaxed rate, rounded rate) pairs.
     """
-    M, L = grid.M, pop.L
+    M, L = caps.M, pop.L
     out = []
     for m_b in range(1, M + 1):
         if L * 4.0 ** (-m_b) > l_c + 1e-12:
             continue  # even the top-heavy placement cannot fit
-        sub_grid = NetworkGrid(m_b, grid.kappa, grid.alpha)
         sub_caps = LevelCapacities(
-            M=m_b, cbar=(math.inf,) + tuple(caps.cbar[m] / m_b for m in range(1, m_b + 1)),
+            cbar=(math.inf,) + tuple(caps.cbar[m] / m_b for m in range(1, m_b + 1)),
             rates=caps.rates[:m_b + 1])
-        sol = solve_relaxed(sub_grid, sub_caps, pop, l_c)
-        rounded = round_to_feasible(sol, sub_grid, l_c).x + (0,) * (M - m_b)
+        sol = solve_relaxed(sub_caps, pop, l_c)
+        rounded = round_to_feasible(sol, l_c).x + (0,) * (M - m_b)
         out.append((sol.r_star, evaluate_throughput(PlacementVector(rounded), caps, pop).rate))
     return out
 

@@ -121,7 +121,7 @@ def test_criterion_3_optimality_residuals():
     worst = 0.0
     for (m_levels, kappa, alpha, L, tau, l_c), pop, (grid, _, caps) in zip(
             instances, pops, capss):
-        sol = solve_relaxed(grid, caps, pop, l_c)
+        sol = solve_relaxed(caps, pop, l_c)
         worst = max(worst, max(check_optimality(sol, caps, pop, l_c)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 1.0

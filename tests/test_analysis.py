@@ -125,7 +125,7 @@ class TestBoundFormulas:
             l_c = grid.n ** beta2
             res = throughput_bounds(grid, params, pop, l_c)
             assert res.upper_branch == "1<tau<gamma+1"
-            assert res.r_upper < solve_relaxed(grid, caps, pop, l_c).r_star
+            assert res.r_upper < solve_relaxed(caps, pop, l_c).r_star
             assert (res.r_upper < solve_exact(grid, caps, pop, l_c)[1]) is integer_too
 
     def test_upper_below_tau_one_blows_up_as_tau_nears_one(self):
@@ -140,7 +140,7 @@ class TestBoundFormulas:
         assert (at_one.upper_branch, below.upper_branch) == ("tau=1", "tau<1")
         assert at_one.r_upper == pytest.approx(3.054, rel=1e-3)
         assert below.r_upper == pytest.approx(2.967e5, rel=1e-3)
-        assert below.r_upper > 1e4 * solve_relaxed(grid, caps, pop, l_c).r_star
+        assert below.r_upper > 1e4 * solve_relaxed(caps, pop, l_c).r_star
 
     def test_sides_use_their_own_envelope(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)

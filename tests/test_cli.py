@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from d2d_cachescale import (
+    BracketError,
     InvalidParameterError,
+    InvariantViolationError,
     SizeGuardError,
     cli,
     hierarchy,
@@ -223,6 +225,42 @@ class TestOracle:
         rows = [r.split(",")[1:] for r in out.splitlines()[2:5]]  # algorithm1, exact, brute
         assert rows == [["inf", all_local]] * 3
 
+    def test_brute_floor_is_zero_once_the_factor_overflows(self, capsys):
+        """An unbounded brute-force rate times the guarantee factor that
+        overflowed to 0.0 prints the documented floor 0.0, not nan."""
+        code, out, err = run_cli(capsys, "oracle", "--M", "1", "--l", "1",
+                                 "--lc", "0.9999999999999998", "--tau", "1100")
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "brute_floor,0.0,"
+
+    def test_violation_exits_2(self, capsys, monkeypatch):
+        """An exact rate one ulp off the brute-force rate is reported on one
+        stderr line, after the table."""
+        solve = cli.solve_exact
+
+        def one_ulp_high(*args):
+            x, rate = solve(*args)
+            return x, math.nextafter(rate, math.inf)
+        monkeypatch.setattr(cli, "solve_exact", one_ulp_high)
+        code, out, err = run_cli(capsys, "oracle", "--M", "2", "--l", "8", "--lc", "1.0")
+        assert code == 2 and out.startswith("# d2d-cachescale v")
+        assert err.startswith("oracle violation: exact rate ") and err.count("\n") == 1
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("exc, line", [
+        (InvariantViolationError("planted"), "invariant violation: planted\n"),
+        (BracketError("planted"), "error: planted\n"),
+    ])
+    def test_exit_2_with_one_line(self, capsys, monkeypatch, exc, line):
+        """An invariant violation, and any other library error that is not a
+        bad argument, exits 2 with one stderr line and no output."""
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(cli, "optimize_placement", fail)
+        code, out, err = run_cli(capsys, "place", "--M", "2", "--l", "8", "--lc", "1.0")
+        assert (code, out, err) == (2, "", line)
+
 
 class TestSimulate:
     def test_csv_shape(self, capsys):
@@ -273,6 +311,13 @@ class TestInputChecks:
         (("place", "--l", "0"), None, "--l must be >= 1, got 0"),
         (("place", "--l", "-5"), None, "--l must be >= 1, got -5"),
         (("sweep",), "l=0", "--l must be >= 1, got 0"),
+        (("place",), "M 3", "CONF:1: expected key=value, got 'M 3'"),
+        (("sweep", "--range", "0:1"), None, "range must be lo:hi:step, got '0:1'"),
+        (("scaling", "--range", "a:1:1"), None, "range must be numeric lo:hi:step, got 'a:1:1'"),
+        (("sweep", "--range", "0:1:0"), None, "range needs step > 0 and hi >= lo, got '0:1:0'"),
+        (("sweep", "--range", "1:0:0.5"), None,
+         "range needs step > 0 and hi >= lo, got '1:0:0.5'"),
+        (("simulate", "--requests", "0"), None, "request count must be >= 1, got 0"),
     ])
     def test_non_finite_or_negative_seed_rejected(self, capsys, monkeypatch, tmp_path,
                                                   argv, conf, message):
@@ -283,6 +328,7 @@ class TestInputChecks:
             path = tmp_path / "bad.conf"
             path.write_text(conf + "\n")
             argv = (*argv, "--config", str(path))
+            message = message.replace("CONF", str(path))
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -493,6 +539,29 @@ class TestOptionTable:
         common = common[:common.index("\n\n")]
         for flag in [opt.flag for opt in _OPTIONS] + ["--config"]:
             assert re.search(f"`{re.escape(flag)}[` /]", common), flag
+
+    @pytest.mark.parametrize("argv, pick", [
+        (("place", "--M", "2", "--l", "2", "--lc", "1.999999999999"),
+         lambda doc: [doc["rate_bits_per_s_hz"], doc["rate_bits_per_s"]]),
+        (("oracle", "--M", "1", "--l", "1", "--lc", "0.9999999999999998"),
+         lambda doc: [row[1] for row in doc["rows"]]),
+        (("sweep", "--M", "2", "--l", "2", "--lc", "1.999999999999", "--axis", "tau",
+          "--range", "1:1:1"), lambda doc: doc["rows"][0][1:3]),
+    ])
+    def test_json_writes_an_unbounded_rate_as_null(self, capsys, argv, pick):
+        """Strict JSON has no Infinity: each rate CSV prints as inf is null."""
+        def no_constants(name):
+            raise AssertionError(f"{name} in JSON output")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        values = pick(json.loads(out, parse_constant=no_constants))
+        assert values and all(v is None for v in values)
+        assert run_cli(capsys, *argv)[1].count(",inf") == len(values)
+
+    def test_json_value_nulls_non_finite_floats_at_any_depth(self):
+        doc = {"a": [1.0, math.inf, (math.nan, -math.inf, 2)], "b": {"c": math.inf}, "d": "x"}
+        assert cli._json_value(doc) == {"a": [1.0, None, [None, None, 2]],
+                                        "b": {"c": None}, "d": "x"}
 
     def test_json_and_csv_carry_the_same_rows(self, capsys):
         argv = ("sweep", "--M", "3", "--axis", "tau", "--range", "0:1:0.5")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from d2d_cachescale import (
+    InvariantViolationError,
     PlacementVector,
     SimConfig,
     SizeGuardError,
@@ -189,6 +190,14 @@ class TestSimulate:
         grid, _, _ = caps_for(2, 0.0, 4.0)
         with pytest.raises(SizeGuardError):
             SimConfig(grid, PlacementVector((4, 0, 0)), zipf_pmf(4, 1.0), MAX_REQUESTS + 1, seed=1)
+
+    @pytest.mark.parametrize("x", [(3, 0, 0), (4, 0), (4, 0, 0, 0)])
+    def test_placement_of_another_shape_is_refused(self, x):
+        """A placement must hold the library's L files on the grid's M + 1 levels."""
+        grid, _, _ = caps_for(2, 0.0, 4.0)
+        with pytest.raises(InvariantViolationError,
+                           match="the instance has 4 files on levels 0..2"):
+            SimConfig(grid, PlacementVector(x), zipf_pmf(4, 1.0), 10, seed=1)
 
 
 class TestCapacityCheck:

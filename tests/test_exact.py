@@ -246,6 +246,29 @@ class TestSolveExactVsBruteForce:
         with pytest.raises(SizeGuardError):
             brute_force(grid, caps, pop, 100.0)
 
+    def test_budget_below_the_minimum(self):
+        """Below L 4^-M no placement fits: exact refuses the budget up
+        front, brute force after finding no placement within it."""
+        grid, _, caps = caps_for(2, 0.0, 4.0)
+        pop = zipf_pmf(8, 1.0)
+        with pytest.raises(InfeasibleProblemError, match="needs at least 0.5 per node"):
+            solve_exact(grid, caps, pop, 0.49)
+        with pytest.raises(InfeasibleProblemError, match="no placement fits the cache budget"):
+            brute_force(grid, caps, pop, 0.49)
+
+
+@pytest.mark.parametrize("solver", [optimize_placement, solve_exact, brute_force])
+@pytest.mark.parametrize("grid_m, caps_m", [(5, 4), (4, 5)])
+def test_capacities_of_another_depth_are_refused(solver, grid_m, caps_m):
+    """The solvers read M from the capacity table and refuse a grid of
+    another depth: exact once raised IndexError on (5, 4) and returned a
+    6-entry placement for a 4-level grid on (4, 5)."""
+    grid, _, _ = caps_for(grid_m, 0.0, 4.0)
+    _, _, caps = caps_for(caps_m, 0.0, 4.0)
+    with pytest.raises(InvariantViolationError,
+                       match=f"grid has {grid_m} levels, capacities have {caps_m}"):
+        solver(grid, caps, zipf_pmf(3, 1.0), 1.0)
+
 
 class TestBracketedSolver:
     @pytest.mark.parametrize("tau", [355.0, 358.0])

@@ -6,7 +6,6 @@ import pytest
 
 from d2d_cachescale import InvalidParameterError, NetworkGrid, PhyParams
 from d2d_cachescale.phy import (
-    PhyMode,
     cluster_rate,
     exact_log4,
     interference_power,
@@ -145,8 +144,9 @@ class TestClusterRate:
         p = PhyParams(4.0)
         for m in range(1, 7):
             cr = cluster_rate(4 ** m, grid, p)
-            assert cr.mode is PhyMode.MULTIHOP
-            assert cr.rate == pytest.approx(rate_multihop(4 ** m, p, cr.interference), rel=1e-15)
+            assert cr.stages is None
+            assert cr.rate == pytest.approx(
+                rate_multihop(4 ** m, p, grid.interference_multihop), rel=1e-15)
 
     def test_mode_is_argmax_and_dominates_multihop(self):
         for kappa in (0.0, 1.0):
@@ -157,11 +157,10 @@ class TestClusterRate:
                 cr = cluster_rate(4 ** m, grid, p)
                 r_m = rate_multihop(4 ** m, p, p_i_m)
                 assert cr.rate >= r_m - 1e-18
-                if cr.mode is PhyMode.MULTIHOP:
+                if cr.stages is None:
                     assert cr.rate == pytest.approx(r_m, rel=1e-15)
-                    assert cr.stages is None
                 else:
-                    assert cr.stages is not None and cr.rate > r_m
+                    assert cr.rate > r_m
 
     def test_extended_alpha35_multihop_wins_at_depth(self):
         """kappa=1, alpha=3.5: the area penalty beats the cooperative gain
@@ -169,7 +168,7 @@ class TestClusterRate:
         grid = NetworkGrid(12, 1.0, 3.5)
         p = PhyParams(3.5)
         for m in range(1, 13):
-            assert cluster_rate(4 ** m, grid, p).mode is PhyMode.MULTIHOP
+            assert cluster_rate(4 ** m, grid, p).stages is None
 
     def test_rates_positive_and_decreasing(self):
         grid = NetworkGrid(8, 0.0, 4.0)

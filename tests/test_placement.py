@@ -24,7 +24,6 @@ from d2d_cachescale import (
 from d2d_cachescale.exact import feasible_for_rate
 from d2d_cachescale.placement import (
     RelaxedSolution,
-    guarantee_factor,
     guarantee_floor,
     rebalance,
     relaxed_cache_load,
@@ -139,11 +138,11 @@ def reference_solve_rate(m_star, caps, pop, l_c):
     return hi
 
 
-def reference_solve_relaxed(grid, caps, pop, l_c):
+def reference_solve_relaxed(caps, pop, l_c):
     """solve_relaxed with the nested m* search and its exits (the whole
     library at the top level for m* = M, and the rate cbar[m*+1] when the
     load there already meets the budget) and the full-search rate solve."""
-    M, L = grid.M, pop.L
+    M, L = caps.M, pop.L
     if l_c < L * 4.0 ** (-M) - 1e-12:
         raise InfeasibleProblemError("budget below L / n")
     if l_c >= L:
@@ -158,18 +157,18 @@ def reference_solve_relaxed(grid, caps, pop, l_c):
                            r_star, m_star)
 
 
-def _relaxed_outcome(solver, grid, caps, pop, l_c):
+def _relaxed_outcome(solver, caps, pop, l_c):
     try:
-        sol = solver(grid, caps, pop, l_c)
+        sol = solver(caps, pop, l_c)
     except (InfeasibleProblemError, InvalidParameterError) as exc:
         return type(exc)
     return tuple(v.hex() for v in sol.x_star), sol.r_star.hex(), sol.m_star
 
 
-def assert_relaxed_matches_reference(grid, caps, pop, l_c):
+def assert_relaxed_matches_reference(caps, pop, l_c):
     """solve_relaxed returns the reference's x*, r* and m* bits, or raises the same type."""
-    assert (_relaxed_outcome(solve_relaxed, grid, caps, pop, l_c)
-            == _relaxed_outcome(reference_solve_relaxed, grid, caps, pop, l_c))
+    assert (_relaxed_outcome(solve_relaxed, caps, pop, l_c)
+            == _relaxed_outcome(reference_solve_relaxed, caps, pop, l_c))
 
 
 class TestEvaluateThroughput:
@@ -192,7 +191,7 @@ class TestEvaluateThroughput:
         grid, _, caps = caps_for(2, 0.0, 4.0)
         pop = zipf_pmf(5, 1.0)
         rep = evaluate_throughput(PlacementVector((5, 0, 0)), caps, pop)
-        assert rep.unbounded and rep.rate == math.inf
+        assert rep.m_b == 0 and rep.rate == math.inf
         assert rep.binding_level is None
 
     def test_slack_zero_at_binding_level(self):
@@ -208,7 +207,7 @@ class TestEvaluateThroughput:
         with pytest.raises(InvariantViolationError):
             evaluate_throughput(PlacementVector((1, 1, 1)), caps, pop)
         with pytest.raises(InvariantViolationError):
-            evaluate_throughput(PlacementVector((5, 0, 0)), caps, pop, l_c=4.0)
+            PlacementVector((5, 0, 0)).validate(5, 4.0)
 
 
 class TestRelaxedCacheLoad:
@@ -318,7 +317,7 @@ class TestSolveRelaxed:
         grid, _, caps = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(64, 1.0)
         l_c = 64 * 4.0 ** -3
-        sol = solve_relaxed(grid, caps, pop, l_c)
+        sol = solve_relaxed(caps, pop, l_c)
         assert sol.m_star == 3
         assert sol.x_star[3] == 64.0
         assert sol.r_star == caps.cbar[3]
@@ -327,7 +326,7 @@ class TestSolveRelaxed:
     def test_generous_budget_reaches_level_zero(self):
         grid, _, caps = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(64, 1.0)
-        sol = solve_relaxed(grid, caps, pop, 0.999 * 64)
+        sol = solve_relaxed(caps, pop, 0.999 * 64)
         assert sol.m_star == 0
 
     def test_frozen_mid_case(self):
@@ -337,7 +336,7 @@ class TestSolveRelaxed:
         """
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(64, 1.0)
-        sol = solve_relaxed(grid, caps, pop, 4.0)
+        sol = solve_relaxed(caps, pop, 4.0)
         assert sol.m_star == 0
         assert sol.r_star == pytest.approx(0.28973138008485666, rel=1e-9)
         expected_x = [0.7990661102756256, 7.683526166926362, 15.078844385071442,
@@ -348,7 +347,7 @@ class TestSolveRelaxed:
         grid, _, caps = caps_for(2, 0.0, 4.0)
         pop = zipf_pmf(32, 1.0)
         with pytest.raises(InfeasibleProblemError):
-            solve_relaxed(grid, caps, pop, 32 / 16.0 - 1e-6)
+            solve_relaxed(caps, pop, 32 / 16.0 - 1e-6)
 
     def test_matches_nested_search_at_level_boundaries(self):
         """Budgets at each level's two bracket-end loads and their float
@@ -363,7 +362,7 @@ class TestSolveRelaxed:
                     probe = relaxed_cache_load(m, r, caps, pop)
                     for l_c in (math.nextafter(probe, 0.0), probe,
                                 math.nextafter(probe, math.inf)):
-                        assert_relaxed_matches_reference(grid, caps, pop, l_c)
+                        assert_relaxed_matches_reference(caps, pop, l_c)
 
     def test_lowest_level_search_probes_at_most_log2_levels(self, monkeypatch):
         """The m* search makes at most ceil(log2(M + 1)) load probes; the
@@ -388,14 +387,14 @@ class TestSolveRelaxed:
         for _ in range(100):
             grid, caps, pop, l_c = random_instance(rng, m_max=12, l_max=2000)
             counts["probes"] = 0
-            solve_relaxed(grid, caps, pop, l_c)
+            solve_relaxed(caps, pop, l_c)
             assert counts["probes"] <= math.ceil(math.log2(grid.M + 1))
 
     def test_optimality_residuals_random(self):
         rng = random.Random(2024)
         for _ in range(50):
             grid, caps, pop, l_c = random_instance(rng)
-            sol = solve_relaxed(grid, caps, pop, l_c)
+            sol = solve_relaxed(caps, pop, l_c)
             assert max(check_optimality(sol, caps, pop, l_c)) <= 1e-8
 
     def test_relaxed_optimum_upper_bounds_feasible_points(self):
@@ -403,7 +402,7 @@ class TestSolveRelaxed:
         rng = random.Random(606)
         for _ in range(100):
             grid, caps, pop, l_c = random_instance(rng, m_max=5, l_max=2000)
-            sol = solve_relaxed(grid, caps, pop, l_c)
+            sol = solve_relaxed(caps, pop, l_c)
             L = pop.L
             for _ in range(10):
                 raw = [rng.random() for _ in range(grid.M + 1)]
@@ -419,7 +418,7 @@ class TestSolveRelaxed:
         total) must violate at least one optimality condition."""
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(64, 1.0)
-        sol = solve_relaxed(grid, caps, pop, 4.0)
+        sol = solve_relaxed(caps, pop, 4.0)
         for m in range(5):
             if sol.x_star[m] <= 0:
                 continue
@@ -435,24 +434,22 @@ class TestRoundToFeasible:
     def test_integer_input_passthrough(self):
         grid, _, caps = caps_for(2, 0.0, 4.0)
         sol = RelaxedSolution((3.0, 5.0, 8.0), 1.0, 0)
-        assert round_to_feasible(sol, grid, 4.75).x == (3, 5, 8)
+        assert round_to_feasible(sol, 4.75).x == (3, 5, 8)
 
     def test_hand_traced_carry(self):
         """x* = [0.5, 1.5]: floor(0.5) = 0 releases half a file of cache, the
         next level floors 1.5 + 0.5*4 = 3.5 to 3, and the running total
         clamps it to L = 2."""
-        from d2d_cachescale import NetworkGrid
-        grid = NetworkGrid(1, 0.0, 4.0)
         sol = RelaxedSolution((0.5, 1.5), 1.0, 0)
-        assert round_to_feasible(sol, grid, 0.875).x == (0, 2)
+        assert round_to_feasible(sol, 0.875).x == (0, 2)
 
     def test_cache_never_increases_and_suffix_bound(self):
         """Rounded suffix sums stay below the fractional suffix sums plus one."""
         rng = random.Random(99)
         for _ in range(200):
             grid, caps, pop, l_c = random_instance(rng, l_max=5000)
-            sol = solve_relaxed(grid, caps, pop, l_c)
-            xo = round_to_feasible(sol, grid, l_c)
+            sol = solve_relaxed(caps, pop, l_c)
+            xo = round_to_feasible(sol, l_c)
             assert xo.L == pop.L
             frac_load = math.fsum(v * 4.0 ** (-m) for m, v in enumerate(sol.x_star))
             assert xo.cache_load() <= frac_load + 1e-9
@@ -483,7 +480,7 @@ class TestRebalance:
         grid, _, caps = caps_for(9, 0.0, alpha)
         pop = zipf_pmf(math.floor(grid.n ** 0.5), 0.5)
         l_c = grid.n ** 0.4
-        x = round_to_feasible(solve_relaxed(grid, caps, pop, l_c), grid, l_c)
+        x = round_to_feasible(solve_relaxed(caps, pop, l_c), l_c)
         assert (x.x, evaluate_throughput(x, caps, pop).rate) == (rounded, rounded_rate)
         out = optimize_placement(grid, caps, pop, l_c)
         assert (out.placement.x, out.report.rate) == (balanced, balanced_rate)
@@ -512,16 +509,17 @@ class TestGuaranteeFactor:
     def test_bounds_and_floor_share_one_factor(self, m_levels, tau):
         grid, params, _ = caps_for(m_levels, 0.0, 4.0)
         pop = zipf_pmf(1000, tau)
-        factor = guarantee_factor(m_levels, tau)
+        factor = guarantee_floor(1.0, m_levels, tau)
+        assert factor == 1.0 / (m_levels * (1.0 + 2.0 ** tau))
         bounds = throughput_bounds(grid, params, pop, 2.0)
         assert bounds.guarantee_factor == factor
         assert guarantee_floor(0.37, m_levels, tau) == pytest.approx(0.37 * factor, rel=1e-15)
 
 
     def test_zero_once_two_to_the_tau_overflows(self):
-        assert guarantee_factor(1, 1000.0) > 0.0
+        assert guarantee_floor(1.0, 1, 1000.0) > 0.0
         assert guarantee_floor(0.5, 1, 1000.0) > 0.0
-        assert guarantee_factor(3, 1024.0) == 0.0
+        assert guarantee_floor(1.0, 3, 1024.0) == 0.0
         assert guarantee_floor(0.5, 3, 1200.0) == 0.0
 
 

@@ -236,7 +236,7 @@ def test_exact_lies_between_the_per_top_level_relaxations(m_levels, L, tau, alph
     if L <= l_c + 1e-12:
         assert rate == math.inf
         return
-    pairs = per_top_level_relaxations(grid, caps, pop, l_c)
+    pairs = per_top_level_relaxations(caps, pop, l_c)
     assert rate <= max(bound for bound, _ in pairs) * (1.0 + 1e-12)
     for _, rounded in pairs:
         assert rounded <= rate * (1.0 + 1e-12)
@@ -360,7 +360,7 @@ def test_lowest_level_bisection_matches_nested_search(data, m_levels, L, tau, al
     steps = data.draw(st.integers(min_value=-2, max_value=2))
     for _ in range(abs(steps)):
         l_c = math.nextafter(l_c, math.inf if steps > 0 else 0.0)
-    assert_relaxed_matches_reference(grid, caps, pop, l_c)
+    assert_relaxed_matches_reference(caps, pop, l_c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +377,7 @@ def test_bracketed_rate_bisection_matches_full_search(m_levels, L, tau, alpha, k
     m* = 0 through the doubling loop for its infinite top rate."""
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     lo = L * 4.0 ** (-m_levels)
-    assert_relaxed_matches_reference(grid, caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
+    assert_relaxed_matches_reference(caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
 
 
 @settings(max_examples=200, deadline=None)
