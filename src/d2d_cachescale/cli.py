@@ -7,12 +7,13 @@ brute-force solvers on a small instance), simulate (flow-level delivery
 simulation). Output is versioned CSV (default) or JSON; every command is
 deterministic given its flags and seed.
 
-A flag is one row of `_OPTIONS` and a subcommand one row of `_COMMANDS`;
-every command accepts every flag and receives the one resolved
-`ExperimentConfig`. Precedence: CLI flags override config-file keys
-override the command's defaults override the option defaults. The config
-file is flat ``key=value`` text; a key is a flag name without its dashes
-or the option's dest.
+A flag is one row of `_OPTIONS`, which also makes it a field of
+`ExperimentConfig`, and a subcommand one row of `_COMMANDS`; every
+command accepts every flag, receives the one resolved `ExperimentConfig`
+and lays out its own output. Precedence: CLI flags override config-file
+keys override the command's defaults override the option defaults. The
+config file is flat ``key=value`` text; a key is a flag name without its
+dashes or the option's dest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import SCHEMA_VERSION
@@ -32,7 +33,7 @@ from .analysis import (
     lower_bound,
     throughput_bounds,
 )
-from .delivery import SimConfig, check_request_count, report_csv_rows, simulate
+from .delivery import SimConfig, check_request_count, simulate
 from .errors import (
     CacheScaleError,
     DomainError,
@@ -44,7 +45,7 @@ from .errors import (
 from .exact import brute_force, solve_exact
 from .hierarchy import NetworkGrid, capacity_envelope, edge_capacities
 from .phy import PhyParams, exact_log4
-from .placement import BUDGET_SLACK, guarantee_floor, optimize_placement, placement_document
+from .placement import BUDGET_SLACK, guarantee_floor, optimize_placement
 from .popularity import zipf_pmf
 
 _EXIT_OK = 0
@@ -53,28 +54,8 @@ _EXIT_INVARIANT = 2
 _EXIT_BAD_ARGS = 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Every resolved option under its `_OPTIONS` dest; `--n` arrives as m_levels."""
-
-    m_levels: int
-    kappa: float
-    alpha: float
-    beta1: float
-    beta2: float
-    a1: float
-    a2: float
-    tau: float
-    l: int | None  # explicit library size, else a1 n^beta1
-    lc: float | None  # explicit cache budget, else a2 n^beta2
-    bandwidth_hz: float
-    seed: int
-    rc_fraction: float
-    axis: str
-    range_spec: str | None
-    fmt: str
-    out: str | None
-    requests: int
+class _ConfigMethods:
+    """What ExperimentConfig derives from its fields and builds from them."""
 
     @property
     def n(self) -> int:
@@ -176,6 +157,14 @@ _OPTIONS = (
 
 _CONFIG_KEYS = {key: opt for opt in _OPTIONS
                 for key in (opt.dest, opt.flag.lstrip("-").replace("-", "_"))}
+
+# Every resolved option under its dest, in `_OPTIONS` order, but --n, which
+# resolves to m_levels; an option whose default is None may stay None.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(opt.dest, opt.type if opt.default is not None else opt.type | None)
+     for opt in _OPTIONS if opt.dest != "n"],
+    bases=(_ConfigMethods,), frozen=True, namespace={"__module__": __name__})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -342,9 +331,10 @@ def cmd_place(cfg: ExperimentConfig) -> int:
     grid, params, _, pop, l_c, outcome = _solve(cfg)
     bounds = throughput_bounds(grid, params, pop, l_c)
     bw = cfg.bandwidth_hz
-    rep = outcome.report
-    doc = placement_document(outcome.placement, l_c, rep.rate)
-    doc.update({
+    x, rep = outcome.placement, outcome.report
+    doc = {
+        "M": x.M, "L": x.L, "L_C": l_c, "x": list(x.x),
+        "rate_bits_per_s_hz": rep.rate,
         "rate_bits_per_s": _scaled(rep.rate, bw),
         "bandwidth_hz": bw,
         "binding_level": rep.binding_level,
@@ -353,7 +343,7 @@ def cmd_place(cfg: ExperimentConfig) -> int:
         "guarantee_floor_bits_per_s_hz": rep.guarantee_floor,
         "lower_bound_floor_bits_per_s_hz": bounds.floor,
         "upper_bound_bits_per_s_hz": bounds.r_upper,
-    })
+    }
     rows = [(k, ";".join(map(str, doc["x"])) if k == "x" else doc[k]) for k in doc]
     _emit(cfg, ["key", "value"], rows, doc)
     return _EXIT_OK
@@ -471,10 +461,11 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     grid, _, _, pop, _, outcome = _solve(cfg, lambda: check_request_count(cfg.requests))
     report = simulate(SimConfig(grid, outcome.placement, pop, cfg.requests, cfg.seed))
-    rows = report_csv_rows(report)
+    rows = [(m, emp, ana, (emp - ana) / ana if ana > 0 else 0.0)
+            for m, emp, ana in zip(report.levels, report.empirical_load, report.analytic_load)]
     header = ["level", "empirical_load", "analytic_load", "relative_error"]
     _emit(cfg, header, rows, {"columns": header, "rows": rows,
-                              "local_hit_fraction": report.local_hit_fraction})
+                              "local_hit_fraction": report.level_fraction[0]})
     return _EXIT_OK
 
 

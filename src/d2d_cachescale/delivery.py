@@ -17,6 +17,7 @@ placement.evaluate_throughput.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,16 @@ from .popularity import PopularityModel
 MAX_REQUESTS = 10 ** 7
 
 
+def _require_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_request_count(num_requests: int) -> None:
     """Reject a request count simulate cannot run, before anything is allocated."""
+    _require_integer("request count", num_requests)
     if num_requests < 1:
         raise InvalidParameterError(f"request count must be >= 1, got {num_requests!r}")
     if num_requests > MAX_REQUESTS:
@@ -53,6 +62,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_request_count(self.num_requests)
+        _require_integer("seed", self.seed)
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed!r}")
         self.placement.check_shape(self.pop.L, self.grid.M)
 
 
@@ -72,7 +84,6 @@ class EdgeLoadReport:
     analytic_load: tuple[float, ...]
     tail_mass: tuple[float, ...]
     level_fraction: tuple[float, ...]
-    local_hit_fraction: float
     m_b: int
     num_requests: int
     total_edge_crossings: int
@@ -118,19 +129,8 @@ def simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
         analytic_load=analytic,
         tail_mass=tails,
         level_fraction=tuple(float(counts[m]) / cfg.num_requests for m in range(M + 1)),
-        local_hit_fraction=float(counts[0]) / cfg.num_requests,
         m_b=x.m_b,
         num_requests=cfg.num_requests,
         total_edge_crossings=int(np.sum(lv)),
         per_edge_counts=per_edge,
     )
-
-
-def report_csv_rows(report: EdgeLoadReport) -> list[tuple[int, float, float, float]]:
-    """(level, empirical_load, analytic_load, relative_error) rows for CSV output."""
-    rows = []
-    for i, m in enumerate(report.levels):
-        emp, ana = report.empirical_load[i], report.analytic_load[i]
-        rel = (emp - ana) / ana if ana > 0 else 0.0
-        rows.append((m, emp, ana, rel))
-    return rows

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import combinations
 
 from .errors import InfeasibleProblemError, InvalidParameterError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
@@ -158,9 +159,5 @@ def brute_force(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
 
 def _compositions(total: int, parts: int):
     """All tuples of `parts` non-negative integers summing to `total`, in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))

@@ -20,6 +20,7 @@ ends on the same bits.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -42,13 +43,21 @@ BUDGET_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class PlacementVector:
-    """Integer placement: x[m] files are cached at level m, m = 0..M."""
+    """Integer placement: x[m] files are cached at level m, m = 0..M.
+
+    The counts are stored as Python ints; any integer type is accepted.
+    """
 
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.x:
             raise InvalidParameterError("placement vector cannot be empty")
+        try:
+            object.__setattr__(self, "x", tuple(map(operator.index, self.x)))
+        except TypeError:
+            raise InvalidParameterError(
+                f"file counts must be integers, got {self.x!r}") from None
         if any(v < 0 for v in self.x):
             raise InvariantViolationError(f"negative file counts in {self.x!r}")
 
@@ -457,9 +466,3 @@ def optimize_placement(grid: NetworkGrid, caps: LevelCapacities,
     return PlacementOutcome(placement=balanced,
                             report=replace(report, guarantee_floor=floor),
                             relaxed=sol)
-
-
-def placement_document(x: PlacementVector, l_c: float, rate: float) -> dict:
-    """JSON-ready description of a solved placement."""
-    return {"M": x.M, "L": x.L, "L_C": l_c, "x": list(x.x),
-            "rate_bits_per_s_hz": rate}

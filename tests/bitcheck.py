@@ -3,16 +3,19 @@
     python tests/bitcheck.py                # print one line per corpus entry
     python tests/bitcheck.py --base REV     # compare REV with the working tree
 
-The corpus has two families. `cli`: argvs of all five commands in CSV and
-JSON, bad arguments, budgets within 1e-13 of L / n and of L, and L at the
-popularity model's block and chunk edges; an entry is the exit code,
-stdout, stderr and the --out file. `solver`: library calls made only
-through optimize_placement, solve_exact and brute_force, with the
-(grid, caps, pop, l_c) signature they share; an entry is the placement,
-the rate's hex and the guarantee floor's, the relaxed solve that
-optimize_placement returns (m*, r*.hex() and the x* hexes), or the
-refusal's exception type and message. Each output line is the family,
-the input and a SHA-256 of the entry.
+The corpus has three families. `cli`: argvs of all five commands in CSV
+and JSON, `--help` of the program and of each command, bad arguments,
+budgets within 1e-13 of L / n and of L, and L at the popularity model's
+block and chunk edges; an entry is the exit code, stdout, stderr and the
+--out file. `solver`: library calls made only through optimize_placement,
+solve_exact and brute_force, with the (grid, caps, pop, l_c) signature
+they share; an entry is the placement, the rate's hex and the guarantee
+floor's, the relaxed solve that optimize_placement returns (m*,
+r*.hex() and the x* hexes), or the refusal's exception type and message.
+`model`: Zipf models with L at the block and chunk edges; an entry is
+every p(k).hex() and suffix(k).hex(), k = 0..L, read only through those
+two accessors. Each output line is the family, the input and a SHA-256
+of the entry.
 
 --base extracts REV's `src/` with `git archive` into a temporary directory
 and runs the corpus there and on this checkout's `src/` in two fresh
@@ -54,6 +57,13 @@ CONFIG_FILES = {
 # Brute force runs only where it enumerates at most this many placements.
 BRUTE_MAX = 3000
 
+# The model family's libraries: one rank either side of the popularity
+# model's block (4096 ranks) and chunk (32768 ranks) edges.
+MODEL_RANKS = (4095, 4096, 4097, 32767, 32768, 32769, 65535, 65536, 65537)
+MODEL_TAUS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+FAMILIES = ("cli", "solver", "model")
+
 
 def _budgets(rng: random.Random, L: int, M: int) -> list[float]:
     """Budgets at L / n and L and 1e-13, 1e-12 and 1e-9 inside each end, one
@@ -73,6 +83,7 @@ def cli_argvs() -> list[list[str]]:
     rng = random.Random(20261019)
     fmt = ["--format", "json"]
     fixed = [
+        ["--help"], *([c, "--help"] for c in ("place", "sweep", "scaling", "oracle", "simulate")),
         ["place"], ["place", *fmt], ["sweep"], ["sweep", *fmt], ["scaling"], ["scaling", *fmt],
         ["oracle", "--M", "2", "--l", "8", "--lc", "1.0"], ["simulate"], ["simulate", *fmt],
         ["place", "--M", "9", "--bandwidth-hz", "2e8", *fmt],
@@ -225,6 +236,15 @@ def run_cli_family(pkg):
         yield " ".join(argv), (code, out.getvalue(), err.getvalue(), files)
 
 
+def run_model_family(pkg):
+    """Yield (key, entry) for every model: its p(k) and suffix(k) hexes, k = 0..L."""
+    for L in MODEL_RANKS:
+        for tau in MODEL_TAUS:
+            pop = pkg.popularity.zipf_pmf(L, tau)
+            yield f"L={L} tau={tau}", [(pop.p(k).hex(), pop.suffix(k).hex())
+                                       for k in range(L + 1)]
+
+
 def run_solver_family(pkg):
     """Yield (key, entry) for each solver call of every solver case."""
     tables, models = {}, {}
@@ -275,6 +295,7 @@ def emit(src: Path) -> None:
         finally:
             os.chdir(cwd)
     lines += [("solver", k, _digest(v)) for k, v in run_solver_family(pkg)]
+    lines += [("model", k, _digest(v)) for k, v in run_model_family(pkg)]
     sys.stdout.write("".join(f"{f}\t{k}\t{d}\n" for f, k, d in lines))
 
 
@@ -315,16 +336,16 @@ def compare(rev: str) -> int:
     base, head = (_parse(results[side][0]) for side in ("base", "head"))
     keys = sorted(base.keys() | head.keys())
     differ = [k for k in keys if base.get(k) != head.get(k)]
-    for family in ("cli", "solver"):
+    for family in FAMILIES:
         rows = [key for fam, key in differ if fam == family]
         if rows:
             print(f"{family}: {len(rows)} differ")
             for key in rows:
                 one_side = (family, key) not in base or (family, key) not in head
                 print(f"  {key}{' (one side only)' if one_side else ''}")
-    counts = {f: sum(1 for fam, _ in keys if fam == f) for f in ("cli", "solver")}
+    counts = {f: sum(1 for fam, _ in keys if fam == f) for f in FAMILIES}
     print(f"bitcheck: {sha[:7]} vs working tree: {counts['cli']} cli argvs, "
-          f"{counts['solver']} solver calls; {len(differ)} differ")
+          f"{counts['solver']} solver calls, {counts['model']} models; {len(differ)} differ")
     return 1 if differ else 0
 
 

@@ -3,8 +3,9 @@ tail mass f(x) that tail_inverse inverts, the residuals of the relaxation's
 optimality system, the threshold form of a placement, the relaxed rate of
 a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
-replaced, and the multihop baseline's scaling law that the achievable law
-at alpha = 3 replaced.
+replaced, the multihop baseline's scaling law that the achievable law
+at alpha = 3 replaced, and the recursive enumeration of compositions that
+brute force's stars and bars replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
@@ -210,3 +211,13 @@ def baseline_exponent(beta1, beta2, a1, a2, tau) -> ScalingExponent:
     if tau <= 1.5:
         return ScalingExponent("II", "1<tau<=3/2", beta1 * (tau - 1.5) + beta2 / 2.0, 0.0)
     return ScalingExponent("II", "tau>3/2", beta2 * (tau - 1.0), 0.0)
+
+
+def recursive_compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to `total`, in lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest

@@ -6,6 +6,7 @@ import pytest
 
 from d2d_cachescale import (
     DomainError,
+    InfeasibleProblemError,
     NetworkGrid,
     PhyParams,
     solve_exact,
@@ -141,6 +142,16 @@ class TestBoundFormulas:
         assert at_one.r_upper == pytest.approx(3.054, rel=1e-3)
         assert below.r_upper == pytest.approx(2.967e5, rel=1e-3)
         assert below.r_upper > 1e4 * solve_relaxed(caps, pop, l_c).r_star
+
+    @pytest.mark.parametrize("l_c", [-1.0, 0.49])
+    def test_budget_below_the_minimum_is_refused(self, l_c):
+        """Below L 4^-M = 0.5 no placement holds the library; at -1.0 the
+        upper bound was once complex, (0.70+0.62j)."""
+        grid, params, _ = caps_for(2, 0.0, 4.0)
+        pop = zipf_pmf(8, 1.0)
+        assert math.isfinite(throughput_bounds(grid, params, pop, 0.5).r_lower)
+        with pytest.raises(InfeasibleProblemError, match="needs at least 0.5 per node"):
+            throughput_bounds(grid, params, pop, l_c)
 
     def test_sides_use_their_own_envelope(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)

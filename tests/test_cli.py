@@ -281,6 +281,21 @@ class TestSimulate:
         assert code == 0
         assert out == (Path(__file__).parent / "data" / golden).read_text()
 
+    def test_relative_error_column(self, capsys):
+        """relative_error is (emp - ana) / ana, and 0 on a level whose analytic
+        load is 0: level 2 of the first instance, every level of the second."""
+        loads = []
+        for argv in (("--l", "3", "--lc", "2.5"), ("--l", "2", "--lc", "1.999999999999")):
+            code, out, _ = run_cli(capsys, "simulate", "--M", "2", *argv,
+                                   "--requests", "2000", "--seed", "8")
+            assert code == 0
+            rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[2:]]
+            assert [r[0] for r in rows] == [1, 2]
+            for _, emp, ana, rel in rows:
+                assert rel == ((emp - ana) / ana if ana > 0 else 0.0)
+                loads.append(ana)
+        assert 0.0 in loads and max(loads) > 0.0
+
     def test_request_count_above_guard(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("simulate ran past the request guard")

@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from d2d_cachescale import (
+    InvalidParameterError,
     InvariantViolationError,
     PlacementVector,
     SimConfig,
@@ -17,7 +19,7 @@ from d2d_cachescale import (
     zipf_pmf,
 )
 from d2d_cachescale import delivery
-from d2d_cachescale.delivery import MAX_REQUESTS, report_csv_rows
+from d2d_cachescale.delivery import MAX_REQUESTS
 from conftest import caps_for
 from reference import dense_zipf
 
@@ -62,7 +64,7 @@ class TestSimulate:
         grid, _, _ = caps_for(2, 0.0, 4.0)
         pop = zipf_pmf(4, 1.0)
         rep = simulate(SimConfig(grid, PlacementVector((4, 0, 0)), pop, 5000, seed=1))
-        assert rep.local_hit_fraction == 1.0
+        assert rep.level_fraction[0] == 1.0
         assert all(v == 0.0 for v in rep.empirical_load)
         assert rep.total_edge_crossings == 0
 
@@ -97,7 +99,6 @@ class TestSimulate:
                     for i, m in enumerate(rep.levels))
         assert total == pytest.approx(rep.total_edge_crossings, abs=1e-6)
         assert math.fsum(rep.level_fraction) == pytest.approx(1.0, abs=1e-12)
-        assert rep.level_fraction[0] == rep.local_hit_fraction
 
     def test_seed_determinism(self):
         grid, _, _ = caps_for(2, 0.0, 4.0)
@@ -191,6 +192,17 @@ class TestSimulate:
         with pytest.raises(SizeGuardError):
             SimConfig(grid, PlacementVector((4, 0, 0)), zipf_pmf(4, 1.0), MAX_REQUESTS + 1, seed=1)
 
+    @pytest.mark.parametrize("requests, seed, message", [
+        (10, -1, "seed must be >= 0, got -1"),
+        (10, 1.5, "seed must be an integer, got 1.5"),
+        (100.5, 1, "request count must be an integer, got 100.5"),
+    ])
+    def test_malformed_seed_or_request_count_is_refused(self, requests, seed, message):
+        """Each was once accepted, and simulate then failed inside numpy."""
+        grid, _, _ = caps_for(2, 0.0, 4.0)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            SimConfig(grid, PlacementVector((4, 0, 0)), zipf_pmf(4, 1.0), requests, seed)
+
     @pytest.mark.parametrize("x", [(3, 0, 0), (4, 0), (4, 0, 0, 0)])
     def test_placement_of_another_shape_is_refused(self, x):
         """A placement must hold the library's L files on the grid's M + 1 levels."""
@@ -217,14 +229,3 @@ class TestCapacityCheck:
         tight = sim.tail_mass[b - 1] * report.rate
         assert tight == pytest.approx(share[b - 1], rel=1e-9)
         assert tight * 1.01 > share[b - 1] * (1.0 + 1e-9)
-
-    def test_csv_rows(self):
-        grid, _, _ = caps_for(2, 0.0, 4.0)
-        pop = zipf_pmf(8, 1.0)
-        x = PlacementVector((1, 3, 4))
-        rep = simulate(SimConfig(grid, x, pop, 2000, seed=8))
-        rows = report_csv_rows(rep)
-        assert [r[0] for r in rows] == [1, 2]
-        for _, emp, ana, rel in rows:
-            if ana > 0:
-                assert rel == pytest.approx((emp - ana) / ana, rel=1e-12)

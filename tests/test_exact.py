@@ -19,10 +19,11 @@ from d2d_cachescale import (
     solve_exact,
     zipf_pmf,
 )
-from d2d_cachescale.exact import feasible_for_rate
+from d2d_cachescale.exact import _compositions, feasible_for_rate
 from d2d_cachescale.popularity import PopularityModel, threshold_indices
 from conftest import caps_for
-from reference import ThresholdForm, dense_zipf, from_threshold, to_threshold
+from reference import (ThresholdForm, dense_zipf, from_threshold, recursive_compositions,
+                       to_threshold)
 
 
 def reference_min_threshold(suffix, r, c, L):
@@ -255,6 +256,14 @@ class TestSolveExactVsBruteForce:
             solve_exact(grid, caps, pop, 0.49)
         with pytest.raises(InfeasibleProblemError, match="no placement fits the cache budget"):
             brute_force(grid, caps, pop, 0.49)
+
+    def test_compositions_are_the_recursive_enumeration(self):
+        """Brute force keeps the first of equal rates, so its tie rule rests on
+        the enumeration order: the lex order of the recursion it replaced."""
+        for total in range(9):
+            for parts in range(1, 6):
+                assert list(_compositions(total, parts)) == list(
+                    recursive_compositions(total, parts)), (total, parts)
 
 
 @pytest.mark.parametrize("solver", [optimize_placement, solve_exact, brute_force])

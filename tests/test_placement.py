@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from d2d_cachescale import (
@@ -208,6 +209,21 @@ class TestEvaluateThroughput:
             evaluate_throughput(PlacementVector((1, 1, 1)), caps, pop)
         with pytest.raises(InvariantViolationError):
             PlacementVector((5, 0, 0)).validate(5, 4.0)
+
+    @pytest.mark.parametrize("x", [(1.5, 2.5, 4.0), (math.nan, 4, 4)])
+    def test_non_integer_counts_are_refused(self, x):
+        """Such a vector was once accepted, and evaluate_throughput and
+        simulate then failed with a TypeError from a memoryview slice."""
+        with pytest.raises(InvalidParameterError, match="file counts must be integers"):
+            PlacementVector(x)
+
+    def test_numpy_integer_counts_become_ints(self):
+        grid, _, caps = caps_for(2, 0.0, 4.0)
+        pop = zipf_pmf(8, 1.0)
+        x = PlacementVector(tuple(np.array([1, 3, 4])))
+        assert x.x == (1, 3, 4) and all(type(v) is int for v in x.x)
+        assert evaluate_throughput(x, caps, pop) == evaluate_throughput(
+            PlacementVector((1, 3, 4)), caps, pop)
 
 
 class TestRelaxedCacheLoad:
@@ -511,7 +527,7 @@ class TestGuaranteeFactor:
         pop = zipf_pmf(1000, tau)
         factor = guarantee_floor(1.0, m_levels, tau)
         assert factor == 1.0 / (m_levels * (1.0 + 2.0 ** tau))
-        bounds = throughput_bounds(grid, params, pop, 2.0)
+        bounds = throughput_bounds(grid, params, pop, 100.0)  # L / n = 62.5 at M = 2
         assert bounds.guarantee_factor == factor
         assert guarantee_floor(0.37, m_levels, tau) == pytest.approx(0.37 * factor, rel=1e-15)
 
