@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidParameterError
 from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope
 from .phy import PhyParams
-from .placement import _require_admissible, guarantee_floor
+from .placement import _require_admissible, _require_below_library, guarantee_floor
 from .popularity import PopularityModel
 
 
@@ -145,10 +145,12 @@ def throughput_bounds(grid: NetworkGrid, params: PhyParams, pop: PopularityModel
 
     Both bounds take their coefficients from the two-sided cooperative
     capacity envelope, and each selects its tau branch against its own
-    gamma. A budget below L 4^{-M}, which cannot hold the library, is
-    refused as the solvers refuse it.
+    gamma. A budget below L 4^{-M}, which cannot hold the library, or of
+    L or more, which caches all of it at every node, is refused as the
+    relaxation refuses it.
     """
     _require_admissible(pop.L, grid.M, l_c)
+    _require_below_library(pop.L, l_c)
     env = capacity_envelope(grid, params)
     r_low, low_branch = lower_bound(env.c_lower, env.gamma_lower, pop.L, l_c,
                                     grid.M, pop.tau)

@@ -15,11 +15,19 @@ the grid, so the grid computes each on first use and keeps it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidParameterError, SizeGuardError
-from .phy import ClusterRate, PhyParams, _require_grid_alpha, cluster_rate, interference_power
+from .phy import (
+    ClusterRate,
+    PhyParams,
+    _require_grid_alpha,
+    cluster_rate,
+    interference_power,
+    rate_multihop,
+)
 
 
 # Deepest hierarchy accepted: each of the network's two interference sums
@@ -29,17 +37,25 @@ MAX_LEVELS = 20
 
 @dataclass(frozen=True)
 class NetworkGrid:
-    """Regular grid of n = 4^M nodes with area n^kappa and path loss alpha."""
+    """Regular grid of n = 4^M nodes with area n^kappa and path loss alpha.
+
+    M is stored as a Python int; any integer type is accepted.
+    """
 
     M: int
     kappa: float
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.M, int) and self.M >= 1):
+        try:
+            M = operator.index(self.M)
+        except TypeError:
+            M = 0
+        if M < 1:
             raise InvalidParameterError(f"level count must be an integer >= 1, got {self.M!r}")
-        if self.M > MAX_LEVELS:
-            raise SizeGuardError(f"level count {self.M} exceeds the guard of {MAX_LEVELS}")
+        if M > MAX_LEVELS:
+            raise SizeGuardError(f"level count {M} exceeds the guard of {MAX_LEVELS}")
+        object.__setattr__(self, "M", M)
         if not self.kappa >= 0:
             raise InvalidParameterError(f"area exponent must be >= 0, got {self.kappa!r}")
         if not self.alpha > 2:
@@ -88,13 +104,17 @@ def edge_capacities(grid: NetworkGrid, params: PhyParams, *,
     """Capacity constants 4 R_u(4^m) / 3 for every level of the tree.
 
     All M levels, and every other table built on the same grid, share the
-    grid's pair of full-network interference sums.
+    grid's pair of full-network interference sums. multihop_only=True
+    rates every cluster by multihop alone (the baseline capacity profile).
     """
-    rates: list[ClusterRate | None] = [None]
-    for m in range(1, grid.M + 1):
-        rates.append(cluster_rate(4 ** m, grid, params, multihop_only=multihop_only))
-    cbar = (math.inf,) + tuple(4.0 * r.rate / 3.0 for r in rates[1:])
-    return LevelCapacities(cbar=cbar, rates=tuple(rates))
+    if multihop_only:
+        _require_grid_alpha(grid, params)
+        rates = [ClusterRate(rate_multihop(4 ** m, params, grid.interference_multihop), None)
+                 for m in range(1, grid.M + 1)]
+    else:
+        rates = [cluster_rate(4 ** m, grid, params) for m in range(1, grid.M + 1)]
+    cbar = (math.inf,) + tuple(4.0 * r.rate / 3.0 for r in rates)
+    return LevelCapacities(cbar=cbar, rates=(None, *rates))
 
 
 @dataclass(frozen=True)

@@ -79,11 +79,20 @@ class ClusterRate:
 
 
 def interference_power(n: int, snr: float, t_r: int, alpha: float) -> float:
-    """Worst-case aggregate interference sum_{i=1}^{sqrt(n)} 8 i SNR (T_r i - 1)^{-alpha}."""
+    """Worst-case aggregate interference sum_{i=1}^{sqrt(n)} 8 i SNR (T_r i - 1)^{-alpha}.
+
+    InvalidParameterError when the sum is not finite (alpha near the
+    SNR's overflow, where an inf * 0 term makes it NaN).
+    """
     if t_r - 1 <= 0:
         raise InvalidParameterError(f"reuse factor must be >= 2, got {t_r!r}")
     root = math.isqrt(int(n))
-    return math.fsum(8.0 * i * snr * (t_r * i - 1.0) ** (-alpha) for i in range(1, root + 1))
+    total = math.fsum(8.0 * i * snr * (t_r * i - 1.0) ** (-alpha) for i in range(1, root + 1))
+    if not math.isfinite(total):
+        raise InvalidParameterError(
+            f"path loss exponent {alpha!r} makes the interference sum over n = {n} "
+            "nodes leave the float range")
+    return total
 
 
 def rate_hcoop(n: int, s: int, params: PhyParams, p_i: float) -> float:
@@ -104,22 +113,6 @@ def rate_hcoop(n: int, s: int, params: PhyParams, p_i: float) -> float:
     return r_c * n ** (-1.0 / (s + 1.0)) / denom
 
 
-def optimal_stages(n: int, params: PhyParams, p_i: float) -> int:
-    """Stage count maximising rate_hcoop over s = 1..ceil(4 sqrt(ln n)).
-
-    Exhaustive scan; ties break toward the smaller stage count.
-    """
-    if n < 4:
-        raise InvalidParameterError(f"cluster size must be >= 4, got {n!r}")
-    s_max = max(1, math.ceil(4.0 * math.sqrt(math.log(n))))
-    best_s, best_rate = 1, rate_hcoop(n, 1, params, p_i)
-    for s in range(2, s_max + 1):
-        r = rate_hcoop(n, s, params, p_i)
-        if r > best_rate:
-            best_s, best_rate = s, r
-    return best_s
-
-
 def rate_multihop(n: int, params: PhyParams, p_i: float) -> float:
     """Per-node multihop rate on a size-n cluster: log2(1 + SNR/(1 + P_I)) n^{-1/2} / T_r^2."""
     return math.log2(1.0 + params.snr_multihop / (1.0 + p_i)) * n ** -0.5 \
@@ -133,20 +126,19 @@ def _require_grid_alpha(grid: "NetworkGrid", params: PhyParams) -> None:
             f"PhyParams alpha = {params.alpha!r} differs from the grid's alpha = {grid.alpha!r}")
 
 
-def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
-                 multihop_only: bool = False) -> ClusterRate:
+def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams) -> ClusterRate:
     """Best per-node rate for clusters of N = 4^m nodes inside the full grid.
 
-    The cooperative candidate pays the average-power duty-cycle penalty
-    min(N * A_c^{-alpha/2}, 1) for its cluster area A_c = N * n^{kappa-1}
-    (node density is constant across the grid); the multihop candidate
-    pays no area penalty. InvalidParameterError when A_c or the penalty
-    overflows a float (kappa or alpha far outside the model's range).
-    Interference is summed over the whole network, not just the cluster,
-    so every level reads the grid's `interference_hcoop` and
-    `interference_multihop` (InvalidParameterError when params.alpha is
-    not the grid's). multihop_only=True rates the cluster as a
-    multihop-only system (the baseline capacity profile).
+    The cooperative candidate takes the best stage count of an exhaustive
+    scan over s = 1..ceil(4 sqrt(ln N)) (ties go to the smaller s) and pays
+    the average-power duty-cycle penalty min(N * A_c^{-alpha/2}, 1) for its
+    cluster area A_c = N * n^{kappa-1} (node density is constant across the
+    grid); the multihop candidate pays no area penalty. InvalidParameterError
+    when A_c or the penalty overflows a float (kappa or alpha far outside
+    the model's range). Interference is summed over the whole network, not
+    just the cluster, so every level reads the grid's `interference_hcoop`
+    and `interference_multihop` (InvalidParameterError when params.alpha is
+    not the grid's).
     """
     m = exact_log4(N)
     if m is None or m < 1 or N > grid.n:
@@ -154,10 +146,10 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
             f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
     _require_grid_alpha(grid, params)
     r_m = rate_multihop(N, params, grid.interference_multihop)
-    if multihop_only:
-        return ClusterRate(r_m, None)
     p_i_h = grid.interference_hcoop
-    s_star = optimal_stages(N, params, p_i_h)
+    rates = [rate_hcoop(N, s, params, p_i_h)
+             for s in range(1, math.ceil(4.0 * math.sqrt(math.log(N))) + 1)]
+    s_star = rates.index(max(rates)) + 1  # the first maximum
     try:
         area = N * grid.n ** (grid.kappa - 1.0)
         penalty = min(N * area ** (-params.alpha / 2.0), 1.0)
@@ -165,7 +157,7 @@ def cluster_rate(N: int, grid: "NetworkGrid", params: PhyParams, *,
         raise InvalidParameterError(
             f"kappa = {grid.kappa!r} and alpha = {params.alpha!r} overflow the duty-cycle "
             f"penalty N A_c^(-alpha/2) of a {N}-node cluster") from None
-    r_h = penalty * rate_hcoop(N, s_star, params, p_i_h)
+    r_h = penalty * rates[s_star - 1]
     if r_h >= r_m:
         return ClusterRate(r_h, s_star)
     return ClusterRate(r_m, None)

@@ -233,9 +233,7 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     """
     M, L = caps.M, pop.L
     _require_admissible(L, M, l_c)
-    if l_c >= L:
-        raise InvalidParameterError(
-            f"cache budget {l_c} stores the whole library locally; nothing to optimise")
+    _require_below_library(L, l_c)
     m_star = bisect_left(range(M), True,
                          key=lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop) < l_c)
     r_star = caps.cbar[M] if m_star == M else _solve_rate(m_star, caps, pop, l_c)
@@ -410,6 +408,13 @@ def _require_admissible(L: int, M: int, l_c: float) -> None:
         raise InfeasibleProblemError(
             f"cache budget {l_c} cannot hold the library: "
             f"needs at least {min_load} per node")
+
+
+def _require_below_library(L: int, l_c: float) -> None:
+    """Refuse a budget of L or more, which caches the whole library at every node."""
+    if l_c >= L:
+        raise InvalidParameterError(
+            f"cache budget {l_c} stores the whole library locally; nothing to optimise")
 
 
 def _require_depth(grid: NetworkGrid, caps: LevelCapacities) -> None:

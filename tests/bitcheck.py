@@ -3,7 +3,7 @@
     python tests/bitcheck.py                # print one line per corpus entry
     python tests/bitcheck.py --base REV     # compare REV with the working tree
 
-The corpus has three families. `cli`: argvs of all five commands in CSV
+The corpus has four families. `cli`: argvs of all five commands in CSV
 and JSON, `--help` of the program and of each command, bad arguments,
 budgets within 1e-13 of L / n and of L, and L at the popularity model's
 block and chunk edges; an entry is the exit code, stdout, stderr and the
@@ -14,8 +14,12 @@ floor's, the relaxed solve that optimize_placement returns (m*,
 r*.hex() and the x* hexes), or the refusal's exception type and message.
 `model`: Zipf models with L at the block and chunk edges; an entry is
 every p(k).hex() and suffix(k).hex(), k = 0..L, read only through those
-two accessors. Each output line is the family, the input and a SHA-256
-of the entry.
+two accessors. `simulate`: library calls of simulate(cfg, verbose=True)
+on placements from optimize_placement and on seeded random compositions
+that leave some levels empty; an entry is every report field (floats as
+hex, the counts, each per-edge histogram's dtype and bytes), or the
+refusal. Each output line is the family, the input and a SHA-256 of the
+entry.
 
 --base extracts REV's `src/` with `git archive` into a temporary directory
 and runs the corpus there and on this checkout's `src/` in two fresh
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -62,7 +67,10 @@ BRUTE_MAX = 3000
 MODEL_RANKS = (4095, 4096, 4097, 32767, 32768, 32769, 65535, 65536, 65537)
 MODEL_TAUS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
-FAMILIES = ("cli", "solver", "model")
+# The simulate family's draws: M 1..6, L up to 3000, at most 20000 requests.
+SIM_CASES = 100
+
+FAMILIES = ("cli", "solver", "model", "simulate")
 
 
 def _budgets(rng: random.Random, L: int, M: int) -> list[float]:
@@ -129,6 +137,7 @@ def cli_argvs() -> list[list[str]]:
         ["place", "--M", "3", "--l", "10", "--lc", "10"],
         ["place", "--M", "3", "--l", "10", "--lc", "12"],
         ["scaling", "--beta2", "1.2"], ["scaling", "--beta1", "0"], ["place", "--rc-fraction", "0"],
+        ["place", "--alpha", "350", "--kappa", "1"], ["scaling", "--alpha", "350"],
     ]
     out = fixed + bad
     # place: random instances, every budget of _budgets, both formats
@@ -208,6 +217,42 @@ def solver_cases() -> list[tuple]:
     return list(dict.fromkeys(cases))
 
 
+def simulate_cases() -> list[tuple]:
+    """(M, L, tau, requests, seed, placement) of the simulate family, where
+    placement is ("optimize", alpha, l_c) or ("composition", x)."""
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(SIM_CASES):
+        M = rng.randint(1, 6)
+        L = rng.choice([1, 2, rng.randint(2, 60), rng.randint(2, 3000)])
+        tau = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0])
+        requests = rng.choice([1, rng.randint(1, 500), rng.randint(1, 20000)])
+        seed = rng.randint(0, 10 ** 6)
+        lo = L * 4.0 ** (-M)
+        l_c = rng.choice([lo, lo + (L - lo) * rng.random()])
+        cases.append((M, L, tau, requests, seed, ("optimize", rng.choice([2.5, 4.0]), l_c)))
+        levels = sorted(rng.sample(range(M + 1), rng.randint(1, M + 1)))
+        cuts = sorted(rng.randint(0, L) for _ in levels[1:])
+        x = [0] * (M + 1)
+        for m, a, b in zip(levels, [0, *cuts], [*cuts, L]):
+            x[m] = b - a
+        cases.append((M, L, tau, requests, seed, ("composition", tuple(x))))
+    return list(dict.fromkeys(cases))
+
+
+def _field(value):
+    """A report field with its floats as hex and its arrays as (dtype, bytes)."""
+    if isinstance(value, float):
+        return value.hex()
+    if hasattr(value, "tobytes"):
+        return value.dtype.str, value.tobytes()
+    if isinstance(value, dict):
+        return tuple((k, _field(v)) for k, v in sorted(value.items()))
+    if isinstance(value, tuple):
+        return tuple(map(_field, value))
+    return value
+
+
 def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -277,12 +322,41 @@ def run_solver_family(pkg):
                 yield f"{name} {key}", _refusal(exc)
 
 
+def run_simulate_family(pkg):
+    """Yield (key, entry) for every simulate case: each report field, or the refusal."""
+    tables, models = {}, {}
+    for M, L, tau, requests, seed, placement in simulate_cases():
+        key = f"M={M} L={L} tau={tau} requests={requests} seed={seed} {placement!r}"
+        if (L, tau) not in models:
+            models[L, tau] = pkg.popularity.zipf_pmf(L, tau)
+        pop = models[L, tau]
+        try:
+            if placement[0] == "optimize":
+                _, alpha, l_c = placement
+                if (M, alpha) not in tables:
+                    grid = pkg.hierarchy.NetworkGrid(M, 0.0, alpha)
+                    tables[M, alpha] = grid, pkg.hierarchy.edge_capacities(
+                        grid, pkg.phy.PhyParams(alpha))
+                grid, caps = tables[M, alpha]
+                x = pkg.placement.optimize_placement(grid, caps, pop, l_c).placement
+            else:
+                grid = pkg.hierarchy.NetworkGrid(M, 0.0, 4.0)
+                x = pkg.placement.PlacementVector(placement[1])
+            cfg = pkg.delivery.SimConfig(grid, x, pop, requests, seed)
+            report = pkg.delivery.simulate(cfg, verbose=True)
+            yield key, (x.x, tuple((f.name, _field(getattr(report, f.name)))
+                                   for f in dataclasses.fields(report)))
+        except pkg.errors.CacheScaleError as exc:
+            yield key, _refusal(exc)
+
+
 def emit(src: Path) -> None:
     """Print `family<TAB>input<TAB>sha256` for every corpus entry, importing
     the package from `src`."""
     sys.path.insert(0, str(src))
     pkg = importlib.import_module("d2d_cachescale")
-    for mod in ("cli", "errors", "exact", "hierarchy", "phy", "placement", "popularity"):
+    for mod in ("cli", "delivery", "errors", "exact", "hierarchy", "phy", "placement",
+                "popularity"):
         importlib.import_module(f"d2d_cachescale.{mod}")
     if Path(pkg.__file__).resolve().parent != (src / "d2d_cachescale").resolve():
         raise SystemExit(f"bitcheck: imported {pkg.__file__}, not the package under {src}")
@@ -296,6 +370,7 @@ def emit(src: Path) -> None:
             os.chdir(cwd)
     lines += [("solver", k, _digest(v)) for k, v in run_solver_family(pkg)]
     lines += [("model", k, _digest(v)) for k, v in run_model_family(pkg)]
+    lines += [("simulate", k, _digest(v)) for k, v in run_simulate_family(pkg)]
     sys.stdout.write("".join(f"{f}\t{k}\t{d}\n" for f, k, d in lines))
 
 
@@ -345,7 +420,8 @@ def compare(rev: str) -> int:
                 print(f"  {key}{' (one side only)' if one_side else ''}")
     counts = {f: sum(1 for fam, _ in keys if fam == f) for f in FAMILIES}
     print(f"bitcheck: {sha[:7]} vs working tree: {counts['cli']} cli argvs, "
-          f"{counts['solver']} solver calls, {counts['model']} models; {len(differ)} differ")
+          f"{counts['solver']} solver calls, {counts['model']} models, "
+          f"{counts['simulate']} simulate calls; {len(differ)} differ")
     return 1 if differ else 0
 
 

@@ -4,8 +4,10 @@ optimality system, the threshold form of a placement, the relaxed rate of
 a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
 replaced, the multihop baseline's scaling law that the achievable law
-at alpha = 3 replaced, and the recursive enumeration of compositions that
-brute force's stars and bars replaced.
+at alpha = 3 replaced, the recursive enumeration of compositions that
+brute force's stars and bars replaced, and the two-call PHY mode choice
+(a stage-count scan, then the winner's rate evaluated again) that
+cluster_rate's single scan replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
@@ -21,12 +23,21 @@ import numpy as np
 
 from d2d_cachescale import (
     DomainError,
+    InvalidParameterError,
     InvariantViolationError,
     PlacementVector,
     evaluate_throughput,
 )
 from d2d_cachescale.analysis import ScalingExponent, classify_regime
-from d2d_cachescale.hierarchy import LevelCapacities
+from d2d_cachescale.hierarchy import LevelCapacities, NetworkGrid
+from d2d_cachescale.phy import (
+    ClusterRate,
+    PhyParams,
+    _require_grid_alpha,
+    exact_log4,
+    rate_hcoop,
+    rate_multihop,
+)
 from d2d_cachescale.placement import RelaxedSolution, _load, round_to_feasible, solve_relaxed
 from d2d_cachescale.popularity import PopularityModel
 
@@ -221,3 +232,46 @@ def recursive_compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in recursive_compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def optimal_stages(n: int, params: PhyParams, p_i: float) -> int:
+    """Stage count maximising rate_hcoop over s = 1..ceil(4 sqrt(ln n)).
+
+    Exhaustive scan; ties break toward the smaller stage count.
+    """
+    if n < 4:
+        raise InvalidParameterError(f"cluster size must be >= 4, got {n!r}")
+    s_max = max(1, math.ceil(4.0 * math.sqrt(math.log(n))))
+    best_s, best_rate = 1, rate_hcoop(n, 1, params, p_i)
+    for s in range(2, s_max + 1):
+        r = rate_hcoop(n, s, params, p_i)
+        if r > best_rate:
+            best_s, best_rate = s, r
+    return best_s
+
+
+def two_call_cluster_rate(N: int, grid: NetworkGrid, params: PhyParams, *,
+                          multihop_only: bool = False) -> ClusterRate:
+    """cluster_rate as two calls: optimal_stages, then rate_hcoop at s*;
+    multihop_only=True returns the multihop rate before the scan."""
+    m = exact_log4(N)
+    if m is None or m < 1 or N > grid.n:
+        raise InvalidParameterError(
+            f"cluster size must be a power of 4 in [4, {grid.n}], got {N!r}")
+    _require_grid_alpha(grid, params)
+    r_m = rate_multihop(N, params, grid.interference_multihop)
+    if multihop_only:
+        return ClusterRate(r_m, None)
+    p_i_h = grid.interference_hcoop
+    s_star = optimal_stages(N, params, p_i_h)
+    try:
+        area = N * grid.n ** (grid.kappa - 1.0)
+        penalty = min(N * area ** (-params.alpha / 2.0), 1.0)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"kappa = {grid.kappa!r} and alpha = {params.alpha!r} overflow the duty-cycle "
+            f"penalty N A_c^(-alpha/2) of a {N}-node cluster") from None
+    r_h = penalty * rate_hcoop(N, s_star, params, p_i_h)
+    if r_h >= r_m:
+        return ClusterRate(r_h, s_star)
+    return ClusterRate(r_m, None)

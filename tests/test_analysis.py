@@ -7,6 +7,7 @@ import pytest
 from d2d_cachescale import (
     DomainError,
     InfeasibleProblemError,
+    InvalidParameterError,
     NetworkGrid,
     PhyParams,
     solve_exact,
@@ -152,6 +153,19 @@ class TestBoundFormulas:
         assert math.isfinite(throughput_bounds(grid, params, pop, 0.5).r_lower)
         with pytest.raises(InfeasibleProblemError, match="needs at least 0.5 per node"):
             throughput_bounds(grid, params, pop, l_c)
+
+    @pytest.mark.parametrize("l_c", [30.0, 60.0, math.inf])
+    def test_budget_that_stores_the_library_is_refused(self, l_c):
+        """From L_C = L every placement caches the library locally at rate
+        inf, so no finite bound brackets it; the relaxation refuses such a
+        budget with the same message (r_upper was once 3.17 at L_C = 60)."""
+        grid, params, caps = caps_for(3, 0.0, 4.0)
+        pop = zipf_pmf(30, 1.0)
+        assert math.isfinite(throughput_bounds(grid, params, pop, 29.0).r_upper)
+        for solve in (lambda: throughput_bounds(grid, params, pop, l_c),
+                      lambda: solve_relaxed(caps, pop, l_c)):
+            with pytest.raises(InvalidParameterError, match="stores the whole library locally"):
+                solve()
 
     def test_sides_use_their_own_envelope(self):
         grid, params, _ = caps_for(9, 0.0, 4.0)

@@ -1,7 +1,9 @@
 """Grid guards, edge capacities, and the capacity envelope."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from d2d_cachescale import (
@@ -29,6 +31,16 @@ class TestNetworkGrid:
         for m in (MAX_LEVELS + 1, 40):
             with pytest.raises(SizeGuardError, match=f"guard of {MAX_LEVELS}"):
                 NetworkGrid(m, 0.0, 4.0)
+
+    def test_level_count_of_any_integer_type(self):
+        """M is normalised to a Python int, as PlacementVector's counts are;
+        a float is refused even when it is whole."""
+        grid = NetworkGrid(np.int64(3), 0.0, 4.0)
+        assert type(grid.M) is int and grid == NetworkGrid(3, 0.0, 4.0)
+        for bad in (2.5, np.float64(3.0), "3"):
+            with pytest.raises(InvalidParameterError,
+                               match=re.escape(f"must be an integer >= 1, got {bad!r}")):
+                NetworkGrid(bad, 0.0, 4.0)
 
     @pytest.mark.parametrize("build", [
         edge_capacities,

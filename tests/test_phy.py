@@ -9,7 +9,6 @@ from d2d_cachescale.phy import (
     cluster_rate,
     exact_log4,
     interference_power,
-    optimal_stages,
     rate_hcoop,
     rate_multihop,
 )
@@ -67,6 +66,16 @@ class TestInterferencePower:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-6 * vals[0]
 
+    @pytest.mark.parametrize("alpha", [350.0, 352.0])
+    def test_non_finite_sum_is_refused(self, alpha):
+        """Near the SNR's overflow 8 i SNR is inf while (T_r i - 1)^-alpha is
+        0, and the inf * 0 term made the sum NaN (at alpha = 350, n = 4^9)."""
+        p = PhyParams(alpha)
+        with pytest.raises(InvalidParameterError,
+                           match=f"exponent {alpha!r} makes the interference sum over "
+                                 f"n = {4 ** 9} nodes"):
+            interference_power(4 ** 9, p.snr_hcoop, p.t_r_hcoop, alpha)
+
     def test_reuse_factor_guard(self):
         with pytest.raises(InvalidParameterError):
             interference_power(4, 1.0, 1, 4.0)
@@ -103,39 +112,49 @@ class TestRates:
 
 
 class TestOptimalStages:
+    """cluster_rate's stage count s* is the first maximum of an exhaustive
+    scan of rate_hcoop over s = 1..ceil(4 sqrt(ln N))."""
+
     def test_matches_exhaustive_scan(self):
+        """kappa = 0 and N = n: the area is 1 and the penalty 1, so the rate
+        is the scanned rate at s*."""
         p = PhyParams(4.0)
-        for n in (16, 4096, 4 ** 9):
-            p_i = interference_power(n, p.snr_hcoop, p.t_r_hcoop, 4.0)
+        for m_levels in (2, 6, 9):
+            grid = NetworkGrid(m_levels, 0.0, 4.0)
+            n = grid.n
             s_max = math.ceil(4 * math.sqrt(math.log(n)))
-            rates = [rate_hcoop(n, s, p, p_i) for s in range(1, s_max + 1)]
+            rates = [rate_hcoop(n, s, p, grid.interference_hcoop) for s in range(1, s_max + 1)]
             best = max(range(len(rates)), key=lambda i: (rates[i], -i)) + 1
-            assert optimal_stages(n, p, p_i) == best
+            cr = cluster_rate(n, grid, p)
+            assert cr.stages == best
+            assert cr.rate == rates[best - 1]
 
     def test_frozen_and_growth(self):
-        """First verified scan at alpha=4, each cluster rated under its own
-        interference sum: s*(4^9) = 3; s* grows with n."""
+        """First verified scan at alpha=4, each network's largest cluster
+        under that network's interference sum: s*(4^9) = 3; s* grows with n."""
         p = PhyParams(4.0)
 
-        def s_star(n):
-            return optimal_stages(n, p, interference_power(n, p.snr_hcoop, p.t_r_hcoop, 4.0))
-        assert s_star(4 ** 9) == 3
-        assert s_star(4 ** 12) >= s_star(4 ** 6)
+        def s_star(m_levels):
+            return cluster_rate(4 ** m_levels, NetworkGrid(m_levels, 0.0, 4.0), p).stages
+        assert s_star(9) == 3
+        assert s_star(12) >= s_star(6)
 
 
 class TestClusterRate:
     def test_dense_network_no_penalty(self):
-        """kappa = 0: cluster area <= 1, so the duty-cycle penalty is 1."""
+        """kappa = 0: cluster area <= 1, so the duty-cycle penalty is 1 and
+        the rate is the larger of the best scanned cooperative rate and
+        the multihop rate."""
         grid = NetworkGrid(5, 0.0, 4.0)
         p = PhyParams(4.0)
+        p_i_h = interference_power(grid.n, p.snr_hcoop, p.t_r_hcoop, 4.0)
+        p_i_m = interference_power(grid.n, p.snr_multihop, p.t_r_multihop, 4.0)
         for m in range(1, 6):
             N = 4 ** m
-            cr = cluster_rate(N, grid, p)
-            p_i_h = interference_power(grid.n, p.snr_hcoop, p.t_r_hcoop, 4.0)
-            p_i_m = interference_power(grid.n, p.snr_multihop, p.t_r_multihop, 4.0)
-            s = optimal_stages(N, p, p_i_h)
-            expected = max(rate_hcoop(N, s, p, p_i_h), rate_multihop(N, p, p_i_m))
-            assert cr.rate == pytest.approx(expected, rel=1e-15)
+            s_max = math.ceil(4 * math.sqrt(math.log(N)))
+            r_h = max(rate_hcoop(N, s, p, p_i_h) for s in range(1, s_max + 1))
+            expected = max(r_h, rate_multihop(N, p, p_i_m))
+            assert cluster_rate(N, grid, p).rate == pytest.approx(expected, rel=1e-15)
 
     def test_extended_alpha4_multihop_everywhere(self):
         """kappa=1, alpha=4: the 4^{-m} duty-cycle penalty hands every level

@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from d2d_cachescale import (
     DomainError,
+    NetworkGrid,
+    PhyParams,
     PlacementVector,
     SimConfig,
     brute_force,
     optimize_placement,
     solve_exact,
+    edge_capacities,
     throughput_bounds,
     zipf_pmf,
 )
@@ -39,6 +42,7 @@ from reference import (
     memoryview_tail_index,
     per_top_level_relaxations,
     tail_mass,
+    two_call_cluster_rate,
 )
 from test_delivery import assert_matches_reference
 from test_exact import assert_matches_reference as assert_exact_matches_reference
@@ -258,6 +262,26 @@ def test_pipeline_fits_a_budget_just_below_the_library(m_levels, L, tau, alpha, 
     grid, _, caps = caps_for(m_levels, 0.0, alpha)
     placement = optimize_placement(grid, caps, zipf_pmf(L, tau), l_c).placement
     assert placement.cache_load() <= l_c + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=8),
+       alpha=st.floats(min_value=2.2, max_value=5.0),
+       kappa=st.floats(min_value=0.0, max_value=1.5),
+       rc_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       multihop_only=st.booleans())
+def test_capacity_table_matches_the_two_call_mode_choice(m_levels, alpha, kappa, rc_fraction,
+                                                        multihop_only):
+    """edge_capacities gives the cbar bits and stage counts of the two-call
+    form: optimal_stages, then rate_hcoop at s* evaluated again, and
+    multihop_only's early return before the scan."""
+    grid, params = NetworkGrid(m_levels, kappa, alpha), PhyParams(alpha, rc_fraction)
+    caps = edge_capacities(grid, params, multihop_only=multihop_only)
+    rates = [two_call_cluster_rate(4 ** m, grid, params, multihop_only=multihop_only)
+             for m in range(1, m_levels + 1)]
+    assert [c.hex() for c in caps.cbar[1:]] == [(4.0 * r.rate / 3.0).hex() for r in rates]
+    assert [r.stages for r in caps.rates[1:]] == [r.stages for r in rates]
+    assert caps.cbar[0] == math.inf and caps.rates[0] is None
 
 
 def _law(fn, *args):
@@ -527,6 +551,9 @@ def _printed_rates(command, out):
 @example(argv=["place", "--M=1", "--bandwidth-hz=-1"])
 @example(argv=["scaling", "--M=1", "--a2=1e300"])
 @example(argv=["scaling", "--M=1", "--a2=5", "--beta2=0.88"])
+# argvs that once printed nan bounds from a NaN interference sum
+@example(argv=["place", "--alpha=350", "--kappa=1"])
+@example(argv=["scaling", "--alpha=350"])
 def test_cli_ends_in_a_documented_exit_code(argv):
     """Any argv exits 0, 1, 2 or 3 with no exception escaping main, stderr
     is one line on a failure, and an accepted place or sweep prints no
