@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     InvariantViolationError,
 )
-from .hierarchy import LevelCapacities, NetworkGrid
+from .hierarchy import MAX_LEVELS, LevelCapacities, NetworkGrid
 from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse
 
 
@@ -39,6 +39,10 @@ _RATE_REL_TOL = 4e-16
 
 # A placement may exceed the per-node cache budget by this much and still fit.
 BUDGET_SLACK = 1e-12
+
+# 4^{-m}, the per-node cache cost of a file at level m, for every level a
+# grid has (exact: a power of two).
+_QUARTER = tuple(4.0 ** -m for m in range(MAX_LEVELS + 1))
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: Popularit
     total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     for m in range(m_star + 1, M + 1):
         x, index[m] = bracketed_tail_inverse(pop, caps.cbar[m] / r, i_lo[m], i_hi[m] + 1)
-        total += 3.0 * x * 4.0 ** (-m)
+        total += 3.0 * x * _QUARTER[m]
     return total, index
 
 
@@ -426,6 +430,8 @@ def _require_depth(grid: NetworkGrid, caps: LevelCapacities) -> None:
 
 def _load(xs) -> float:
     """Per-node cache usage sum_m xs[m] 4^{-m} of (possibly fractional) occupancies."""
+    if len(xs) <= len(_QUARTER):  # every placement on a grid
+        return math.fsum(map(operator.mul, xs, _QUARTER))
     return math.fsum(v * 4.0 ** (-m) for m, v in enumerate(xs))
 
 

@@ -7,11 +7,13 @@ integer ranks. Every capacity constraint downstream charges traffic
 through f, so its inverse, tail_inverse, is computed exactly
 (per-segment linear inversion) rather than approximated; at integer
 ranks f is the suffix mass, which the solvers read directly. The model
-stores one per-rank array, the suffix masses; a rank's probability is
-computed from tau and the extended-precision normaliser in blocks of
-ranks, each on its first read. The two integer searches over the suffix
-mass also live here, each one standard-library bisect call with a C key
-function: bracketed_tail_inverse's tail index for the relaxation and
+stores no per-rank array: the build samples its extended-precision
+running sum every BLOCK_RANKS ranks, and a block of probabilities and
+suffix masses is computed from the sample at its upper edge on the
+block's first read. The two integer searches over the suffix mass also
+live here, each a standard-library bisect call with a C key function over
+one block, after one over the block edges when the bracket spans blocks:
+bracketed_tail_inverse's tail index for the relaxation and
 threshold_indices for the exact solver.
 """
 
@@ -32,71 +34,93 @@ from .errors import DomainError, InvalidParameterError, SizeGuardError
 # extended-precision buffer of this length, about 1 MiB) stays in cache.
 CHUNK_RANKS = 1 << 15
 
-# Ranks per block of the probability table: block b holds p(k) for
-# k = b * BLOCK_RANKS .. (b + 1) * BLOCK_RANKS - 1, 32 KiB of float64.
+# Ranks per block of the model: block b holds p(k) and suffix(k) for
+# k = b * BLOCK_RANKS .. (b + 1) * BLOCK_RANKS, 64 KiB of float64; the
+# last entry repeats the first of block b + 1, so that a search whose
+# answer sits on a block edge reads one block.
 BLOCK_SHIFT = 12
 BLOCK_RANKS = 1 << BLOCK_SHIFT
 _BLOCK_MASK = BLOCK_RANKS - 1
 
-# Largest library the model is built for: at 8 bytes per rank of suffix
-# mass, plus the probability blocks read so far, about 0.5 GB.
-MAX_RANKS = 1 << 26
+# Largest library the model is built for: the build walks every rank once
+# (about 3 s at 2^27 ranks), and keeps 24 B per block plus the blocks read.
+MAX_RANKS = 1 << 27
 
 
 @dataclass(frozen=True)
 class PopularityModel:
     """Truncated Zipf popularity over ranks 1..L.
 
-    suffix_mass[k] is the mass of ranks k+1..L, so 1 - suffix_mass[k] is
-    the mass of ranks 1..k; suffix_mass[L] = 0 exactly. It is the only
-    per-rank array: z is the normaliser Z_tau(L) in extended precision,
-    and p(k) is k^{-tau} / z rounded to float64, computed a block of
-    BLOCK_RANKS ranks at a time on the block's first read and kept. The
-    block is computed with the build's own operations (a vectorised pow,
-    an extended-precision division, a cast), so p(k) has the bits the
-    build's weights divided by z would have. The array is read-only and
-    filled blocks never change, so instances can be shared between
-    callers.
+    suffix(k) is the mass of ranks k+1..L, so 1 - suffix(k) is the mass of
+    ranks 1..k; suffix(L) = 0 exactly. z is the normaliser Z_tau(L) in
+    extended precision, p(k) is k^{-tau} / z rounded to float64, and
+    suffix(k) is the extended-precision sum of the weights of ranks L down
+    to k+1, divided by z and rounded. The model stores no per-rank array:
+    carries[b] is that running sum at rank b * BLOCK_RANKS (z at b = 0, and
+    0 from L on), and the boundary masses carries / z, rounded, are the
+    suffix masses at the block edges. Block b of p and suffix is computed
+    on its first read and kept: one vectorised pow over its ranks, the
+    weights divided by z, and the weights added onto carries[b + 1] in the
+    build's order. The extended-precision sum is one strictly sequential
+    sum, so seeding it with a sampled carry reproduces every partial sum of
+    the build term for term, and every entry has the bits the dense build
+    would give it. Filled blocks never change, so instances can be shared
+    between callers.
 
     This module owns that storage: the solvers read it only through p(k),
-    suffix(k) and the searches below. The point reads go through
-    read-only memoryviews, so each returns a Python float (the entry's
-    bits) without a NumPy scalar per read.
+    suffix(k) and the searches below. The reads go through read-only
+    memoryviews, so each returns a Python float (the entry's bits) without
+    a NumPy scalar per read.
     """
 
     L: int
     tau: float
     z: np.longdouble
-    suffix_mass: np.ndarray
-    _suffix: memoryview = field(init=False, repr=False, compare=False)
-    _blocks: list = field(init=False, repr=False, compare=False)
+    carries: np.ndarray
+    _edges: memoryview = field(init=False, repr=False, compare=False)
+    _suffix_blocks: list = field(init=False, repr=False, compare=False)
+    _p_blocks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_suffix", memoryview(self.suffix_mass).toreadonly())
-        object.__setattr__(self, "_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
+        edges = (self.carries / self.z).astype(np.float64)
+        object.__setattr__(self, "_edges", memoryview(edges).toreadonly())
+        object.__setattr__(self, "_suffix_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
+        object.__setattr__(self, "_p_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
 
     def p(self, k: int) -> float:
         """Request probability of rank k, for k = 1..L (0.0 at k = 0)."""
-        block = self._blocks[k >> BLOCK_SHIFT]
+        block = self._p_blocks[k >> BLOCK_SHIFT]
+        if block is None:
+            self._fill_block(k >> BLOCK_SHIFT)
+            block = self._p_blocks[k >> BLOCK_SHIFT]
+        return block[k & _BLOCK_MASK]
+
+    def suffix(self, k: int) -> float:
+        """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L.
+        A block edge is read from the edge masses and fills no block."""
+        if not k & _BLOCK_MASK:
+            return self._edges[k >> BLOCK_SHIFT]
+        block = self._suffix_blocks[k >> BLOCK_SHIFT]
         if block is None:
             block = self._fill_block(k >> BLOCK_SHIFT)
         return block[k & _BLOCK_MASK]
 
-    def suffix(self, k: int) -> float:
-        """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L."""
-        return self._suffix[k]
-
     def _fill_block(self, b: int) -> memoryview:
-        """Compute, keep and return block b of the probability table."""
+        """Compute and keep block b of suffix and of p; return the suffix block."""
+        L, z = self.L, self.z
         start = b << BLOCK_SHIFT
-        stop = min(start + BLOCK_RANKS, self.L + 1)
+        stop = min(start + BLOCK_RANKS, L)  # the block's last rank
         first = max(start, 1)  # rank 0 has no weight: p(0) = 0.0
-        block = np.zeros(stop - start)
-        weights = np.arange(first, stop, dtype=np.float64) ** (-self.tau)
-        block[first - start:] = weights.astype(np.longdouble) / self.z
-        view = memoryview(block).toreadonly()
-        self._blocks[b] = view
-        return view
+        weights = _weights(first, stop, self.tau)
+        p = np.zeros(stop - start + 1)
+        p[first - start:] = weights.astype(np.longdouble) / z
+        # ranks stop down to start + 1 onto the mass of the ranks past stop
+        run = _accumulate(np.empty(stop - start + 1, dtype=np.longdouble),
+                          self.carries[b + 1], weights[start + 1 - first:])
+        run /= z
+        self._p_blocks[b] = memoryview(p).toreadonly()
+        block = self._suffix_blocks[b] = memoryview(run[::-1].astype(np.float64)).toreadonly()
+        return block
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:
@@ -106,19 +130,15 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     summing from the tail (smallest terms first), so suffix masses stay
     within 1e-12 of exact for L up to 1e7.
 
-    The build holds only the returned float64 suffix array plus one chunk
-    of CHUNK_RANKS ranks of scratch. Pass 1 walks the chunks from the tail
-    end, writes rank j's weight j^{-tau} into suffix_mass[j-1], and
-    accumulates each chunk's weights onto the carry (the extended-precision
-    sum of all later ranks), recording the carry each chunk starts from;
-    the last carry is Z. Pass 2 copies each chunk's weights into the
-    extended-precision scratch, re-accumulates them from the recorded
-    carry, divides by Z and writes the chunk's suffix masses over its
-    weights. Extended-precision accumulation is strictly sequential, so
-    seeding each chunk with its carry reproduces one cumulative sum over
-    all L ranks term for term: the result is bit-identical to building
-    every array at full length. The probabilities themselves are not
-    stored; PopularityModel.p computes them from tau and Z.
+    The build walks the chunks of CHUNK_RANKS ranks from the tail end,
+    computes each chunk's weights j^{-tau} and adds them onto the carry (the
+    extended-precision sum of all later ranks), and samples the running sum
+    at every multiple of BLOCK_RANKS; the last carry is Z. It keeps those
+    samples, 16 B per block, and one chunk of scratch, and no per-rank
+    array: PopularityModel computes a block of p and suffix from the sample
+    at the block's upper edge when the block is first read, with the same
+    operations, so every read has the bits of building each array at full
+    length.
 
     Raises SizeGuardError, before allocating, when L exceeds MAX_RANKS,
     and DomainError when the probability of rank L rounds to 0.0 (large
@@ -132,43 +152,51 @@ def zipf_pmf(L: int, tau: float) -> PopularityModel:
     L = int(L)
     if L > MAX_RANKS:
         raise SizeGuardError(f"{L} files exceed the Zipf model guard of {MAX_RANKS} ranks")
-    suffix = np.empty(L + 1)
-    suffix[L] = 0.0
+    # carries[b]: the sum of the weights of ranks b * BLOCK_RANKS + 1..L
+    carries = np.zeros((L >> BLOCK_SHIFT) + 2, dtype=np.longdouble)
     acc = np.empty(min(L, CHUNK_RANKS) + 1, dtype=np.longdouble)
-    # Chunk (lo, hi] holds ranks lo+1..hi: their weights, then their suffix
-    # masses, in suffix[lo:hi].
-    chunks = []
     carry = np.longdouble(0.0)
     for hi in range(L, 0, -CHUNK_RANKS):
-        lo = max(hi - CHUNK_RANKS, 0)
-        suffix[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-float(tau))
-        chunks.append((lo, hi, carry))
-        carry = _accumulate(acc, carry, suffix[lo:hi])[-1]
+        lo = max(hi - CHUNK_RANKS, 0)  # the chunk holds ranks lo+1..hi
+        run = _accumulate(acc, carry, _weights(lo + 1, hi, float(tau)))
+        if hi == L:
+            w_last = run[1]  # 0 + rank L's weight
+        # the block edges q in [lo, hi): the sum past q is run[hi - q]
+        b_lo, b_hi = (lo + _BLOCK_MASK) >> BLOCK_SHIFT, (hi - 1) >> BLOCK_SHIFT
+        if b_lo <= b_hi:
+            carries[b_lo:b_hi + 1] = run[hi - (b_hi << BLOCK_SHIFT):
+                                         hi - (b_lo << BLOCK_SHIFT) + 1:BLOCK_RANKS][::-1]
+        carry = run[-1]
     z = carry
-    # p(L) as PopularityModel.p computes it, from rank L's weight in suffix[L-1]
-    if float(np.longdouble(suffix[L - 1]) / z) == 0.0:
+    # p(L) as PopularityModel.p computes it, from rank L's weight
+    if float(w_last / z) == 0.0:
         raise DomainError(
             f"skewness {tau!r} leaves rank L = {L} with zero probability in double precision")
-    for lo, hi, carry in chunks:
-        run = _accumulate(acc, carry, suffix[lo:hi])
-        run /= z
-        suffix[lo:hi] = run[::-1]
-    suffix.setflags(write=False)
-    return PopularityModel(L=L, tau=float(tau), z=z, suffix_mass=suffix)
+    carries.setflags(write=False)
+    return PopularityModel(L=L, tau=float(tau), z=z, carries=carries)
+
+
+def _weights(first: int, last: int, tau: float) -> np.ndarray:
+    """The weights j^{-tau} of ranks first..last in float64. The pow runs in
+    place, so a chunk's weights take one buffer; it gives the bits of
+    `ranks ** -tau`."""
+    weights = np.arange(first, last + 1, dtype=np.float64)
+    weights **= -tau
+    return weights
 
 
 def _accumulate(acc: np.ndarray, carry: np.longdouble, weights: np.ndarray) -> np.ndarray:
-    """Running tail sums of a chunk's weights (in rank order), seeded with `carry`.
+    """Running tail sums of a run of weights (in rank order), seeded with `carry`.
 
     Copies the weights into `acc` and returns a view of it whose entry j
-    is carry plus the chunk's last j+1 weights, for j = 0..len(weights)-1:
-    the chunk's tail sums in reverse rank order.
+    is carry plus the run's last j weights, for j = 0..len(weights): the
+    tail sums in reverse rank order, the carry first.
     """
     run = acc[:len(weights) + 1]
     run[0] = carry
     run[1:] = weights[::-1]
     np.add.accumulate(run, out=run)
-    return run[1:]
+    return run
 
 
 def tail_inverse(model: PopularityModel, y: float) -> float:
@@ -194,20 +222,38 @@ def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
     (y = 0), the ends of any later bracket.
 
     This is the relaxation's per-level hot path: bisect_right with the C
-    key operator.neg (exact) finds the first i in (lo, hi) with
-    suffix(i) < y, one past the tail index, and p(k) is read inline.
+    key operator.neg (exact) finds the first k in (lo, hi) with suffix(k)
+    < y, one past the tail index, and p(k) is read inline. When the tail
+    indices lo..hi-1 share a block, which is the usual case inside the
+    rate bisection, that is one bisect over the block; otherwise a bisect
+    over the block edges first picks the block whose span
+    (b * BLOCK_RANKS, (b + 1) * BLOCK_RANKS] holds k.
     """
     if y >= 1.0:
         return 1.0, 0
     if y <= 0.0:
         L = model.L
         return float(L + 1), L - 1
-    suffix = model._suffix
-    k = bisect_right(suffix, -y, lo + 1, hi, key=operator.neg)
-    block = model._blocks[k >> BLOCK_SHIFT]
-    if block is None:
-        block = model._fill_block(k >> BLOCK_SHIFT)
-    x = (k + 1) - (y - suffix[k]) / block[k & _BLOCK_MASK]
+    b = lo >> BLOCK_SHIFT
+    if b == (hi - 1) >> BLOCK_SHIFT:
+        base = b << BLOCK_SHIFT
+        suffix = model._suffix_blocks[b]
+        if suffix is None:
+            suffix = model._fill_block(b)
+        j = bisect_right(suffix, -y, lo + 1 - base, hi - base, key=operator.neg)
+    else:
+        b = bisect_right(model._edges, -y, b + 1, ((hi - 1) >> BLOCK_SHIFT) + 1,
+                         key=operator.neg) - 1
+        base = b << BLOCK_SHIFT
+        suffix = model._suffix_blocks[b]
+        if suffix is None:
+            suffix = model._fill_block(b)
+        lo += 1 - base
+        hi -= base
+        j = bisect_right(suffix, -y, lo if lo > 1 else 1, hi if hi < BLOCK_RANKS else BLOCK_RANKS,
+                         key=operator.neg)
+    k = base + j
+    x = (k + 1) - (y - suffix[j]) / model._p_blocks[b][j]
     return min(max(x, float(k)), float(k + 1)), k - 1
 
 
@@ -220,14 +266,36 @@ def threshold_indices(model: PopularityModel, r: float, caps: list[float],
     [t_lo[m], t_hi[m]]: the caller vouches that t_hi[m] passes and no t
     below t_lo[m] does, as [0, L] always does (suffix(L) = 0). The C key
     (-r) * s is exactly -(s * r) under round-to-nearest, so bisect_left's
-    first t with key >= -c is the first pass. The scan stops at the first
+    first t with key >= -c is the first pass. A bracket inside one block
+    is one bisect over the block; a wider one first bisects the block
+    edges inside it, which leaves the span (b * BLOCK_RANKS,
+    (b + 1) * BLOCK_RANKS] of one block b. The scan stops at the first
     level whose threshold is L; the later levels keep their t_hi entry.
     """
-    suffix, L = model._suffix, model.L
+    L, blocks, edges = model.L, model._suffix_blocks, model._edges
     key = partial(operator.mul, -r)
     thresholds = list(t_hi)
     for m, c in enumerate(caps):
-        t = thresholds[m] = bisect_left(suffix, -c, t_lo[m], t_hi[m], key=key)
+        t, hi = t_lo[m], thresholds[m]
+        if t < hi:
+            b = t >> BLOCK_SHIFT
+            if b == (hi - 1) >> BLOCK_SHIFT:
+                base = b << BLOCK_SHIFT
+                suffix = blocks[b]
+                if suffix is None:
+                    suffix = model._fill_block(b)
+                t = base + bisect_left(suffix, -c, t - base, hi - base, key=key)
+            else:
+                b = bisect_left(edges, -c, b + 1, ((hi - 1) >> BLOCK_SHIFT) + 1, key=key) - 1
+                base = b << BLOCK_SHIFT
+                suffix = blocks[b]
+                if suffix is None:
+                    suffix = model._fill_block(b)
+                t -= base
+                hi -= base
+                t = base + bisect_left(suffix, -c, t if t > 0 else 0,
+                                       hi if hi < BLOCK_RANKS else BLOCK_RANKS, key=key)
+        thresholds[m] = t
         if t >= L:
             break
     return thresholds

@@ -3,23 +3,33 @@
     python tests/bitcheck.py                # print one line per corpus entry
     python tests/bitcheck.py --base REV     # compare REV with the working tree
 
-The corpus has four families. `cli`: argvs of all five commands in CSV
+The corpus has five families. `cli`: argvs of all five commands in CSV
 and JSON, `--help` of the program and of each command, bad arguments,
-budgets within 1e-13 of L / n and of L, and L at the popularity model's
-block and chunk edges; an entry is the exit code, stdout, stderr and the
---out file. `solver`: library calls made only through optimize_placement,
-solve_exact and brute_force, with the (grid, caps, pop, l_c) signature
+budgets within 1e-13 of L / n and of L, L at the popularity model's
+block and chunk edges, and `place --M 13`, whose model has 2,700 blocks;
+an entry is the exit code, stdout, stderr and the --out file. `solver`:
+library calls made only through optimize_placement, solve_exact and
+brute_force, with the (grid, caps, pop, l_c) signature
 they share; an entry is the placement, the rate's hex and the guarantee
 floor's, the relaxed solve that optimize_placement returns (m*,
 r*.hex() and the x* hexes), or the refusal's exception type and message.
 `model`: Zipf models with L at the block and chunk edges; an entry is
 every p(k).hex() and suffix(k).hex(), k = 0..L, read only through those
-two accessors. `simulate`: library calls of simulate(cfg, verbose=True)
+two accessors. `search`: direct calls of the two integer searches over
+the suffix mass, keyed on a boundary mass: at each block edge k of a
+model and next to it, bracketed_tail_inverse of y = suffix(k) and of the
+floats either side, and threshold_indices at a cap of suffix(k) * r and
+the floats either side; each on the full bracket and on brackets around
+its answer that stay in its block, cross one block edge or span the
+library, and all the caps of a model in one scan; an entry is every
+answer. `simulate`: library calls of simulate(cfg, verbose=True)
 on placements from optimize_placement and on seeded random compositions
 that leave some levels empty; an entry is every report field (floats as
 hex, the counts, each per-edge histogram's dtype and bytes), or the
-refusal. Each output line is the family, the input and a SHA-256 of the
-entry.
+refusal. Each composition is simulated once more with its uniforms on the
+level boundaries 1 - suffix(prefix(m)) and one float either side, through
+a scripted stand-in for numpy's Generator. Each output line is the
+family, the input and a SHA-256 of the entry.
 
 --base extracts REV's `src/` with `git archive` into a temporary directory
 and runs the corpus there and on this checkout's `src/` in two fresh
@@ -48,6 +58,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 
 # Files the cli family's argvs name, written into the run's working directory.
@@ -70,7 +82,12 @@ MODEL_TAUS = (0.0, 0.5, 1.0, 2.0, 3.0)
 # The simulate family's draws: M 1..6, L up to 3000, at most 20000 requests.
 SIM_CASES = 100
 
-FAMILIES = ("cli", "solver", "model", "simulate")
+# The search family's libraries (up to 25 blocks) and the rates of its caps.
+SEARCH_RANKS = (4097, 32768, 100003)
+SEARCH_TAUS = (0.0, 0.5, 1.0, 2.0)
+SEARCH_RATES = (0.37, 1.0, 3.1)
+
+FAMILIES = ("cli", "solver", "model", "search", "simulate")
 
 
 def _budgets(rng: random.Random, L: int, M: int) -> list[float]:
@@ -158,6 +175,9 @@ def cli_argvs() -> list[list[str]]:
             for M in (7, 8):
                 out.append(["place", "--M", str(M), "--l", str(L), "--lc", repr(L ** 0.5),
                             "--tau", tau])
+    # the default library at M = 13: a model of 2,700 blocks through both solvers
+    for tau in ("0.5", "1", "2"):
+        out.append(["place", "--M", "13", "--tau", tau])
     # the default family over M, beta1, beta2 and tau
     for M in range(1, 11):
         for beta2 in ("0.1", "0.3", "0.5"):
@@ -322,8 +342,72 @@ def run_solver_family(pkg):
                 yield f"{name} {key}", _refusal(exc)
 
 
+def run_search_family(pkg):
+    """Yield (key, entry) for every model of the search family: each search's
+    answers for keys on the boundary masses at its block edges."""
+    pop_mod = pkg.popularity
+    gaps = (0, 1, 4096, 10 ** 9)
+    for L in SEARCH_RANKS:
+        for tau in SEARCH_TAUS:
+            pop = pop_mod.zipf_pmf(L, tau)
+            ks = sorted({k + d for k in range(0, L + 1, 4096) for d in (-1, 0, 1)
+                         if 0 <= k + d <= L})
+            tails, thresholds, caps = [], [], []
+            for k in ks:
+                s = pop.suffix(k)
+                for y in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0)):
+                    if not 0.0 < y < 1.0:
+                        continue
+                    x, i = pop_mod.bracketed_tail_inverse(pop, y, 0, L)
+                    row = [(x.hex(), i)]
+                    for a in gaps:
+                        for b in gaps:
+                            x, j = pop_mod.bracketed_tail_inverse(
+                                pop, y, max(i - a, 0), min(i + 1 + b, L))
+                            row.append((x.hex(), j))
+                    tails.append((k, y.hex(), row))
+                for r in SEARCH_RATES:
+                    for c in (math.nextafter(s * r, 0.0), s * r, math.nextafter(s * r, math.inf)):
+                        if c <= 0.0:
+                            continue
+                        caps.append(c)
+                        t = pop_mod.threshold_indices(pop, r, [c], [0], [L])[0]
+                        row = [t] + [pop_mod.threshold_indices(
+                            pop, r, [c], [max(t - a, 0)], [min(t + b, L)])[0]
+                                     for a in gaps for b in gaps]
+                        thresholds.append((k, r, c.hex(), row))
+            key = f"L={L} tau={tau}"
+            yield f"tail {key}", tails
+            yield f"thresholds {key}", thresholds
+            for r in SEARCH_RATES:
+                yield f"scan {key} r={r}", pop_mod.threshold_indices(
+                    pop, r, caps, [0] * len(caps), [L] * len(caps))
+
+
+def _scripted_generator(real, uniforms):
+    """A stand-in for numpy's Generator class: random() cycles through
+    `uniforms` to the size asked, integers() is the real generator's."""
+    class Scripted:
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+
+        def integers(self, *args, **kwargs):
+            return self._rng.integers(*args, **kwargs)
+
+        def random(self, size):
+            return np.resize(np.array(uniforms), size)
+    return Scripted
+
+
+def _report(pkg, cfg, x):
+    report = pkg.delivery.simulate(cfg, verbose=True)
+    return x.x, tuple((f.name, _field(getattr(report, f.name)))
+                      for f in dataclasses.fields(report))
+
+
 def run_simulate_family(pkg):
-    """Yield (key, entry) for every simulate case: each report field, or the refusal."""
+    """Yield (key, entry) for every simulate case, and for every composition
+    once more on boundary uniforms: each report field, or the refusal."""
     tables, models = {}, {}
     for M, L, tau, requests, seed, placement in simulate_cases():
         key = f"M={M} L={L} tau={tau} requests={requests} seed={seed} {placement!r}"
@@ -343,11 +427,22 @@ def run_simulate_family(pkg):
                 grid = pkg.hierarchy.NetworkGrid(M, 0.0, 4.0)
                 x = pkg.placement.PlacementVector(placement[1])
             cfg = pkg.delivery.SimConfig(grid, x, pop, requests, seed)
-            report = pkg.delivery.simulate(cfg, verbose=True)
-            yield key, (x.x, tuple((f.name, _field(getattr(report, f.name)))
-                                   for f in dataclasses.fields(report)))
+            yield key, _report(pkg, cfg, x)
         except pkg.errors.CacheScaleError as exc:
             yield key, _refusal(exc)
+            continue
+        if placement[0] == "composition":
+            edges = {1.0 - pop.suffix(x.prefix(m)) for m in range(1, M + 1)}
+            uniforms = sorted(
+                u for e in edges for u in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))
+                if 0.0 <= u < 1.0)
+            real = np.random.Generator
+            np.random.Generator = _scripted_generator(real, uniforms)
+            try:
+                cfg = pkg.delivery.SimConfig(grid, x, pop, len(uniforms), seed)
+                yield f"boundary {key}", _report(pkg, cfg, x)
+            finally:
+                np.random.Generator = real
 
 
 def emit(src: Path) -> None:
@@ -370,6 +465,7 @@ def emit(src: Path) -> None:
             os.chdir(cwd)
     lines += [("solver", k, _digest(v)) for k, v in run_solver_family(pkg)]
     lines += [("model", k, _digest(v)) for k, v in run_model_family(pkg)]
+    lines += [("search", k, _digest(v)) for k, v in run_search_family(pkg)]
     lines += [("simulate", k, _digest(v)) for k, v in run_simulate_family(pkg)]
     sys.stdout.write("".join(f"{f}\t{k}\t{d}\n" for f, k, d in lines))
 
@@ -421,7 +517,8 @@ def compare(rev: str) -> int:
     counts = {f: sum(1 for fam, _ in keys if fam == f) for f in FAMILIES}
     print(f"bitcheck: {sha[:7]} vs working tree: {counts['cli']} cli argvs, "
           f"{counts['solver']} solver calls, {counts['model']} models, "
-          f"{counts['simulate']} simulate calls; {len(differ)} differ")
+          f"{counts['search']} search entries, {counts['simulate']} simulate calls; "
+          f"{len(differ)} differ")
     return 1 if differ else 0
 
 

@@ -1,5 +1,6 @@
-"""Reference forms that only tests use: the dense Zipf build, the popularity
-tail mass f(x) that tail_inverse inverts, the residuals of the relaxation's
+"""Reference forms that only tests use: the dense Zipf build, the two-pass
+chunked build that kept every suffix mass (the checkpointed build replaced
+it), a model over a given suffix array, the popularity tail mass f(x) that tail_inverse inverts, the residuals of the relaxation's
 optimality system, the threshold form of a placement, the relaxed rate of
 a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +41,13 @@ from d2d_cachescale.phy import (
     rate_multihop,
 )
 from d2d_cachescale.placement import RelaxedSolution, _load, round_to_feasible, solve_relaxed
-from d2d_cachescale.popularity import PopularityModel
+from d2d_cachescale.popularity import (
+    BLOCK_RANKS,
+    BLOCK_SHIFT,
+    CHUNK_RANKS,
+    PopularityModel,
+    _accumulate,
+)
 
 
 def dense_zipf(L, tau):
@@ -60,6 +68,57 @@ def dense_zipf(L, tau):
     suffix = np.zeros(L + 1)
     suffix[:L] = (tail / z).astype(np.float64)
     return z, pmf, suffix
+
+
+@lru_cache(maxsize=16)
+def dense_suffix(L, tau):
+    """dense_zipf's suffix masses, read-only and kept for the reference
+    searches that read them at every step."""
+    suffix = dense_zipf(L, tau)[2]
+    suffix.setflags(write=False)
+    return suffix
+
+
+def two_pass_zipf(L, tau):
+    """The chunked build that kept the suffix mass of every rank: (z, suffix_mass).
+
+    Pass 1 walks the chunks from the tail end, writes rank j's weight
+    j^{-tau} into suffix_mass[j-1] and accumulates each chunk onto the carry
+    of all later ranks, recording the carry each chunk starts from. Pass 2
+    re-accumulates each chunk from its carry, divides by z and writes the
+    chunk's suffix masses over its weights. zipf_pmf's suffix(k) must read
+    every entry, bit for bit.
+    """
+    suffix = np.empty(L + 1)
+    suffix[L] = 0.0
+    acc = np.empty(min(L, CHUNK_RANKS) + 1, dtype=np.longdouble)
+    chunks = []
+    carry = np.longdouble(0.0)
+    for hi in range(L, 0, -CHUNK_RANKS):
+        lo = max(hi - CHUNK_RANKS, 0)
+        suffix[lo:hi] = np.arange(lo + 1, hi + 1, dtype=np.float64) ** (-float(tau))
+        chunks.append((lo, hi, carry))
+        carry = _accumulate(acc, carry, suffix[lo:hi])[-1]
+    z = carry
+    for lo, hi, carry in chunks:
+        run = _accumulate(acc, carry, suffix[lo:hi])[1:]
+        run /= z
+        suffix[lo:hi] = run[::-1]
+    return z, suffix
+
+
+def model_over(suffix) -> PopularityModel:
+    """A model whose suffix(k) reads the given non-increasing array, for the
+    threshold search only: its edge masses and every suffix block are the
+    array's entries, and it has no probabilities."""
+    L = len(suffix) - 1
+    edges = np.append(np.asarray(suffix[::BLOCK_RANKS], dtype=np.longdouble), 0.0)
+    pop = PopularityModel(L=L, tau=0.0, z=np.longdouble(1.0), carries=edges)
+    for b in range(len(pop._suffix_blocks)):
+        start = b << BLOCK_SHIFT
+        pop._suffix_blocks[b] = memoryview(
+            np.array(suffix[start:start + BLOCK_RANKS + 1], dtype=np.float64)).toreadonly()
+    return pop
 
 
 def tail_mass(model: PopularityModel, x: float) -> float:

@@ -382,19 +382,20 @@ class TestInputChecks:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_library_guard_exits_3_before_the_zipf_build(self, capsys, monkeypatch):
-        """At the default beta1 = 0.9, M = 14 (L about 3.8e7) is within the
-        Zipf guard and M = 15 (L about 1.3e8) is refused before allocating."""
+        """At the default beta1 = 0.9, M = 15 (L = 2^27, about 1.3e8) is within
+        the Zipf guard and M = 16 (L about 4.7e8) is refused before allocating."""
         def library_size(m):
             cfg = cli._resolve(cli._build_parser().parse_args(["place", "--M", str(m)]))
             return cfg.library_size
-        assert library_size(14) <= MAX_RANKS < library_size(15)
+        assert library_size(15) <= MAX_RANKS < library_size(16)
 
         def never(*args, **kwargs):
             raise AssertionError("zipf_pmf allocated past the size guard")
         monkeypatch.setattr(np, "empty", never)
-        code, out, err = run_cli(capsys, "place", "--M", "15")
+        monkeypatch.setattr(np, "zeros", never)
+        code, out, err = run_cli(capsys, "place", "--M", "16")
         assert code == 3 and out == ""
-        assert err == (f"error: {library_size(15)} files exceed the Zipf model guard "
+        assert err == (f"error: {library_size(16)} files exceed the Zipf model guard "
                        f"of {MAX_RANKS} ranks\n")
 
     @pytest.mark.parametrize("tau", ["355", "358"])

@@ -21,7 +21,7 @@ from d2d_cachescale import (
 from d2d_cachescale import delivery
 from d2d_cachescale.delivery import MAX_REQUESTS
 from conftest import caps_for
-from reference import dense_zipf
+from reference import dense_suffix, dense_zipf
 
 
 def rank_draw_levels(pop, x, u):
@@ -30,7 +30,7 @@ def rank_draw_levels(pop, x, u):
 
     O(L) in memory; simulate() must draw the same level for every uniform.
     """
-    files = np.searchsorted(1.0 - pop.suffix_mass, u, side="right")
+    files = np.searchsorted(1.0 - dense_suffix(pop.L, pop.tau), u, side="right")
     level_of_rank = np.repeat(np.arange(len(x.x), dtype=np.int64), x.x)
     return level_of_rank[files - 1]
 
@@ -145,7 +145,7 @@ class TestSimulate:
         grid, _, _ = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(16, 0.0)  # boundary masses are exact multiples of 1/16
         x = PlacementVector((4, 0, 8, 4))
-        edges = [1.0 - float(pop.suffix_mass[k]) for k in range(16)]
+        edges = [1.0 - pop.suffix(k) for k in range(16)]
         u = np.array(sorted({np.nextafter(e, d) for e in edges for d in (0.0, 1.0)}
                             | set(edges)))
         u = u[(u >= 0.0) & (u < 1.0)]

@@ -35,7 +35,7 @@ from d2d_cachescale.placement import (
 from d2d_cachescale.popularity import tail_inverse
 from d2d_cachescale import placement
 from conftest import caps_for
-from reference import check_optimality, dense_zipf, relaxed_rate
+from reference import check_optimality, dense_suffix, dense_zipf, relaxed_rate
 
 
 def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
@@ -127,7 +127,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
             continue
         k = min(int(tail_inverse(pop, y)), pop.L)
         p_k = float(pmf[k])
-        a += w * (k + 1.0 + float(pop.suffix_mass[k]) / p_k)
+        a += w * (k + 1.0 + float(dense_suffix(pop.L, pop.tau)[k]) / p_k)
         b += w * caps.cbar[m] / p_k
     if a - l_c > 0.0 and b > 0.0:
         r_snap = b / (a - l_c)

@@ -15,12 +15,17 @@ from d2d_cachescale.popularity import (
     bracketed_tail_inverse,
     tail_inverse,
 )
-from reference import dense_zipf, tail_mass
+from reference import dense_zipf, tail_mass, two_pass_zipf
 
 
 def point_reads(model):
     """p(k) for k = 0..L, as a float64 array."""
     return np.fromiter(map(model.p, range(model.L + 1)), np.float64, model.L + 1)
+
+
+def suffix_reads(model):
+    """suffix(k) for k = 0..L, as a float64 array."""
+    return np.fromiter(map(model.suffix, range(model.L + 1)), np.float64, model.L + 1)
 
 
 def reference_tail_inverse(suffix, pmf, y):
@@ -44,19 +49,24 @@ def reference_tail_inverse(suffix, pmf, y):
 
 
 def breakpoint_arguments(model):
-    """Every breakpoint suffix_mass[k] and its two float neighbours, if >= 0."""
+    """Every breakpoint suffix(k) and its two float neighbours, if >= 0."""
     ys = set()
-    for s in model.suffix_mass.tolist():
+    for s in map(model.suffix, range(model.L + 1)):
         ys.update((math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)))
     return sorted(y for y in ys if y >= 0.0)
 
 
 def assert_matches_dense(L, tau):
+    """zipf_pmf's z and every p(k) and suffix(k) are the dense build's, and
+    the suffix reads are the two-pass build's array too."""
     z, pmf, suffix = dense_zipf(L, tau)
     pop = zipf_pmf(L, tau)
     assert type(pop.z) is np.longdouble and pop.z == z
     assert point_reads(pop).tobytes() == pmf.tobytes()
-    assert pop.suffix_mass.tobytes() == suffix.tobytes()
+    reads = suffix_reads(pop).tobytes()
+    assert reads == suffix.tobytes()
+    z2, suffix2 = two_pass_zipf(L, tau)
+    assert z2 == z and reads == suffix2.tobytes()
 
 
 class TestZipfPmf:
@@ -84,9 +94,10 @@ class TestZipfPmf:
         assert pmf[0] == 0.0
         assert abs(float(np.sum(pmf)) - 1.0) <= 1e-12
         assert np.all(np.diff(pmf[1:]) <= 0)
-        assert pop.suffix_mass[0] == 1.0
-        assert pop.suffix_mass[L] == 0.0
-        assert np.all(np.diff(pop.suffix_mass) <= 0)
+        suffix = suffix_reads(pop)
+        assert suffix[0] == 1.0
+        assert suffix[L] == 0.0
+        assert np.all(np.diff(suffix) <= 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -95,11 +106,11 @@ class TestZipfPmf:
             zipf_pmf(4, -0.1)
 
     def test_size_guard_before_allocating(self, monkeypatch):
-        """A library past MAX_RANKS (about 1.1 GB of model) is refused before
-        any array is allocated."""
+        """A library past MAX_RANKS is refused before any array is allocated."""
         def never(*args, **kwargs):
             raise AssertionError("zipf_pmf allocated past the size guard")
         monkeypatch.setattr(np, "empty", never)
+        monkeypatch.setattr(np, "zeros", never)
         for L in (MAX_RANKS + 1, 4 ** 40):
             with pytest.raises(SizeGuardError, match=f"guard of {MAX_RANKS} ranks"):
                 zipf_pmf(L, 1.0)
@@ -116,7 +127,7 @@ class TestZipfPmf:
     def test_subnormal_last_rank_accepted(self, L, tau):
         pop = zipf_pmf(L, tau)
         assert pop.p(L) > 0.0
-        assert np.all(np.diff(pop.suffix_mass) < 0)
+        assert np.all(np.diff(suffix_reads(pop)) < 0)
 
     def test_stochastic_dominance(self):
         """Raising tau moves mass toward the head: every proper prefix grows."""
@@ -124,7 +135,7 @@ class TestZipfPmf:
         for t_lo, t_hi in [(0.0, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0)]:
             lo, hi = zipf_pmf(L, t_lo), zipf_pmf(L, t_hi)
             for k in range(1, L):
-                assert hi.suffix_mass[k] < lo.suffix_mass[k]
+                assert hi.suffix(k) < lo.suffix(k)
 
 
 class TestChunkedBuild:
@@ -137,8 +148,9 @@ class TestChunkedBuild:
         assert_matches_dense(L, tau)
 
     def test_peak_memory_per_rank(self):
-        """Only suffix_mass (8 B/rank) plus one chunk of scratch; the dense
-        build peaks at 88 B/rank."""
+        """No per-rank array: 24 B per block plus one chunk of scratch, below
+        1 B/rank at L = 2^20; an array of suffix masses alone is 8 B/rank,
+        and the dense build peaks at 88 B/rank."""
         L = 2 ** 20
         tracemalloc.start()
         try:
@@ -146,23 +158,36 @@ class TestChunkedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / L <= 10.0
+        assert peak / L < 1.0
 
     def test_arrays_read_only(self):
-        pop = zipf_pmf(10, 1.0)
-        assert not pop.suffix_mass.flags.writeable
-        assert not hasattr(pop, "pmf")
+        pop = zipf_pmf(2 * BLOCK_RANKS, 1.0)
+        assert not pop.carries.flags.writeable
+        assert len(pop.carries) == 4  # blocks 0..2 and the carry past L
+        pop.p(5)
+        assert pop._p_blocks[0].readonly and pop._suffix_blocks[0].readonly
+        assert pop._edges.readonly
+        assert not hasattr(pop, "pmf") and not hasattr(pop, "suffix_mass")
 
     def test_probability_blocks_fill_on_first_read(self):
-        """Building the model computes no block; reading a rank computes its
-        block once, and a second read reuses it."""
+        """Building the model computes no block; reading a rank's p or suffix
+        computes its block of both once, and a second read reuses it. suffix
+        at a block edge reads the edge masses and fills nothing."""
         L = 3 * BLOCK_RANKS
         pop = zipf_pmf(L, 1.0)
-        assert [b is not None for b in pop._blocks] == [False] * 4
+
+        def filled():
+            return [(s is not None, p is not None)
+                    for s, p in zip(pop._suffix_blocks, pop._p_blocks)]
+        assert filled() == [(False, False)] * 4
+        assert [pop.suffix(b * BLOCK_RANKS) for b in range(4)] == list(pop._edges[:4])
+        assert filled() == [(False, False)] * 4
         p = pop.p(BLOCK_RANKS + 5)
-        block = pop._blocks[1]
-        assert [b is not None for b in pop._blocks] == [False, True, False, False]
-        assert pop.p(BLOCK_RANKS + 5) == p and pop._blocks[1] is block
+        block = pop._p_blocks[1]
+        assert filled() == [(False, False), (True, True), (False, False), (False, False)]
+        assert pop.p(BLOCK_RANKS + 5) == p and pop._p_blocks[1] is block
+        pop.suffix(2 * BLOCK_RANKS + 1)
+        assert filled() == [(False, False), (True, True), (True, True), (False, False)]
 
 
 class TestTailMass:
@@ -243,13 +268,14 @@ class TestTailIndex:
         the largest i with suffix[i] >= y as the tail index, and the inverse
         of the full search, at breakpoints and between them."""
         pop = zipf_pmf(L, tau)
-        suffix = memoryview(pop.suffix_mass)
+        suffix_mass = dense_zipf(L, tau)[2]
+        suffix = memoryview(suffix_mass)
         mids = (0.5 * (a + b) for a, b in zip(suffix, suffix[1:]))
         for y in [*breakpoint_arguments(pop), *mids]:
             if not 0.0 < y < 1.0:
                 continue
             # suffix is non-increasing: the ranks with suffix >= y are a prefix
-            i = int(np.searchsorted(-pop.suffix_mass, -y, side="right")) - 1
+            i = int(np.searchsorted(-suffix_mass, -y, side="right")) - 1
             full = bracketed_tail_inverse(pop, y, 0, L)
             assert full == (tail_inverse(pop, y), i)
             for a in range(i + 1):

@@ -29,6 +29,7 @@ from d2d_cachescale.placement import relaxed_cache_load
 from d2d_cachescale.cli import main
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
+    BLOCK_SHIFT,
     CHUNK_RANKS,
     bracketed_tail_inverse,
     tail_inverse,
@@ -130,6 +131,70 @@ def test_block_reads_match_oracle_at_edges(data, L, tau):
                 assert (x.hex(), j) == (x_ref.hex(), i), (k, y, lo, hi)
 
 
+def edge_brackets(data, lo_max, hi_min, L):
+    """Brackets [lo, hi] with lo <= lo_max and hi >= hi_min: one inside the
+    block of lo_max, one whose lo lies in the block below (where there is
+    one), one whose hi lies past the next block edge (where the library
+    reaches it), and one drawn over all of [0, lo_max] x [hi_min, L], which
+    spans many blocks of a large library."""
+    base = lo_max >> BLOCK_SHIFT << BLOCK_SHIFT
+    top = max(hi_min, min(base + BLOCK_RANKS, L))  # hi that stays in lo_max's block
+    out = [(data.draw(st.integers(base, lo_max)), data.draw(st.integers(hi_min, top)))]
+    if base > 0:
+        out.append((data.draw(st.integers(max(base - BLOCK_RANKS, 0), base - 1)),
+                    data.draw(st.integers(hi_min, top))))
+    if base + BLOCK_RANKS < L:
+        out.append((data.draw(st.integers(base, lo_max)),
+                    data.draw(st.integers(max(hi_min, base + BLOCK_RANKS + 1),
+                                          min(base + 2 * BLOCK_RANKS, L)))))
+    out.append((data.draw(st.integers(0, lo_max)), data.draw(st.integers(hi_min, L))))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(),
+       L=st.one_of(st.sampled_from(EDGES + (3 * CHUNK_RANKS,)),
+                   st.integers(min_value=1, max_value=3 * CHUNK_RANKS)),
+       tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), taus),
+       r=st.floats(min_value=1e-3, max_value=1e3))
+def test_searches_match_oracle_at_block_edges(data, L, tau, r):
+    """At every block and chunk edge k of the library and next to it, p(k)
+    and suffix(k) are the dense oracle's entries, and both searches return
+    the memoryview searches' answers over the oracle's array for keys on
+    the boundary mass suffix(k) and one float either side: the tail index
+    and inverse of y = suffix(k), and the threshold at a cap c = suffix(k)
+    * r. Each key is searched on a bracket inside one block, across one
+    block edge and over many blocks, and all the caps in one scan."""
+    pop = zipf_pmf(L, tau)
+    _, pmf, suffix = dense_zipf(L, tau)
+    view = memoryview(suffix)
+    edges = [e for e in range(0, L + 1, BLOCK_RANKS)] + [CHUNK_RANKS, L - CHUNK_RANKS]
+    ks = sorted({k + d for k in edges for d in (-1, 0, 1) if 0 <= k + d <= L})
+    caps = []
+    for k in ks:
+        assert pop.p(k).hex() == float(pmf[k]).hex(), k
+        s = pop.suffix(k)
+        assert s.hex() == float(suffix[k]).hex(), k
+        for y in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0)):
+            if not 0.0 < y < 1.0:
+                continue
+            i = memoryview_tail_index(view, y, 0, L)
+            want = (reference_tail_inverse(suffix, pmf, y).hex(), i)
+            for lo, hi in edge_brackets(data, i, i + 1, L):
+                x, j = bracketed_tail_inverse(pop, y, lo, hi)
+                assert (x.hex(), j) == want, (k, y, lo, hi)
+        for c in (math.nextafter(s * r, 0.0), s * r, math.nextafter(s * r, math.inf)):
+            if c <= 0.0:
+                continue
+            caps.append(c)
+            t = memoryview_raw_thresholds(view, r, [c], [0], [L], L)[0]
+            for lo, hi in edge_brackets(data, t, t, L):
+                assert threshold_indices(pop, r, [c], [lo], [hi]) == [t], (k, c, lo, hi)
+    full = ([0] * len(caps), [L] * len(caps))
+    assert (threshold_indices(pop, r, caps, *full)
+            == memoryview_raw_thresholds(view, r, caps, *full, L))
+
+
 # y one float below, on or above the breakpoint suffix(k) (step -1, 0, 1), or drawn
 steps = st.one_of(st.none(), st.integers(min_value=-1, max_value=1))
 
@@ -151,8 +216,8 @@ def test_tail_index_matches_memoryview_search(L, tau, k, step, u, lo_gap, hi_gap
     for, at breakpoints, their float neighbours and between them. The
     bracket [lo, hi] reaches lo_gap below and hi_gap above [i, i + 1]."""
     pop = zipf_pmf(L, tau)
-    view = memoryview(pop.suffix_mass)
-    s = float(pop.suffix_mass[k % (L + 1)])
+    view = memoryview(dense_zipf(L, tau)[2])
+    s = view[k % (L + 1)]
     y = u if step is None else math.nextafter(s, (0.0, s, 2.0)[step + 1])
     assume(0.0 < y < 1.0)
     i = memoryview_tail_index(view, y, 0, L)
@@ -191,14 +256,14 @@ def test_threshold_search_matches_memoryview_search(L, tau, caps, specs, lo_gap,
     solve_exact's steps do. Rates sit on a breakpoint c / suffix(k), next
     to one, anywhere, at 0 (the key is -0.0) or at the largest float."""
     pop = zipf_pmf(L, tau)
-    view = memoryview(pop.suffix_mass)
+    view = memoryview(dense_zipf(L, tau)[2])
     big = sys.float_info.max
 
     def rate(spec):
         if isinstance(spec, float):
             return spec
         k, j, step = spec
-        r = min(caps[j % len(caps)] / float(pop.suffix_mass[k % L]), big)
+        r = min(caps[j % len(caps)] / view[k % L], big)
         return min(math.nextafter(r, (0.0, r, math.inf)[step + 1]), big)
 
     r1, r, r2 = sorted(rate(spec) for spec in specs)
