@@ -22,14 +22,15 @@ floats either side, and threshold_indices at a cap of suffix(k) * r and
 the floats either side; each on the full bracket and on brackets around
 its answer that stay in its block, cross one block edge or span the
 library, and all the caps of a model in one scan; an entry is every
-answer. `simulate`: library calls of simulate(cfg, verbose=True)
-on placements from optimize_placement and on seeded random compositions
-that leave some levels empty; an entry is every report field (floats as
-hex, the counts, each per-edge histogram's dtype and bytes), or the
-refusal. Each composition is simulated once more with its uniforms on the
-level boundaries 1 - suffix(prefix(m)) and one float either side, through
-a scripted stand-in for numpy's Generator. Each output line is the
-family, the input and a SHA-256 of the entry.
+answer. `simulate`: library calls of simulate(cfg) and of
+simulate(cfg, verbose=True) on placements from optimize_placement and on
+seeded random compositions that leave some levels empty; an entry is
+every report field (floats as hex, the counts, each per-edge histogram's
+dtype and bytes), or the refusal. Each composition is simulated once more
+both ways with its uniforms on the level boundaries 1 - suffix(prefix(m))
+and one float either side, through a scripted stand-in for numpy's
+Generator. Each output line is the family, the input and a SHA-256 of the
+entry.
 
 --base extracts REV's `src/` with `git archive` into a temporary directory
 and runs the corpus there and on this checkout's `src/` in two fresh
@@ -113,6 +114,9 @@ def cli_argvs() -> list[list[str]]:
         ["oracle", "--M", "2", "--l", "8", "--lc", "1.0"], ["simulate"], ["simulate", *fmt],
         ["place", "--M", "9", "--bandwidth-hz", "2e8", *fmt],
         ["simulate", "--M", "9", "--requests", "300000", "--seed", "7", "--tau", "1"],
+        ["simulate", "--M", "17", "--beta1", "0.2", "--beta2", "0.1", "--requests", "70003",
+         "--seed", "8"],
+        ["simulate", "--M", "11", "--requests", "200001", "--seed", "5"],
         ["place", "--M", "2", "--l", "2", "--lc", "1.999999999999", *fmt],
         ["oracle", "--M", "1", "--l", "1", "--lc", "0.9999999999999998", *fmt],
         ["oracle", "--M", "1", "--l", "1", "--lc", "0.9999999999999998", "--tau", "1100"],
@@ -385,29 +389,44 @@ def run_search_family(pkg):
 
 
 def _scripted_generator(real, uniforms):
-    """A stand-in for numpy's Generator class: random() cycles through
-    `uniforms` to the size asked, integers() is the real generator's."""
+    """A stand-in for numpy's Generator class: random() serves `uniforms` in
+    order across calls, as random(size) or random(out=buffer) asks for them;
+    integers() is the real generator's."""
+    uniforms = np.array(uniforms)
+
     class Scripted:
         def __init__(self, bit_generator):
             self._rng = real(bit_generator)
+            self._next = 0
 
         def integers(self, *args, **kwargs):
             return self._rng.integers(*args, **kwargs)
 
-        def random(self, size):
-            return np.resize(np.array(uniforms), size)
+        def random(self, size=None, out=None):
+            k = size if out is None else out.size
+            drawn = uniforms[self._next:self._next + k]
+            if drawn.size != k:
+                raise SystemExit("bitcheck: the scripted uniforms ran out")
+            self._next += k
+            if out is None:
+                return drawn.copy()
+            out[...] = drawn
+            return out
     return Scripted
 
 
-def _report(pkg, cfg, x):
-    report = pkg.delivery.simulate(cfg, verbose=True)
-    return x.x, tuple((f.name, _field(getattr(report, f.name)))
-                      for f in dataclasses.fields(report))
+def _reports(pkg, cfg, x):
+    """(verbose, entry) for simulate(cfg) and simulate(cfg, verbose=True)."""
+    for verbose in (False, True):
+        report = pkg.delivery.simulate(cfg, verbose=verbose)
+        yield verbose, (x.x, tuple((f.name, _field(getattr(report, f.name)))
+                                   for f in dataclasses.fields(report)))
 
 
 def run_simulate_family(pkg):
-    """Yield (key, entry) for every simulate case, and for every composition
-    once more on boundary uniforms: each report field, or the refusal."""
+    """Yield (key, entry) for every simulate case with and without verbose,
+    and for every composition once more on boundary uniforms: each report
+    field, or the refusal."""
     tables, models = {}, {}
     for M, L, tau, requests, seed, placement in simulate_cases():
         key = f"M={M} L={L} tau={tau} requests={requests} seed={seed} {placement!r}"
@@ -427,7 +446,8 @@ def run_simulate_family(pkg):
                 grid = pkg.hierarchy.NetworkGrid(M, 0.0, 4.0)
                 x = pkg.placement.PlacementVector(placement[1])
             cfg = pkg.delivery.SimConfig(grid, x, pop, requests, seed)
-            yield key, _report(pkg, cfg, x)
+            for verbose, entry in _reports(pkg, cfg, x):
+                yield f"{key} verbose={verbose}", entry
         except pkg.errors.CacheScaleError as exc:
             yield key, _refusal(exc)
             continue
@@ -440,7 +460,8 @@ def run_simulate_family(pkg):
             np.random.Generator = _scripted_generator(real, uniforms)
             try:
                 cfg = pkg.delivery.SimConfig(grid, x, pop, len(uniforms), seed)
-                yield f"boundary {key}", _report(pkg, cfg, x)
+                for verbose, entry in _reports(pkg, cfg, x):
+                    yield f"boundary {key} verbose={verbose}", entry
             finally:
                 np.random.Generator = real
 

@@ -6,9 +6,11 @@ a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
 replaced, the multihop baseline's scaling law that the achievable law
 at alpha = 3 replaced, the recursive enumeration of compositions that
-brute force's stars and bars replaced, and the two-call PHY mode choice
+brute force's stars and bars replaced, the two-call PHY mode choice
 (a stage-count scan, then the winner's rate evaluated again) that
-cluster_rate's single scan replaced.
+cluster_rate's single scan replaced, and the simulator that drew every
+node and searched every uniform's level with searchsorted, which the
+streamed boundary counts replaced.
 
 The solvers never build these; tests use them to state what the exact
 solver's staircase and the relaxation's optimum mean, and to check the
@@ -31,6 +33,7 @@ from d2d_cachescale import (
     evaluate_throughput,
 )
 from d2d_cachescale.analysis import ScalingExponent, classify_regime
+from d2d_cachescale.delivery import EdgeLoadReport, SimConfig
 from d2d_cachescale.hierarchy import LevelCapacities, NetworkGrid
 from d2d_cachescale.phy import (
     ClusterRate,
@@ -334,3 +337,40 @@ def two_call_cluster_rate(N: int, grid: NetworkGrid, params: PhyParams, *,
     if r_h >= r_m:
         return ClusterRate(r_h, s_star)
     return ClusterRate(r_m, None)
+
+
+def searchsorted_simulate(cfg: SimConfig, *, verbose: bool = False) -> EdgeLoadReport:
+    """delivery.simulate as it drew every request at once: all N nodes from
+    the generator, then all N uniforms, each request's level by
+    searchsorted over the M boundary masses, and the counts by bincount."""
+    grid, x, pop = cfg.grid, cfg.placement, cfg.pop
+    M, n = grid.M, grid.n
+    levels = tuple(range(1, M + 1))
+    tails = tuple(pop.suffix(x.prefix(m)) for m in levels)
+    bounds = 1.0 - np.asarray(tails)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    nodes = rng.integers(0, n, size=cfg.num_requests)
+    lv = np.searchsorted(bounds, rng.random(cfg.num_requests), side="right")
+    counts = np.bincount(lv, minlength=M + 1).astype(np.int64)
+    crossings = np.cumsum(counts[::-1])[::-1]  # crossings[m] = requests from level >= m
+    empirical = tuple(float(crossings[m]) / 4 ** (M - m + 1) for m in levels)
+    analytic = tuple(cfg.num_requests * t * 4.0 ** (m - 1) / n
+                     for m, t in zip(levels, tails))
+    per_edge: dict[int, np.ndarray] | None = None
+    if verbose:
+        per_edge = {}
+        for m in levels:
+            # node >> 2(m-1) is the Z-order parent map: the node's level-(m-1) cluster
+            child = nodes[lv >= m] >> (2 * (m - 1))
+            per_edge[m] = np.bincount(child, minlength=4 ** (M - m + 1)).astype(np.int64)
+    return EdgeLoadReport(
+        levels=levels,
+        empirical_load=empirical,
+        analytic_load=analytic,
+        tail_mass=tails,
+        level_fraction=tuple(float(counts[m]) / cfg.num_requests for m in range(M + 1)),
+        m_b=x.m_b,
+        num_requests=cfg.num_requests,
+        total_edge_crossings=int(np.sum(lv)),
+        per_edge_counts=per_edge,
+    )

@@ -1,5 +1,6 @@
 """Flow-level delivery simulator: loads, conservation, determinism, capacity."""
 
+import dataclasses
 import math
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 from d2d_cachescale import (
     InvalidParameterError,
     InvariantViolationError,
+    NetworkGrid,
     PlacementVector,
     SimConfig,
     SizeGuardError,
@@ -19,9 +21,9 @@ from d2d_cachescale import (
     zipf_pmf,
 )
 from d2d_cachescale import delivery
-from d2d_cachescale.delivery import MAX_REQUESTS
+from d2d_cachescale.delivery import CHUNK_REQUESTS, MAX_EDGE_BINS, MAX_REQUESTS
 from conftest import caps_for
-from reference import dense_suffix, dense_zipf
+from reference import dense_suffix, dense_zipf, searchsorted_simulate
 
 
 def rank_draw_levels(pop, x, u):
@@ -47,6 +49,52 @@ def reference_report(cfg):
     per_edge = {m: np.bincount(nodes[lv >= m] >> (2 * (m - 1)), minlength=4 ** (M - m + 1))
                 for m in range(1, M + 1)}
     return fractions, int(np.sum(lv)), per_edge
+
+
+def report_bits(report):
+    """Every report field with its floats as hex and its arrays as (dtype, bytes)."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tobytes()
+        if isinstance(value, dict):
+            return tuple((k, bits(v)) for k, v in sorted(value.items()))
+        if isinstance(value, tuple):
+            return tuple(map(bits, value))
+        return type(value).__name__, value
+    return {f.name: bits(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+def scripted_generator(real, uniforms):
+    """A stand-in for numpy's Generator class: random() serves `uniforms` in
+    order across calls, as random(size) or random(out=buffer) asks for them;
+    integers() is the real generator's."""
+    class Scripted:
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+            self._next = 0
+
+        def integers(self, *args, **kwargs):
+            return self._rng.integers(*args, **kwargs)
+
+        def random(self, size=None, out=None):
+            k = size if out is None else out.size
+            drawn = uniforms[self._next:self._next + k]
+            assert drawn.size == k, "the scripted uniforms ran out"
+            self._next += k
+            if out is None:
+                return drawn.copy()
+            out[...] = drawn
+            return out
+    return Scripted
+
+
+def boundary_uniforms(pop):
+    """Every prefix mass 1 - suffix(k) of the model and the floats either side, in [0, 1)."""
+    edges = [1.0 - pop.suffix(k) for k in range(pop.L)]
+    u = np.array(sorted({np.nextafter(e, d) for e in edges for d in (0.0, 1.0)} | set(edges)))
+    return u[(u >= 0.0) & (u < 1.0)]
 
 
 def assert_matches_reference(cfg):
@@ -145,28 +193,30 @@ class TestSimulate:
         grid, _, _ = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(16, 0.0)  # boundary masses are exact multiples of 1/16
         x = PlacementVector((4, 0, 8, 4))
-        edges = [1.0 - pop.suffix(k) for k in range(16)]
-        u = np.array(sorted({np.nextafter(e, d) for e in edges for d in (0.0, 1.0)}
-                            | set(edges)))
-        u = u[(u >= 0.0) & (u < 1.0)]
-        real_generator = np.random.Generator
-
-        class ScriptedUniforms:
-            def __init__(self, bit_generator):
-                self._rng = real_generator(bit_generator)
-
-            def integers(self, *args, **kwargs):
-                return self._rng.integers(*args, **kwargs)
-
-            def random(self, size):
-                assert size == u.size
-                return u.copy()
-
-        monkeypatch.setattr(delivery.np.random, "Generator", ScriptedUniforms)
+        u = boundary_uniforms(pop)
+        monkeypatch.setattr(delivery.np.random, "Generator",
+                            scripted_generator(np.random.Generator, u))
         rep = simulate(SimConfig(grid, x, pop, u.size, seed=1))
         counts = np.bincount(rank_draw_levels(pop, x, u), minlength=grid.M + 1)
         assert rep.level_fraction == tuple(float(c) / u.size for c in counts)
         assert rep.level_fraction[1] == 0.0
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_boundary_uniforms_across_chunks(self, monkeypatch, verbose):
+        """Boundary uniforms repeated over two chunks and part of a third land
+        on the rank draw's levels in every chunk, and every field, per-edge
+        histograms included, has the searchsorted simulator's bits."""
+        grid, _, _ = caps_for(3, 0.0, 4.0)
+        pop = zipf_pmf(16, 0.0)
+        x = PlacementVector((4, 0, 8, 4))
+        u = np.resize(boundary_uniforms(pop), 2 * CHUNK_REQUESTS + 5)
+        monkeypatch.setattr(delivery.np.random, "Generator",
+                            scripted_generator(np.random.Generator, u))
+        cfg = SimConfig(grid, x, pop, u.size, seed=1)
+        rep = simulate(cfg, verbose=verbose)
+        counts = np.bincount(rank_draw_levels(pop, x, u), minlength=grid.M + 1)
+        assert rep.level_fraction == tuple(float(c) / u.size for c in counts)
+        assert report_bits(rep) == report_bits(searchsorted_simulate(cfg, verbose=verbose))
 
     def test_allocates_nothing_of_library_size(self):
         """With L far above the request count, simulate allocates less than
@@ -183,6 +233,37 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < L
+
+    def test_default_report_keeps_no_per_request_array(self):
+        """At 4e6 requests the default report allocates less than one byte per
+        request: it skips the node draw and streams the uniforms through one
+        chunk-sized buffer."""
+        grid, _, _ = caps_for(3, 0.0, 4.0)
+        cfg = SimConfig(grid, PlacementVector((8, 8, 16, 32)), zipf_pmf(64, 1.0),
+                        4 * 10 ** 6, seed=4)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.num_requests
+
+    def test_verbose_histograms_are_guarded_before_drawing(self, monkeypatch):
+        """An M = 13 grid has 89.5e6 edges, above the 2^25 bins verbose=True may
+        allocate: it is refused before the generator is made, while the
+        default report runs; M = 12's 22.4e6 edges are within the guard."""
+        assert (4 ** 13 - 4) // 3 <= MAX_EDGE_BINS < (4 ** 14 - 4) // 3
+        cfg = SimConfig(NetworkGrid(13, 0.0, 4.0), PlacementVector((1,) + (0,) * 13),
+                        zipf_pmf(1, 1.0), 10, seed=1)
+        assert simulate(cfg).total_edge_crossings == 0
+
+        def no_draw(seed):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(delivery.np.random, "Philox", no_draw)
+        with pytest.raises(SizeGuardError, match="above the guard of 33554432"):
+            simulate(cfg, verbose=True)
 
     def test_request_guard(self):
         """The guard admits 1e7 requests and rejects one more than its limit

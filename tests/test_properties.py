@@ -17,6 +17,7 @@ from d2d_cachescale import (
     PlacementVector,
     SimConfig,
     brute_force,
+    simulate,
     optimize_placement,
     solve_exact,
     edge_capacities,
@@ -27,6 +28,7 @@ from d2d_cachescale.analysis import achievable_exponent
 from d2d_cachescale.hierarchy import capacity_envelope
 from d2d_cachescale.placement import relaxed_cache_load
 from d2d_cachescale.cli import main
+from d2d_cachescale.delivery import CHUNK_REQUESTS
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
     BLOCK_SHIFT,
@@ -42,10 +44,11 @@ from reference import (
     memoryview_raw_thresholds,
     memoryview_tail_index,
     per_top_level_relaxations,
+    searchsorted_simulate,
     tail_mass,
     two_call_cluster_rate,
 )
-from test_delivery import assert_matches_reference
+from test_delivery import assert_matches_reference, report_bits
 from test_exact import assert_matches_reference as assert_exact_matches_reference
 from test_placement import assert_relaxed_matches_reference
 from test_popularity import assert_matches_dense, reference_tail_inverse
@@ -394,6 +397,38 @@ def test_level_draw_matches_rank_draw(data, m_levels, L, tau, seed):
     grid, _, _ = caps_for(m_levels, 0.0, 4.0)
     x = data.draw(placements(m_levels, L))
     assert_matches_reference(SimConfig(grid, x, zipf_pmf(L, tau), 2000, seed))
+
+
+request_counts = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=999),
+    st.sampled_from([CHUNK_REQUESTS - 1, CHUNK_REQUESTS, CHUNK_REQUESTS + 1,
+                     2 * CHUNK_REQUESTS, 3 * CHUNK_REQUESTS + 1]),
+    st.integers(min_value=1, max_value=3 * CHUNK_REQUESTS + 7),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=20), L=st.integers(min_value=1, max_value=3000),
+       tau=st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+       cuts=st.lists(st.integers(min_value=0, max_value=3000), min_size=20, max_size=20),
+       requests=request_counts, seed=st.integers(min_value=0, max_value=2 ** 32))
+@example(m_levels=16, L=100, tau=1.0, cuts=[3, 10, 40, 100] * 5, requests=CHUNK_REQUESTS + 1,
+         seed=8)  # 4^16 = 2^32: the last node width of two nodes per word
+@example(m_levels=17, L=100, tau=1.0, cuts=[3, 10, 40, 100] * 5, requests=70003,
+         seed=8)  # one node per word
+def test_streamed_simulate_matches_searchsorted(m_levels, L, tau, cuts, requests, seed):
+    """simulate, with and without its per-edge histograms, reports every
+    field with the bits of the simulator that drew all nodes and searched
+    every uniform's level: the node skip and the chunked boundary counts
+    leave the uniform stream and every count unchanged."""
+    ends = sorted(min(c, L) for c in cuts[:m_levels])
+    x = PlacementVector(tuple(b - a for a, b in zip([0, *ends], [*ends, L])))
+    cfg = SimConfig(NetworkGrid(m_levels, 0.0, 4.0), x, zipf_pmf(L, tau), requests, seed)
+    assert report_bits(simulate(cfg)) == report_bits(searchsorted_simulate(cfg))
+    if m_levels <= 8:
+        assert (report_bits(simulate(cfg, verbose=True))
+                == report_bits(searchsorted_simulate(cfg, verbose=True)))
 
 
 @settings(max_examples=150, deadline=None)
