@@ -8,13 +8,14 @@ through f, so its inverse, tail_inverse, is computed exactly
 (per-segment linear inversion) rather than approximated; at integer
 ranks f is the suffix mass, which the solvers read directly. The model
 stores no per-rank array: the build samples its extended-precision
-running sum every BLOCK_RANKS ranks, and a block of probabilities and
-suffix masses is computed from the sample at its upper edge on the
-block's first read. The two integer searches over the suffix mass also
-live here, each a standard-library bisect call with a C key function over
-one block, after one over the block edges when the bracket spans blocks:
-bracketed_tail_inverse's tail index for the relaxation and
-threshold_indices for the exact solver.
+running sum every BLOCK_RANKS ranks, and one block table holds the
+blocks of suffix masses and probabilities, each computed by one method
+from the sample at its upper edge on the block's first read.
+Reads outside ranks 0..L are refused. The two integer searches over the
+suffix mass also live here, each a standard-library bisect call with a C
+key function over one block, after one over the block edges when the
+bracket spans blocks: bracketed_tail_inverse's tail index for the
+relaxation and threshold_indices for the exact solver.
 """
 
 from __future__ import annotations
@@ -58,56 +59,59 @@ class PopularityModel:
     to k+1, divided by z and rounded. The model stores no per-rank array:
     carries[b] is that running sum at rank b * BLOCK_RANKS (z at b = 0, and
     0 from L on), and the boundary masses carries / z, rounded, are the
-    suffix masses at the block edges. Block b of p and suffix is computed
-    on its first read and kept: one vectorised pow over its ranks, the
-    weights divided by z, and the weights added onto carries[b + 1] in the
-    build's order. The extended-precision sum is one strictly sequential
-    sum, so seeding it with a sampled carry reproduces every partial sum of
-    the build term for term, and every entry has the bits the dense build
-    would give it. Filled blocks never change, so instances can be shared
-    between callers.
+    suffix masses at the block edges. Blocks of suffix and p live in one
+    table, each pair filled only by _fill on the block's first read and
+    kept: one vectorised pow over its ranks, the weights divided by z, and
+    the weights added onto carries[b + 1] in the build's order. The
+    extended-precision sum is one strictly sequential sum, so seeding it
+    with a sampled carry reproduces every partial sum of the build term
+    for term, and every entry has the bits the dense build would give it.
+    Filled blocks never change, so instances can be shared between callers;
+    (L, tau, z), which fix every bit, decide equality and the hash.
 
     This module owns that storage: the solvers read it only through p(k),
-    suffix(k) and the searches below. The reads go through read-only
-    memoryviews, so each returns a Python float (the entry's bits) without
-    a NumPy scalar per read.
+    suffix(k) and the searches below. Reads outside ranks 0..L raise
+    DomainError. The reads go through read-only memoryviews, so each
+    returns a Python float (the entry's bits) without a NumPy scalar per
+    read.
     """
 
     L: int
     tau: float
     z: np.longdouble
-    carries: np.ndarray
+    carries: np.ndarray = field(compare=False)
     _edges: memoryview = field(init=False, repr=False, compare=False)
-    _suffix_blocks: list = field(init=False, repr=False, compare=False)
-    _p_blocks: list = field(init=False, repr=False, compare=False)
+    _blocks: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         edges = (self.carries / self.z).astype(np.float64)
         object.__setattr__(self, "_edges", memoryview(edges).toreadonly())
-        object.__setattr__(self, "_suffix_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
-        object.__setattr__(self, "_p_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
+        object.__setattr__(self, "_blocks", [None] * ((self.L >> BLOCK_SHIFT) + 1))
 
     def p(self, k: int) -> float:
         """Request probability of rank k, for k = 1..L (0.0 at k = 0)."""
-        block = self._p_blocks[k >> BLOCK_SHIFT]
-        if block is None:
-            self._fill_block(k >> BLOCK_SHIFT)
-            block = self._p_blocks[k >> BLOCK_SHIFT]
-        return block[k & _BLOCK_MASK]
+        if not 0 <= k <= self.L:
+            raise DomainError(f"rank must lie in 0..{self.L}, got {k!r}")
+        b = k >> BLOCK_SHIFT
+        return (self._blocks[b] or self._fill(b))[1][k & _BLOCK_MASK]
 
     def suffix(self, k: int) -> float:
         """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L.
         A block edge is read from the edge masses and fills no block."""
+        if not 0 <= k <= self.L:
+            raise DomainError(f"rank must lie in 0..{self.L}, got {k!r}")
         if not k & _BLOCK_MASK:
             return self._edges[k >> BLOCK_SHIFT]
-        block = self._suffix_blocks[k >> BLOCK_SHIFT]
-        if block is None:
-            block = self._fill_block(k >> BLOCK_SHIFT)
-        return block[k & _BLOCK_MASK]
+        b = k >> BLOCK_SHIFT
+        return (self._blocks[b] or self._fill(b))[0][k & _BLOCK_MASK]
 
-    def _fill_block(self, b: int) -> memoryview:
-        """Compute and keep block b of suffix and of p; return the suffix block."""
+    def _fill(self, b: int) -> tuple[memoryview, memoryview]:
+        """Compute, keep and return block b's (suffix, p) pair: read-only
+        memoryviews over ranks b * BLOCK_RANKS .. min((b + 1) * BLOCK_RANKS,
+        L), from carries[b + 1]. The only code that computes a block."""
         L, z = self.L, self.z
+        if not 0 <= b <= L >> BLOCK_SHIFT:
+            raise DomainError(f"block must lie in 0..{L >> BLOCK_SHIFT}, got {b!r}")
         start = b << BLOCK_SHIFT
         stop = min(start + BLOCK_RANKS, L)  # the block's last rank
         first = max(start, 1)  # rank 0 has no weight: p(0) = 0.0
@@ -118,9 +122,9 @@ class PopularityModel:
         run = _accumulate(np.empty(stop - start + 1, dtype=np.longdouble),
                           self.carries[b + 1], weights[start + 1 - first:])
         run /= z
-        self._p_blocks[b] = memoryview(p).toreadonly()
-        block = self._suffix_blocks[b] = memoryview(run[::-1].astype(np.float64)).toreadonly()
-        return block
+        pair = self._blocks[b] = (memoryview(run[::-1].astype(np.float64)).toreadonly(),
+                                  memoryview(p).toreadonly())
+        return pair
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:
@@ -234,26 +238,17 @@ def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
     if y <= 0.0:
         L = model.L
         return float(L + 1), L - 1
-    b = lo >> BLOCK_SHIFT
-    if b == (hi - 1) >> BLOCK_SHIFT:
-        base = b << BLOCK_SHIFT
-        suffix = model._suffix_blocks[b]
-        if suffix is None:
-            suffix = model._fill_block(b)
-        j = bisect_right(suffix, -y, lo + 1 - base, hi - base, key=operator.neg)
-    else:
-        b = bisect_right(model._edges, -y, b + 1, ((hi - 1) >> BLOCK_SHIFT) + 1,
-                         key=operator.neg) - 1
-        base = b << BLOCK_SHIFT
-        suffix = model._suffix_blocks[b]
-        if suffix is None:
-            suffix = model._fill_block(b)
-        lo += 1 - base
-        hi -= base
-        j = bisect_right(suffix, -y, lo if lo > 1 else 1, hi if hi < BLOCK_RANKS else BLOCK_RANKS,
-                         key=operator.neg)
+    b, b_hi = lo >> BLOCK_SHIFT, (hi - 1) >> BLOCK_SHIFT
+    if b != b_hi:
+        b = bisect_right(model._edges, -y, b + 1, b_hi + 1, key=operator.neg) - 1
+    base = b << BLOCK_SHIFT
+    suffix, p = model._blocks[b] or model._fill(b)
+    lo += 1 - base
+    hi -= base
+    j = bisect_right(suffix, -y, lo if lo > 1 else 1, hi if hi < BLOCK_RANKS else BLOCK_RANKS,
+                     key=operator.neg)
     k = base + j
-    x = (k + 1) - (y - suffix[j]) / model._p_blocks[b][j]
+    x = (k + 1) - (y - suffix[j]) / p[j]
     return min(max(x, float(k)), float(k + 1)), k - 1
 
 
@@ -272,29 +267,20 @@ def threshold_indices(model: PopularityModel, r: float, caps: list[float],
     (b + 1) * BLOCK_RANKS] of one block b. The scan stops at the first
     level whose threshold is L; the later levels keep their t_hi entry.
     """
-    L, blocks, edges = model.L, model._suffix_blocks, model._edges
+    L, blocks, edges = model.L, model._blocks, model._edges
     key = partial(operator.mul, -r)
     thresholds = list(t_hi)
     for m, c in enumerate(caps):
         t, hi = t_lo[m], thresholds[m]
         if t < hi:
-            b = t >> BLOCK_SHIFT
-            if b == (hi - 1) >> BLOCK_SHIFT:
-                base = b << BLOCK_SHIFT
-                suffix = blocks[b]
-                if suffix is None:
-                    suffix = model._fill_block(b)
-                t = base + bisect_left(suffix, -c, t - base, hi - base, key=key)
-            else:
-                b = bisect_left(edges, -c, b + 1, ((hi - 1) >> BLOCK_SHIFT) + 1, key=key) - 1
-                base = b << BLOCK_SHIFT
-                suffix = blocks[b]
-                if suffix is None:
-                    suffix = model._fill_block(b)
-                t -= base
-                hi -= base
-                t = base + bisect_left(suffix, -c, t if t > 0 else 0,
-                                       hi if hi < BLOCK_RANKS else BLOCK_RANKS, key=key)
+            b, b_hi = t >> BLOCK_SHIFT, (hi - 1) >> BLOCK_SHIFT
+            if b != b_hi:
+                b = bisect_left(edges, -c, b + 1, b_hi + 1, key=key) - 1
+            base = b << BLOCK_SHIFT
+            t -= base
+            hi -= base
+            t = base + bisect_left((blocks[b] or model._fill(b))[0], -c, t if t > 0 else 0,
+                                   hi if hi < BLOCK_RANKS else BLOCK_RANKS, key=key)
         thresholds[m] = t
         if t >= L:
             break

@@ -113,14 +113,14 @@ def two_pass_zipf(L, tau):
 def model_over(suffix) -> PopularityModel:
     """A model whose suffix(k) reads the given non-increasing array, for the
     threshold search only: its edge masses and every suffix block are the
-    array's entries, and it has no probabilities."""
+    array's entries, and its blocks hold no probabilities."""
     L = len(suffix) - 1
     edges = np.append(np.asarray(suffix[::BLOCK_RANKS], dtype=np.longdouble), 0.0)
     pop = PopularityModel(L=L, tau=0.0, z=np.longdouble(1.0), carries=edges)
-    for b in range(len(pop._suffix_blocks)):
+    for b in range(len(pop._blocks)):
         start = b << BLOCK_SHIFT
-        pop._suffix_blocks[b] = memoryview(
-            np.array(suffix[start:start + BLOCK_RANKS + 1], dtype=np.float64)).toreadonly()
+        pop._blocks[b] = (memoryview(
+            np.array(suffix[start:start + BLOCK_RANKS + 1], dtype=np.float64)).toreadonly(), None)
     return pop
 
 

@@ -107,6 +107,17 @@ def assert_matches_reference(cfg):
         assert np.array_equal(rep.per_edge_counts[m], hist)
 
 
+def test_configs_over_equal_models_are_equal():
+    """The model compares by (L, tau, z), so configs built from the same
+    numbers are equal and hash equal."""
+    grid, _, _ = caps_for(2, 0.0, 4.0)
+    x = PlacementVector((2, 1, 1))
+    a = SimConfig(grid, x, zipf_pmf(4, 1.0), 100, seed=1)
+    b = SimConfig(grid, x, zipf_pmf(4, 1.0), 100, seed=1)
+    assert a == b and hash(a) == hash(b)
+    assert a != SimConfig(grid, x, zipf_pmf(4, 1.5), 100, seed=1)
+
+
 class TestSimulate:
     def test_all_local_no_traffic(self):
         grid, _, _ = caps_for(2, 0.0, 4.0)

@@ -20,7 +20,7 @@ from d2d_cachescale import (
     zipf_pmf,
 )
 from d2d_cachescale.exact import _compositions, feasible_for_rate
-from d2d_cachescale.popularity import threshold_indices
+from d2d_cachescale.popularity import BLOCK_RANKS, threshold_indices
 from conftest import caps_for
 from reference import (ThresholdForm, dense_suffix, dense_zipf, from_threshold, model_over,
                        recursive_compositions, to_threshold)
@@ -326,6 +326,20 @@ def _threshold(pop, r, c, lo, hi):
 def _first_pass(suffix, r, c):
     """Smallest t with suffix[t] * r <= c, by a linear scan of the numpy products."""
     return int(np.flatnonzero(suffix * r <= c)[0])
+
+
+def test_threshold_tie_across_a_block_edge():
+    """suffix(B - 1) = suffix(B) at the first block edge B: the first pass
+    is B - 1, inside block 0, so the bisect over the edges must pick block 0
+    on the tie (bisect_left), not block 1 (bisect_right, which answers B)."""
+    B = BLOCK_RANKS
+    L, r = 2 * B + 10, 0.37
+    suffix = np.linspace(1.0, 0.0, L + 1)
+    suffix[B] = suffix[B - 1]
+    pop = model_over(suffix)
+    c = r * pop.suffix(B)
+    assert pop.suffix(B - 2) * r > c
+    assert _threshold(pop, r, c, 0, L) == _first_pass(suffix, r, c) == B - 1
 
 
 class TestThresholdMonotonicity:

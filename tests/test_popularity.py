@@ -1,8 +1,10 @@
 """Zipf model, tail mass, and its exact inversion."""
 
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from d2d_cachescale import DomainError, InvalidParameterError, SizeGuardError, zipf_pmf
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
+    BLOCK_SHIFT,
     CHUNK_RANKS,
     MAX_RANKS,
     bracketed_tail_inverse,
@@ -165,7 +168,7 @@ class TestChunkedBuild:
         assert not pop.carries.flags.writeable
         assert len(pop.carries) == 4  # blocks 0..2 and the carry past L
         pop.p(5)
-        assert pop._p_blocks[0].readonly and pop._suffix_blocks[0].readonly
+        assert pop._blocks[0][0].readonly and pop._blocks[0][1].readonly
         assert pop._edges.readonly
         assert not hasattr(pop, "pmf") and not hasattr(pop, "suffix_mass")
 
@@ -177,17 +180,59 @@ class TestChunkedBuild:
         pop = zipf_pmf(L, 1.0)
 
         def filled():
-            return [(s is not None, p is not None)
-                    for s, p in zip(pop._suffix_blocks, pop._p_blocks)]
-        assert filled() == [(False, False)] * 4
+            return [pair is not None and tuple(map(type, pair)) for pair in pop._blocks]
+        both = (memoryview, memoryview)
+        assert filled() == [False] * 4
         assert [pop.suffix(b * BLOCK_RANKS) for b in range(4)] == list(pop._edges[:4])
-        assert filled() == [(False, False)] * 4
+        assert filled() == [False] * 4
         p = pop.p(BLOCK_RANKS + 5)
-        block = pop._p_blocks[1]
-        assert filled() == [(False, False), (True, True), (False, False), (False, False)]
-        assert pop.p(BLOCK_RANKS + 5) == p and pop._p_blocks[1] is block
+        pair = pop._blocks[1]
+        assert filled() == [False, both, False, False]
+        assert pop.p(BLOCK_RANKS + 5) == p and pop._blocks[1] is pair
+        pop.suffix(BLOCK_RANKS + 6)
+        assert pop._blocks[1] is pair
         pop.suffix(2 * BLOCK_RANKS + 1)
-        assert filled() == [(False, False), (True, True), (True, True), (False, False)]
+        assert filled() == [False, both, both, False]
+
+    def test_reads_outside_the_ranks_are_refused(self):
+        """A rank outside 0..L, or a block outside 0..L >> BLOCK_SHIFT, raises
+        and stores nothing, so a shared model keeps every bit."""
+        L = 10000
+        pop = zipf_pmf(L, 1.0)
+        for k in (-1, -BLOCK_RANKS, -L, L + 1, 3 * BLOCK_RANKS):
+            with pytest.raises(DomainError):
+                pop.p(k)
+            with pytest.raises(DomainError):
+                pop.suffix(k)
+        for b in (-1, (L >> BLOCK_SHIFT) + 1):
+            with pytest.raises(DomainError):
+                pop._fill(b)
+        assert pop._blocks == [None] * ((L >> BLOCK_SHIFT) + 1)
+        _, pmf, suffix = dense_zipf(L, 1.0)
+        assert (pop.p(L - 1), pop.suffix(L - 1)) == (pmf[L - 1], suffix[L - 1])
+        assert (pop.p(L), pop.suffix(L)) == (pmf[L], 0.0)
+
+    def test_dropped_model_frees_its_blocks_without_the_collector(self):
+        """The block table holds only blocks, not the model, so no reference
+        cycle keeps a dropped model and its blocks alive."""
+        pop = zipf_pmf(3 * BLOCK_RANKS, 1.0)
+        gc.disable()
+        try:
+            for k in (5, BLOCK_RANKS + 5, 3 * BLOCK_RANKS - 1):
+                pop.p(k)
+                pop.suffix(k)
+            ref = weakref.ref(pop)
+            del pop
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_equality_and_hash_follow_the_build_parameters(self):
+        a, b = zipf_pmf(10000, 1.0), zipf_pmf(10000, 1.0)
+        a.p(5)
+        assert a == b and hash(a) == hash(b)
+        assert a != zipf_pmf(10000, 1.1) and a != zipf_pmf(10001, 1.0)
+        assert len({a, b, zipf_pmf(10000, 0.5)}) == 2
 
 
 class TestTailMass:

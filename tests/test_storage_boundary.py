@@ -1,11 +1,11 @@
 """The popularity model's storage is one module's business.
 
 Only popularity.py may name the model's sampled carries, its edge masses,
-its tables of suffix and probability blocks or the method that fills one
-(or the names of the per-rank arrays the model once kept), or build a
-memoryview: every other module reads popularity through p(k), suffix(k),
-tail_inverse and the model's searches, so the storage can change behind
-them without touching a solver.
+its block table or the method that fills a block (or the names of the
+block lists, fill method and per-rank arrays the model once kept), or
+build a memoryview: every other module reads popularity through p(k),
+suffix(k), tail_inverse and the model's searches, so the storage can
+change behind them without touching a solver.
 """
 
 import ast
@@ -15,7 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "d2d_cachescale"
 FORBIDDEN = {"carries", "_edges", "_suffix_blocks", "_p_blocks", "_fill_block", "_BLOCK_MASK",
-             "memoryview", "suffix_mass", "pmf", "_suffix", "_blocks"}
+             "memoryview", "suffix_mass", "pmf", "_suffix", "_blocks", "_fill"}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "popularity.py")
 
 
@@ -47,9 +47,11 @@ def test_guard_sees_each_kind_of_read():
               "def f(pop, suffix_mass):\n"
               "    return memoryview(pop.pmf), g(pmf=1)\n"
               "def g(pop, k):\n"
-              "    return pop._blocks[k >> 12] or pop._fill_block(k >> 12), pop._suffix[k]\n"
+              "    return pop._blocks[k >> 12] or pop._fill(k >> 12), pop._suffix[k]\n"
               "def h(pop, b):\n"
-              "    return pop._suffix_blocks[b], pop._p_blocks[b], pop._edges[b], pop.carries\n")
+              "    return pop._suffix_blocks[b], pop._p_blocks[b] or pop._fill_block(b)\n"
+              "def i(pop, b):\n"
+              "    return pop._edges[b], pop.carries\n")
     assert sorted(name for _, name in storage_names(source)) == [
-        "_blocks", "_edges", "_fill_block", "_p_blocks", "_suffix", "_suffix_blocks", "carries",
-        "memoryview", "pmf", "pmf", "pmf", "suffix_mass"]
+        "_blocks", "_edges", "_fill", "_fill_block", "_p_blocks", "_suffix", "_suffix_blocks",
+        "carries", "memoryview", "pmf", "pmf", "pmf", "suffix_mass"]
