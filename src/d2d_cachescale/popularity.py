@@ -71,9 +71,10 @@ class PopularityModel:
 
     This module owns that storage: the solvers read it only through p(k),
     suffix(k) and the searches below. Reads outside ranks 0..L raise
-    DomainError. The reads go through read-only memoryviews, so each
-    returns a Python float (the entry's bits) without a NumPy scalar per
-    read.
+    DomainError, and a rank that is not an integer (a float, even a
+    whole one) raises InvalidParameterError. The reads go through
+    read-only memoryviews, so each returns a Python float (the entry's
+    bits) without a NumPy scalar per read.
     """
 
     L: int
@@ -90,20 +91,26 @@ class PopularityModel:
 
     def p(self, k: int) -> float:
         """Request probability of rank k, for k = 1..L (0.0 at k = 0)."""
+        try:
+            b, j = k >> BLOCK_SHIFT, k & _BLOCK_MASK
+        except TypeError:
+            raise _rank_error(k, self.L) from None
         if not 0 <= k <= self.L:
-            raise DomainError(f"rank must lie in 0..{self.L}, got {k!r}")
-        b = k >> BLOCK_SHIFT
-        return (self._blocks[b] or self._fill(b))[1][k & _BLOCK_MASK]
+            raise _rank_error(k, self.L)
+        return (self._blocks[b] or self._fill(b))[1][j]
 
     def suffix(self, k: int) -> float:
         """Mass of ranks k+1..L, for k = 0..L: 1.0 at k = 0 and 0.0 at k = L.
         A block edge is read from the edge masses and fills no block."""
+        try:
+            b, j = k >> BLOCK_SHIFT, k & _BLOCK_MASK
+        except TypeError:
+            raise _rank_error(k, self.L) from None
         if not 0 <= k <= self.L:
-            raise DomainError(f"rank must lie in 0..{self.L}, got {k!r}")
-        if not k & _BLOCK_MASK:
-            return self._edges[k >> BLOCK_SHIFT]
-        b = k >> BLOCK_SHIFT
-        return (self._blocks[b] or self._fill(b))[0][k & _BLOCK_MASK]
+            raise _rank_error(k, self.L)
+        if not j:
+            return self._edges[b]
+        return (self._blocks[b] or self._fill(b))[0][j]
 
     def _fill(self, b: int) -> tuple[memoryview, memoryview]:
         """Compute, keep and return block b's (suffix, p) pair: read-only
@@ -125,6 +132,16 @@ class PopularityModel:
         pair = self._blocks[b] = (memoryview(run[::-1].astype(np.float64)).toreadonly(),
                                   memoryview(p).toreadonly())
         return pair
+
+
+def _rank_error(k, L: int) -> Exception:
+    """The error for a rank the model cannot read: InvalidParameterError
+    unless k is an integer (numpy integers are), else DomainError."""
+    try:
+        operator.index(k)
+    except TypeError:
+        return InvalidParameterError(f"rank must be an integer, got {k!r}")
+    return DomainError(f"rank must lie in 0..{L}, got {k!r}")
 
 
 def zipf_pmf(L: int, tau: float) -> PopularityModel:

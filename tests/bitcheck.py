@@ -6,8 +6,9 @@
 The corpus has five families. `cli`: argvs of all five commands in CSV
 and JSON, `--help` of the program and of each command, bad arguments,
 budgets within 1e-13 of L / n and of L, L at the popularity model's
-block and chunk edges, and `place --M 13`, whose model has 2,700 blocks;
-an entry is the exit code, stdout, stderr and the --out file. `solver`:
+block and chunk edges, `place --M 13`, whose model has 2,700 blocks,
+and the benchmark's sweep_wide sweep at M = 12; an entry is the exit
+code, stdout, stderr and the --out file. `solver`:
 library calls made only through optimize_placement, solve_exact and
 brute_force, with the (grid, caps, pop, l_c) signature
 they share; an entry is the placement, the rate's hex and the guarantee
@@ -130,6 +131,7 @@ def cli_argvs() -> list[list[str]]:
         ["place", "--config", "good.conf", *fmt], ["place", "--config", "good.conf", "--tau", "2"],
         ["place", "--M", "3", "--l", "30", "--lc", "2.0", "--out", "out.csv"],
         ["sweep", "--M", "3", "--axis", "tau", "--range", "0:1:0.5", "--out", "out.json", *fmt],
+        ["sweep", "--M", "12", "--beta1", "0.5", "--axis", "tau", "--range", "0.5:2.5:0.5"],
         ["scaling", "--range", "0:1e200:1e199"],
         ["scaling", "--alpha", "2.5", "--range", "0:2:0.5"],
         ["oracle", "--M", "3", "--l", "20", "--lc", "19.9999999999999", "--tau", "0",

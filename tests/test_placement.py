@@ -280,19 +280,106 @@ class TestRelaxedCacheLoad:
 
     def test_indices_at_two_rates_bracket_the_search(self):
         """Each level's tail index is non-decreasing in the rate, and the
-        indices at any r1 <= r <= r2 bracket r's search to the full result."""
+        indices at any r1 <= r <= r2 bracket r's search to the full result.
+        Narrow brackets pin some levels (i1[m] == i2[m]), whose inverse
+        comes from the one segment kept in the segments list: a second
+        rate in the bracket reuses it and still gives the full result."""
         rng = random.Random(45)
-        for _ in range(300):
+        pinned = searched = 0
+        for trial in range(600):
             grid, caps, pop, _ = random_instance(rng, m_max=8, l_max=3000)
             m_star = rng.randint(0, grid.M - 1)
-            full = [0] * (grid.M + 1), [pop.L - 1] * (grid.M + 1)
-            r1, r, r2 = sorted(caps.cbar[m_star + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
-                               for _ in range(3))
+            full = [0] * (grid.M + 1), [pop.L - 1] * (grid.M + 1), [None] * (grid.M + 1)
+            if trial % 2:
+                r1 = caps.cbar[m_star + 1] * 2.0 ** rng.uniform(0.0, 10.0)
+                r1, r, r2 = sorted(r1 * (1.0 + 2.0 ** -rng.uniform(8.0, 50.0) * rng.random())
+                                   for _ in range(3))
+            else:
+                r1, r, r2 = sorted(caps.cbar[m_star + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
+                                   for _ in range(3))
             (_, i1), (_, i2) = (placement._bracketed_load(m_star, q, caps, pop, *full)
                                 for q in (r1, r2))
             load, index = placement._bracketed_load(m_star, r, caps, pop, *full)
             assert all(a <= i <= b for a, i, b in zip(i1, index, i2))
-            assert placement._bracketed_load(m_star, r, caps, pop, i1, i2) == (load, index)
+            segments = [None] * (grid.M + 1)
+            assert placement._bracketed_load(m_star, r, caps, pop, i1, i2, segments) \
+                == (load, index)
+            for m in range(m_star + 1, grid.M + 1):
+                y = caps.cbar[m] / r
+                if i1[m] == i2[m] and 0.0 < y < 1.0:
+                    k = i1[m] + 1
+                    assert segments[m] == (k, k + 1, pop.suffix(k), pop.p(k))
+                    pinned += 1
+                else:
+                    assert segments[m] is None
+                    searched += 1
+            for q in (r1, r2, 0.5 * (r1 + r2)):
+                assert placement._bracketed_load(m_star, q, caps, pop, i1, i2, segments) \
+                    == placement._bracketed_load(m_star, q, caps, pop, *full)
+        assert pinned > 100 and searched > 100
+
+    def test_pinned_level_at_a_ratio_of_one(self):
+        """A level pinned at index 0 whose ratio cbar[m] / r is 1.0, or one
+        float above, gives the full search's 1.0, not its segment's line
+        2 - (y - suffix(1)) / p(1). On these libraries (1 - suffix(1)) / p(1)
+        rounds below 1, so the line reads above 1.0 at y = 1."""
+        cases = 0
+        for L, tau in ((2, 0.5), (4, 1.5), (5, 0.0), (10, 0.5), (13, 0.0)):
+            pop = zipf_pmf(L, tau)
+            assert 2.0 - (1.0 - pop.suffix(1)) / pop.p(1) > 1.0
+            for m_levels in (1, 2, 3):
+                grid, _, caps = caps_for(m_levels, 0.0, 4.0)
+                for m_star in range(m_levels):
+                    m = m_star + 1
+                    r2 = caps.cbar[m] * (1.0 + 2.0 ** -30)
+                    for r in (caps.cbar[m], math.nextafter(caps.cbar[m], 0.0)):
+                        assert caps.cbar[m] / r >= 1.0
+                        full = [0] * (m_levels + 1), [L - 1] * (m_levels + 1)
+                        (_, i1), (_, i2) = (
+                            placement._bracketed_load(m_star, q, caps, pop, *full,
+                                                      [None] * (m_levels + 1))
+                            for q in (r, r2))
+                        assert i1[m] == i2[m] == 0
+                        assert placement._bracketed_load(
+                            m_star, r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
+                            == placement._bracketed_load(m_star, r, caps, pop, *full,
+                                                         [None] * (m_levels + 1))
+                        cases += 1
+        assert cases == 60
+
+    def test_pinned_level_on_a_boundary_mass(self):
+        """A level pinned at index i whose ratio is exactly suffix(i) gives
+        the full search's x = i + 1. Where (suffix(i) - suffix(i + 1)) /
+        p(i + 1) rounds above 1, the segment's line reads below i + 1 there
+        and only the clamp's lower bound lifts it back."""
+        m_levels = 3
+        grid, _, caps = caps_for(m_levels, 0.0, 4.0)
+        m_star, cbar = m_levels - 1, caps.cbar[m_levels]
+        lifted = 0
+        for L, tau in ((50, 0.0), (300, 0.8)):
+            pop = zipf_pmf(L, tau)
+            full = [0] * (m_levels + 1), [L - 1] * (m_levels + 1)
+            for i in range(1, L - 1):
+                s = pop.suffix(i)
+                r = cbar / s
+                for _ in range(4):  # the rate whose ratio rounds to s, if one is near
+                    if cbar / r == s:
+                        break
+                    r = math.nextafter(r, math.inf if cbar / r > s else 0.0)
+                else:
+                    continue
+                r2 = math.nextafter(r, math.inf)
+                (_, i1), (_, i2) = (
+                    placement._bracketed_load(m_star, q, caps, pop, *full,
+                                              [None] * (m_levels + 1))
+                    for q in (r, r2))
+                assert i1[m_levels] == i2[m_levels] == i
+                assert placement._bracketed_load(
+                    m_star, r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
+                    == placement._bracketed_load(m_star, r, caps, pop, *full,
+                                                 [None] * (m_levels + 1))
+                lifted += (s - pop.suffix(i + 1)) / pop.p(i + 1) > 1.0
+        assert lifted > 50
 
 
 class TestRelaxedSolutionAt:

@@ -212,6 +212,23 @@ class TestChunkedBuild:
         assert (pop.p(L - 1), pop.suffix(L - 1)) == (pmf[L - 1], suffix[L - 1])
         assert (pop.p(L), pop.suffix(L)) == (pmf[L], 0.0)
 
+    def test_non_integer_ranks_are_refused(self):
+        """A rank that is not an integer raises InvalidParameterError, inside
+        0..L or not and on a block edge too; numpy integers read the same
+        bits as Python ints, and nothing is stored by a refused read."""
+        L = 10000
+        pop = zipf_pmf(L, 1.0)
+        for k in (2.0, 5.5, float(BLOCK_RANKS), np.float64(3.0), L + 0.5, -1.5, "2", None):
+            for read in (pop.p, pop.suffix):
+                with pytest.raises(InvalidParameterError, match="rank must be an integer"):
+                    read(k)
+        assert pop._blocks == [None] * ((L >> BLOCK_SHIFT) + 1)
+        for k in (0, 2, BLOCK_RANKS, BLOCK_RANKS + 1, L):
+            for cast in (np.int64, np.int32, np.uint16):
+                assert (pop.p(cast(k)), pop.suffix(cast(k))) == (pop.p(k), pop.suffix(k))
+        with pytest.raises(DomainError):
+            pop.p(np.int64(L + 1))
+
     def test_dropped_model_frees_its_blocks_without_the_collector(self):
         """The block table holds only blocks, not the model, so no reference
         cycle keeps a dropped model and its blocks alive."""
