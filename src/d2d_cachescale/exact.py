@@ -42,6 +42,8 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     """
     if math.isnan(r):
         raise InvalidParameterError(f"rate must be a number, got {r!r}")
+    if not 1 <= m_b <= caps.M:
+        raise InvalidParameterError(f"top level must lie in 1..{caps.M}, got {m_b!r}")
     L = pop.L
     level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
     thresholds = threshold_indices(pop, r, level_caps, [0] * m_b, [L] * m_b)

@@ -18,6 +18,8 @@ ends on the same bits. Once both ends agree on a level's index, that
 level is pinned: its segment's suffix and probability are read once, and
 every later step computes the level's inverse in closed form with the
 search's own float operations, so pinned levels run no search at all.
+Each level's inverse at the final rate is computed once, by the
+evaluation that set that rate; the snap and the occupancies read it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from .errors import (
     BracketError,
@@ -34,7 +37,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .hierarchy import MAX_LEVELS, LevelCapacities, NetworkGrid
-from .popularity import PopularityModel, bracketed_tail_inverse, tail_inverse
+from .popularity import PopularityModel, tail_inverse
 
 
 # Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
@@ -175,42 +178,47 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
 
 def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
                        pop: PopularityModel) -> float:
-    """Cache mass of the balanced fractional solution at rate r.
+    """Cache mass of the balanced fractional solution at rate r > 0.
 
-    With m_star the lowest occupied level, every level above it holds
-    exactly the files needed to keep its capacity ratio at r. Strictly
-    increasing in r wherever some capacity-to-rate ratio is below one,
-    and saturating at L 4^{-m_star} as r grows.
+    With m_star in 0..M the lowest occupied level, every level above it
+    holds exactly the files needed to keep its capacity ratio at r.
+    Strictly increasing in r wherever some capacity-to-rate ratio is below
+    one, and saturating at L 4^{-m_star} as r grows.
     """
-    if math.isnan(r):
-        raise InvalidParameterError(f"rate must be a number, got {r!r}")
     M, L = caps.M, pop.L
+    if not r > 0.0:
+        raise InvalidParameterError(f"rate must be > 0, got {r!r}")
+    if not (isinstance(m_star, Integral) and 0 <= m_star <= M):
+        raise InvalidParameterError(
+            f"lowest occupied level must be an integer in 0..{M}, got {m_star!r}")
     return _bracketed_load(m_star, r, caps, pop, [0] * (M + 1), [L - 1] * (M + 1),
                            [None] * (M + 1))[0]
 
 
 def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: PopularityModel,
-                    i_lo: list[int], i_hi: list[int],
-                    segments: list[tuple | None]) -> tuple[float, list[int]]:
-    """relaxed_cache_load at r and each level's tail index there, searched in
+                    i_lo: list[int], i_hi: list[int], segments: list[tuple | None]
+                    ) -> tuple[float, list[float], list[int]]:
+    """relaxed_cache_load at r, with each level's tail inverse and tail index
+    there (0.0 and 0 at the levels up to m_star), searched in
     [i_lo[m], i_hi[m] + 1]: i_lo[m] and i_hi[m] are level m's indices at two
     rates around r, or the extremes 0 and L - 1.
 
     A level with i_lo[m] == i_hi[m] = i has index i at r, so its inverse
-    comes from segment k = i + 1 alone, by bracketed_tail_inverse's float
-    operations in its order. segments[m] keeps that segment as the floats
+    comes from segment k = i + 1 alone, by tail_inverse's float operations
+    in its order. segments[m] keeps that segment as the floats
     (k, k + 1, suffix(k), p(k)) from its first read on, for later calls on
     narrowings of the same bracket.
     """
     M, L = caps.M, pop.L
     cbar = caps.cbar
+    inverse = [0.0] * (M + 1)
     index = [0] * (M + 1)
     total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     for m in range(m_star + 1, M + 1):
         y = cbar[m] / r
         i = i_lo[m]
         if i != i_hi[m]:
-            x, i = bracketed_tail_inverse(pop, y, i, i_hi[m] + 1)
+            x, i = tail_inverse(pop, y, i, i_hi[m] + 1)
         elif y >= 1.0:
             x = 1.0
         elif y <= 0.0:
@@ -223,35 +231,10 @@ def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: Popularit
             k, k1, s, p = seg
             x = k1 - (y - s) / p
             x = k if x < k else k1 if x > k1 else x
+        inverse[m] = x
         index[m] = i
         total += 3.0 * x * _QUARTER[m]
-    return total, index
-
-
-def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
-                        pop: PopularityModel) -> list[float]:
-    """Fractional placement solving the per-level balance equalities at rate r.
-
-    Telescoping construction: level occupancies are successive differences
-    of tail inverses, so the total is exactly L by construction.
-    """
-    M, L = caps.M, pop.L
-    xs = [0.0] * (M + 1)
-    if m_star >= M:
-        xs[M] = float(L)
-        return xs
-    finv = [tail_inverse(pop, caps.cbar[m] / r) for m in range(m_star + 1, M + 1)]
-    xs[m_star] = finv[0] - 1.0
-    for m in range(m_star + 1, M):
-        xs[m] = finv[m - m_star] - finv[m - 1 - m_star]
-    xs[M] = L - finv[M - 1 - m_star] + 1.0
-    for m, v in enumerate(xs):
-        if v < -1e-9:
-            raise BracketError(
-                f"negative occupancy x[{m}] = {v}: rate {r} outside its bracket")
-        if v < 0.0:
-            xs[m] = 0.0
-    return xs
+    return total, inverse, index
 
 
 def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> RelaxedSolution:
@@ -262,22 +245,37 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     budget, or M (all files at the top level). That load does not increase
     with m, so the test "below the budget" is monotone and bisect_left
     over range(M) finds m* with one probe per step. The rate solve then
-    meets the budget exactly in (cbar[m*+1], cbar[m*]].
+    meets the budget exactly in (cbar[m*+1], cbar[m*]]; the occupancies
+    are successive differences of its tail inverses at r*, so they sum to L.
     """
     M, L = caps.M, pop.L
     _require_admissible(L, M, l_c)
     _require_below_library(L, l_c)
     m_star = bisect_left(range(M), True,
                          key=lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop) < l_c)
-    r_star = caps.cbar[M] if m_star == M else _solve_rate(m_star, caps, pop, l_c)
-    xs = relaxed_solution_at(m_star, r_star, caps, pop)
+    if m_star == M:
+        return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
+    r_star, finv = _solve_rate(m_star, caps, pop, l_c)
+    xs = [0.0] * (M + 1)
+    xs[m_star] = finv[m_star + 1] - 1.0
+    for m in range(m_star + 1, M):
+        xs[m] = finv[m + 1] - finv[m]
+    xs[M] = L - finv[M] + 1.0
+    for m, v in enumerate(xs):
+        if v < -1e-9:
+            raise BracketError(
+                f"negative occupancy x[{m}] = {v}: rate {r_star} outside its bracket")
+        if v < 0.0:
+            xs[m] = 0.0
     return RelaxedSolution(tuple(xs), r_star, m_star)
 
 
 def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
-                l_c: float) -> float:
+                l_c: float) -> tuple[float, list[float]]:
     """Rate r in (cbar[m*+1], cbar[m*]] at which the cache mass equals l_c,
-    given the m* search's guarantee that the load at cbar[m*+1] is below l_c.
+    given the m* search's guarantee that the load at cbar[m*+1] is below
+    l_c, and each level's tail inverse at r (indexed by level, as
+    _bracketed_load returns them).
 
     Plain bisection (the load is monotone in r) down to machine precision,
     then a closed-form snap: once the bracket pins every tail inverse to a
@@ -293,56 +291,61 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     pinned for the rest of the bisection: `segments` keeps its segment
     after the first read, and each later step evaluates that segment's
     line in closed form instead of searching (on a sweep at M = 12 the
-    levels pin after about a third of the steps). The load at the final
-    hi is the one its step computed, when a step probed hi.
+    levels pin after about a third of the steps). The inverses at hi come
+    from the step or doubling that set hi, else from one more evaluation;
+    the snap reads its segments from them, and its residual from an
+    evaluation at r_snap, bracketed by i_hi only if r_snap <= hi.
     """
+    M, L = caps.M, pop.L
     lo = caps.cbar[m_star + 1]
     hi = caps.cbar[m_star]
-    load_hi = None
+    i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
+    segments = [None] * (M + 1)
+    at_hi = None
     if not math.isfinite(hi):
         hi = max(lo, 1e-300)
         for _ in range(2100):
             hi *= 2.0
-            load_hi = relaxed_cache_load(m_star, hi, caps, pop)
-            if load_hi >= l_c:
+            at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
+            if at_hi[0] >= l_c:
                 break
         else:
             raise BracketError("cache load never reaches the budget")
-    i_lo, i_hi = [0] * (caps.M + 1), [pop.L - 1] * (caps.M + 1)
-    segments = [None] * (caps.M + 1)
+    i_hi = i_top if at_hi is None else at_hi[2]
     for _ in range(200):
         if hi - lo <= _RATE_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        load, index = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi, segments)
-        if load < l_c:
-            lo, i_lo = mid, index
+        at_mid = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi, segments)
+        if at_mid[0] < l_c:
+            lo, i_lo = mid, at_mid[2]
         else:
-            hi, i_hi, load_hi = mid, index, load
-    a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
+            hi, i_hi, at_hi = mid, at_mid[2], at_mid
+    if at_hi is None:
+        at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_hi, segments)
+    load_hi, x_hi, _ = at_hi
+    a = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     b = 0.0
-    for m in range(m_star + 1, caps.M + 1):
+    for m in range(m_star + 1, M + 1):
         y = caps.cbar[m] / hi
         w = 3.0 * 4.0 ** (-m)
         if y >= 1.0:
             a += w  # ratio inactive on this segment: inverse pinned at 1
             continue
-        k = min(int(tail_inverse(pop, y)), pop.L)
+        k = min(int(x_hi[m]), L)  # past index + 1 where x rounds onto its segment's right end
         p_k = pop.p(k)
         a += w * (k + 1.0 + pop.suffix(k) / p_k)
         b += w * caps.cbar[m] / p_k
     if a - l_c > 0.0 and b > 0.0:
         r_snap = b / (a - l_c)
         if lo <= r_snap <= hi * (1.0 + 1e-12):
-            err_snap = abs(relaxed_cache_load(m_star, r_snap, caps, pop) - l_c)
-            if load_hi is None:
-                load_hi = relaxed_cache_load(m_star, hi, caps, pop)
-            err_hi = abs(load_hi - l_c)
-            if err_snap <= err_hi:
-                return r_snap
-    return hi
+            load, x_snap, _ = _bracketed_load(m_star, r_snap, caps, pop, i_lo,
+                                              i_hi if r_snap <= hi else i_top, segments)
+            if abs(load - l_c) <= abs(load_hi - l_c):
+                return r_snap, x_snap
+    return hi, x_hi
 
 
 def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:
@@ -491,6 +494,8 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
 def guarantee_floor(r_star: float, M: int, tau: float) -> float:
     """r_star / (M (1 + 2^tau)), the provable fraction of the relaxed optimum
     that rounding preserves (r_star = 1 gives the factor); 0.0 once 2^tau overflows."""
+    if not M >= 1:
+        raise InvalidParameterError(f"level count must be >= 1, got {M!r}")
     try:
         return r_star / (M * (1.0 + 2.0 ** tau))
     except OverflowError:

@@ -14,8 +14,9 @@ from the sample at its upper edge on the block's first read.
 Reads outside ranks 0..L are refused. The two integer searches over the
 suffix mass also live here, each a standard-library bisect call with a C
 key function over one block, after one over the block edges when the
-bracket spans blocks: bracketed_tail_inverse's tail index for the
-relaxation and threshold_indices for the exact solver.
+bracket spans blocks: tail_inverse, which returns the inverse with its
+tail index for the relaxation, and threshold_indices for the exact
+solver.
 """
 
 from __future__ import annotations
@@ -220,27 +221,19 @@ def _accumulate(acc: np.ndarray, carry: np.longdouble, weights: np.ndarray) -> n
     return run
 
 
-def tail_inverse(model: PopularityModel, y: float) -> float:
-    """Exact inverse of the tail mass f, by binary search over integer breakpoints.
+def tail_inverse(model: PopularityModel, y: float, lo: int = 0,
+                 hi: int | None = None) -> tuple[float, int]:
+    """Exact inverse x of the tail mass f at y, and y's tail index: the
+    largest i with suffix(i) >= y, found by bisection inside [lo, hi]
+    (hi = L by default).
 
-    Arguments y >= 1 clamp to rank 1: capacity-to-rate ratios above one
-    mean the corresponding constraint is inactive, and the inverse is
-    pinned at the left edge of its domain.
-    """
-    if not y >= 0:
-        raise DomainError(f"tail mass must be >= 0, got {y!r}")
-    return bracketed_tail_inverse(model, y, 0, model.L)[0]
-
-
-def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
-                           hi: int) -> tuple[float, int]:
-    """tail_inverse of y >= 0, and y's tail index: the largest i with
-    suffix(i) >= y, found by bisection inside [lo, hi].
-
-    For 0 < y < 1 the caller vouches for the bracket: suffix(lo) >= y >
-    suffix(hi). The full bracket [0, L] always qualifies, since suffix(0)
-    = 1 and suffix(L) = 0. A clamped y reports index 0 (y >= 1) or L - 1
-    (y = 0), the ends of any later bracket.
+    A NaN or negative y raises DomainError. Arguments y >= 1 clamp to rank
+    1: capacity-to-rate ratios above one mean the corresponding constraint
+    is inactive, and the inverse is pinned at the left edge of its domain.
+    A clamped y reports index 0 (y >= 1) or L - 1 (y = 0, inverse L + 1),
+    the ends of any later bracket. For 0 < y < 1 the caller vouches for
+    the bracket: suffix(lo) >= y > suffix(hi). The full bracket [0, L]
+    always qualifies, since suffix(0) = 1 and suffix(L) = 0.
 
     This is the relaxation's per-level hot path: bisect_right with the C
     key operator.neg (exact) finds the first k in (lo, hi) with suffix(k)
@@ -252,9 +245,13 @@ def bracketed_tail_inverse(model: PopularityModel, y: float, lo: int,
     """
     if y >= 1.0:
         return 1.0, 0
-    if y <= 0.0:
-        L = model.L
-        return float(L + 1), L - 1
+    if not y > 0.0:
+        if y == 0.0:
+            L = model.L
+            return float(L + 1), L - 1
+        raise DomainError(f"tail mass must be >= 0, got {y!r}")
+    if hi is None:
+        hi = model.L
     b, b_hi = lo >> BLOCK_SHIFT, (hi - 1) >> BLOCK_SHIFT
     if b != b_hi:
         b = bisect_right(model._edges, -y, b + 1, b_hi + 1, key=operator.neg) - 1

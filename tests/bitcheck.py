@@ -18,12 +18,13 @@ r*.hex() and the x* hexes), or the refusal's exception type and message.
 every p(k).hex() and suffix(k).hex(), k = 0..L, read only through those
 two accessors. `search`: direct calls of the two integer searches over
 the suffix mass, keyed on a boundary mass: at each block edge k of a
-model and next to it, bracketed_tail_inverse of y = suffix(k) and of the
-floats either side, and threshold_indices at a cap of suffix(k) * r and
-the floats either side; each on the full bracket and on brackets around
-its answer that stay in its block, cross one block edge or span the
-library, and all the caps of a model in one scan; an entry is every
-answer. `simulate`: library calls of simulate(cfg) and of
+model and next to it, the bracketed tail_inverse of y = suffix(k) and of
+the floats either side (bracketed_tail_inverse on a revision whose
+tail_inverse takes no bracket), and threshold_indices at a cap of
+suffix(k) * r and the floats either side; each on the full bracket and
+on brackets around its answer that stay in its block, cross one block
+edge or span the library, and all the caps of a model in one scan; an
+entry is every answer. `simulate`: library calls of simulate(cfg) and of
 simulate(cfg, verbose=True) on placements from optimize_placement and on
 seeded random compositions that leave some levels empty; an entry is
 every report field (floats as hex, the counts, each per-edge histogram's
@@ -352,6 +353,8 @@ def run_search_family(pkg):
     """Yield (key, entry) for every model of the search family: each search's
     answers for keys on the boundary masses at its block edges."""
     pop_mod = pkg.popularity
+    # revisions before tail_inverse took a bracket name the search bracketed_tail_inverse
+    tail_search = getattr(pop_mod, "bracketed_tail_inverse", pop_mod.tail_inverse)
     gaps = (0, 1, 4096, 10 ** 9)
     for L in SEARCH_RANKS:
         for tau in SEARCH_TAUS:
@@ -364,12 +367,11 @@ def run_search_family(pkg):
                 for y in (math.nextafter(s, 0.0), s, math.nextafter(s, 1.0)):
                     if not 0.0 < y < 1.0:
                         continue
-                    x, i = pop_mod.bracketed_tail_inverse(pop, y, 0, L)
+                    x, i = tail_search(pop, y, 0, L)
                     row = [(x.hex(), i)]
                     for a in gaps:
                         for b in gaps:
-                            x, j = pop_mod.bracketed_tail_inverse(
-                                pop, y, max(i - a, 0), min(i + 1 + b, L))
+                            x, j = tail_search(pop, y, max(i - a, 0), min(i + 1 + b, L))
                             row.append((x.hex(), j))
                     tails.append((k, y.hex(), row))
                 for r in SEARCH_RATES:
@@ -390,7 +392,7 @@ def run_search_family(pkg):
                     pop, r, caps, [0] * len(caps), [L] * len(caps))
 
 
-def _scripted_generator(real, uniforms):
+def scripted_generator(real, uniforms):
     """A stand-in for numpy's Generator class: random() serves `uniforms` in
     order across calls, as random(size) or random(out=buffer) asks for them;
     integers() is the real generator's."""
@@ -459,7 +461,7 @@ def run_simulate_family(pkg):
                 u for e in edges for u in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))
                 if 0.0 <= u < 1.0)
             real = np.random.Generator
-            np.random.Generator = _scripted_generator(real, uniforms)
+            np.random.Generator = scripted_generator(real, uniforms)
             try:
                 cfg = pkg.delivery.SimConfig(grid, x, pop, len(uniforms), seed)
                 for verbose, entry in _reports(pkg, cfg, x):

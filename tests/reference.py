@@ -1,7 +1,10 @@
 """Reference forms that only tests use: the dense Zipf build, the two-pass
 chunked build that kept every suffix mass (the checkpointed build replaced
-it), a model over a given suffix array, the popularity tail mass f(x) that tail_inverse inverts, the residuals of the relaxation's
-optimality system, the threshold form of a placement, the relaxed rate of
+it), a model over a given suffix array, the popularity tail mass f(x) that
+tail_inverse inverts, the residuals of the relaxation's optimality system,
+the relaxed occupancies at a rate from one full tail_inverse search per
+level (solve_relaxed takes them from its rate solve's own inverses), the
+threshold form of a placement, the relaxed rate of
 a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
 replaced, the multihop baseline's scaling law that the achievable law
@@ -26,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from d2d_cachescale import (
+    BracketError,
     DomainError,
     InvalidParameterError,
     InvariantViolationError,
@@ -50,6 +54,7 @@ from d2d_cachescale.popularity import (
     CHUNK_RANKS,
     PopularityModel,
     _accumulate,
+    tail_inverse,
 )
 
 
@@ -159,6 +164,34 @@ def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
     res.append(abs(math.fsum(sol.x_star) - L) / L)
     res.append(abs(_load(sol.x_star) - l_c) / l_c)
     return res
+
+
+def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
+                        pop: PopularityModel) -> list[float]:
+    """Fractional placement solving the per-level balance equalities at rate r.
+
+    Telescoping construction: level occupancies are successive differences
+    of tail inverses, each from a search over the whole library, so the
+    total is exactly L by construction. solve_relaxed must return these
+    bits at its (m*, r*).
+    """
+    M, L = caps.M, pop.L
+    xs = [0.0] * (M + 1)
+    if m_star >= M:
+        xs[M] = float(L)
+        return xs
+    finv = [tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(m_star + 1, M + 1)]
+    xs[m_star] = finv[0] - 1.0
+    for m in range(m_star + 1, M):
+        xs[m] = finv[m - m_star] - finv[m - 1 - m_star]
+    xs[M] = L - finv[M - 1 - m_star] + 1.0
+    for m, v in enumerate(xs):
+        if v < -1e-9:
+            raise BracketError(
+                f"negative occupancy x[{m}] = {v}: rate {r} outside its bracket")
+        if v < 0.0:
+            xs[m] = 0.0
+    return xs
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from d2d_cachescale import (
 )
 from d2d_cachescale import delivery
 from d2d_cachescale.delivery import CHUNK_REQUESTS, MAX_EDGE_BINS, MAX_REQUESTS
+from bitcheck import scripted_generator
 from conftest import caps_for
 from reference import dense_suffix, dense_zipf, searchsorted_simulate
 
@@ -64,30 +65,6 @@ def report_bits(report):
             return tuple(map(bits, value))
         return type(value).__name__, value
     return {f.name: bits(getattr(report, f.name)) for f in dataclasses.fields(report)}
-
-
-def scripted_generator(real, uniforms):
-    """A stand-in for numpy's Generator class: random() serves `uniforms` in
-    order across calls, as random(size) or random(out=buffer) asks for them;
-    integers() is the real generator's."""
-    class Scripted:
-        def __init__(self, bit_generator):
-            self._rng = real(bit_generator)
-            self._next = 0
-
-        def integers(self, *args, **kwargs):
-            return self._rng.integers(*args, **kwargs)
-
-        def random(self, size=None, out=None):
-            k = size if out is None else out.size
-            drawn = uniforms[self._next:self._next + k]
-            assert drawn.size == k, "the scripted uniforms ran out"
-            self._next += k
-            if out is None:
-                return drawn.copy()
-            out[...] = drawn
-            return out
-    return Scripted
 
 
 def boundary_uniforms(pop):

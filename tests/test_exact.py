@@ -10,6 +10,7 @@ import pytest
 
 from d2d_cachescale import (
     InfeasibleProblemError,
+    InvalidParameterError,
     InvariantViolationError,
     PlacementVector,
     SizeGuardError,
@@ -170,6 +171,14 @@ class TestFeasibleForRate:
                         if evaluate_throughput(pv, caps, pop).rate >= r * (1 - 1e-12):
                             exists = True
                 assert (greedy is not None) == exists
+
+    @pytest.mark.parametrize("m_b", [0, -1, 4, 5])
+    def test_top_level_outside_the_table_is_refused(self, m_b):
+        """m_b = 0 once failed in max() of no thresholds and m_b = 5 on
+        M = 3 with an IndexError, each as a builtin error."""
+        grid, _, caps = caps_for(3, 0.0, 4.0)
+        with pytest.raises(InvalidParameterError, match=r"top level must lie in 1\.\.3"):
+            feasible_for_rate(1.0, m_b, caps, zipf_pmf(20, 1.0), 5.0)
 
 
 class TestSolveExactVsBruteForce:

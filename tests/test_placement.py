@@ -28,14 +28,19 @@ from d2d_cachescale.placement import (
     guarantee_floor,
     rebalance,
     relaxed_cache_load,
-    relaxed_solution_at,
     round_to_feasible,
     solve_relaxed,
 )
 from d2d_cachescale.popularity import tail_inverse
 from d2d_cachescale import placement
 from conftest import caps_for
-from reference import check_optimality, dense_suffix, dense_zipf, relaxed_rate
+from reference import (
+    check_optimality,
+    dense_suffix,
+    dense_zipf,
+    relaxed_rate,
+    relaxed_solution_at,
+)
 
 
 def random_instance(rng, m_max=8, l_max=10000, frac_hi=0.999):
@@ -62,7 +67,7 @@ def reference_cache_load(m_star, r, caps, pop):
     M, L = caps.M, pop.L
     total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
     for m in range(m_star + 1, M + 1):
-        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r) * 4.0 ** (-m)
+        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r)[0] * 4.0 ** (-m)
     return total
 
 
@@ -92,10 +97,9 @@ def reference_lowest_level(caps, pop, l_c):
         m_star = (m_lo + m_hi) // 2
 
 
-def reference_solve_rate(m_star, caps, pop, l_c):
-    """_solve_rate before its bracketed search: every bisection step runs a
-    full tail_inverse search per level. The bracketed solver must visit
-    the same rates and return the same bits."""
+def reference_rate_bracket(m_star, caps, pop, l_c):
+    """The rate bracket (lo, hi) at which _solve_rate's bisection stops, with
+    a full tail_inverse search per level at every step."""
     lo = caps.cbar[m_star + 1]
     hi = caps.cbar[m_star]
     if not math.isfinite(hi):
@@ -116,6 +120,14 @@ def reference_solve_rate(m_star, caps, pop, l_c):
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def reference_solve_rate(m_star, caps, pop, l_c):
+    """_solve_rate before its bracketed search: every bisection step runs a
+    full tail_inverse search per level. The bracketed solver must visit
+    the same rates and return the same bits."""
+    lo, hi = reference_rate_bracket(m_star, caps, pop, l_c)
     a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
     b = 0.0
     pmf = dense_zipf(pop.L, pop.tau)[1]
@@ -125,7 +137,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
         if y >= 1.0:
             a += w
             continue
-        k = min(int(tail_inverse(pop, y)), pop.L)
+        k = min(int(tail_inverse(pop, y)[0]), pop.L)
         p_k = float(pmf[k])
         a += w * (k + 1.0 + float(dense_suffix(pop.L, pop.tau)[k]) / p_k)
         b += w * caps.cbar[m] / p_k
@@ -267,6 +279,25 @@ class TestRelaxedCacheLoad:
                 assert at_own == relaxed_cache_load(m - 1, caps.cbar[m], caps, pop)
 
 
+    @pytest.mark.parametrize("m_star, r", [
+        (0, 0.0), (1, -1.0), (1, -math.inf), (1, math.nan),
+        (9, 1.0), (4, 1.0), (-1, 1.0), (1.5, 1.0), (2.0, 1.0), ("1", 1.0), (None, 1.0),
+    ])
+    def test_bad_rate_or_level_is_refused(self, m_star, r):
+        """On M = 3 and L = 50 a zero rate once raised ZeroDivisionError, a
+        negative one returned 50.0, m_star = 9 returned 0.797 and 1.5 raised
+        TypeError."""
+        grid, _, caps = caps_for(3, 0.0, 4.0)
+        with pytest.raises(InvalidParameterError, match="rate must be > 0|lowest occupied"):
+            relaxed_cache_load(m_star, r, caps, zipf_pmf(50, 1.0))
+
+    def test_integer_levels_of_any_type_are_read(self):
+        grid, _, caps = caps_for(3, 0.0, 4.0)
+        pop = zipf_pmf(50, 1.0)
+        r = caps.cbar[2] * 1.5
+        assert relaxed_cache_load(np.int64(1), r, caps, pop) == relaxed_cache_load(1, r, caps, pop)
+        assert relaxed_cache_load(3, math.inf, caps, pop) == 50 * 4.0 ** -3
+
     def test_matches_full_search(self):
         """Full brackets give the per-level tail_inverse sum bit for bit, on
         rates that clamp every level, some levels or none."""
@@ -297,13 +328,15 @@ class TestRelaxedCacheLoad:
             else:
                 r1, r, r2 = sorted(caps.cbar[m_star + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
                                    for _ in range(3))
-            (_, i1), (_, i2) = (placement._bracketed_load(m_star, q, caps, pop, *full)
-                                for q in (r1, r2))
-            load, index = placement._bracketed_load(m_star, r, caps, pop, *full)
+            (*_, i1), (*_, i2) = (placement._bracketed_load(m_star, q, caps, pop, *full)
+                                  for q in (r1, r2))
+            load, inverse, index = placement._bracketed_load(m_star, r, caps, pop, *full)
             assert all(a <= i <= b for a, i, b in zip(i1, index, i2))
+            assert inverse == [0.0] * (m_star + 1) + [
+                tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(m_star + 1, grid.M + 1)]
             segments = [None] * (grid.M + 1)
             assert placement._bracketed_load(m_star, r, caps, pop, i1, i2, segments) \
-                == (load, index)
+                == (load, inverse, index)
             for m in range(m_star + 1, grid.M + 1):
                 y = caps.cbar[m] / r
                 if i1[m] == i2[m] and 0.0 < y < 1.0:
@@ -335,7 +368,7 @@ class TestRelaxedCacheLoad:
                     for r in (caps.cbar[m], math.nextafter(caps.cbar[m], 0.0)):
                         assert caps.cbar[m] / r >= 1.0
                         full = [0] * (m_levels + 1), [L - 1] * (m_levels + 1)
-                        (_, i1), (_, i2) = (
+                        (*_, i1), (*_, i2) = (
                             placement._bracketed_load(m_star, q, caps, pop, *full,
                                                       [None] * (m_levels + 1))
                             for q in (r, r2))
@@ -369,7 +402,7 @@ class TestRelaxedCacheLoad:
                 else:
                     continue
                 r2 = math.nextafter(r, math.inf)
-                (_, i1), (_, i2) = (
+                (*_, i1), (*_, i2) = (
                     placement._bracketed_load(m_star, q, caps, pop, *full,
                                               [None] * (m_levels + 1))
                     for q in (r, r2))
@@ -383,6 +416,8 @@ class TestRelaxedCacheLoad:
 
 
 class TestRelaxedSolutionAt:
+    """The full-search oracle whose bits solve_relaxed's x* must have."""
+
     def test_total_is_telescoped(self):
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(100, 1.5)
@@ -466,6 +501,25 @@ class TestSolveRelaxed:
                     for l_c in (math.nextafter(probe, 0.0), probe,
                                 math.nextafter(probe, math.inf)):
                         assert_relaxed_matches_reference(caps, pop, l_c)
+
+    def test_snap_reads_the_segment_the_inverse_rounds_onto(self):
+        """At M = 1 and a budget that puts level 1's inverse on the integer k,
+        the bisection's last hi often has y just above suffix(k - 1), where
+        the line of segment k - 1 rounds onto its right end: tail_inverse
+        returns x = k with index k - 2. The snap reads segment min(int(x), L)
+        = k there, as the reference does, not index + 1 = k - 1; on about
+        half of these budgets the two segments give r* bits one ulp apart."""
+        grid, _, caps = caps_for(1, 0.0, 4.0)
+        right_ends = 0
+        for L, tau in ((3, 1.0), (5, 2.0), (10, 2.0), (10, 3.0), (20, 1.0)):
+            pop = zipf_pmf(L, tau)
+            for k in range(2, L + 1):
+                l_c = (L + 1) / 4.0 - 1.0 + 0.75 * k
+                hi = reference_rate_bracket(0, caps, pop, l_c)[1]
+                x, i = tail_inverse(pop, caps.cbar[1] / hi)
+                right_ends += int(x) == i + 2
+                assert_relaxed_matches_reference(caps, pop, l_c)
+        assert right_ends > 10
 
     def test_lowest_level_search_probes_at_most_log2_levels(self, monkeypatch):
         """The m* search makes at most ceil(log2(M + 1)) load probes; the
@@ -618,6 +672,12 @@ class TestGuaranteeFactor:
         assert bounds.guarantee_factor == factor
         assert guarantee_floor(0.37, m_levels, tau) == pytest.approx(0.37 * factor, rel=1e-15)
 
+
+    @pytest.mark.parametrize("m_levels", [0, -1])
+    def test_no_levels_is_refused(self, m_levels):
+        """M = 0 once raised ZeroDivisionError."""
+        with pytest.raises(InvalidParameterError, match="level count must be >= 1"):
+            guarantee_floor(1.0, m_levels, 1.0)
 
     def test_zero_once_two_to_the_tau_overflows(self):
         assert guarantee_floor(1.0, 1, 1000.0) > 0.0

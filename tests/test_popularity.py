@@ -15,7 +15,6 @@ from d2d_cachescale.popularity import (
     BLOCK_SHIFT,
     CHUNK_RANKS,
     MAX_RANKS,
-    bracketed_tail_inverse,
     tail_inverse,
 )
 from reference import dense_zipf, tail_mass, two_pass_zipf
@@ -289,30 +288,38 @@ class TestTailMass:
 class TestTailInverse:
     def test_edges_and_clamp(self):
         pop = zipf_pmf(4, 0.7)
-        assert tail_inverse(pop, 1.0) == 1.0
-        assert tail_inverse(pop, 0.0) == 5.0
-        assert tail_inverse(pop, 3.7) == 1.0  # ratios above one clamp to the left edge
+        assert tail_inverse(pop, 1.0) == (1.0, 0)
+        assert tail_inverse(pop, 0.0) == (5.0, 3)
+        assert tail_inverse(pop, 3.7) == (1.0, 0)  # ratios above one clamp to the left edge
 
     def test_inverts_fractional_example(self):
         pop = zipf_pmf(4, 0.0)
-        assert tail_inverse(pop, 0.625) == pytest.approx(2.5, abs=1e-12)
+        assert tail_inverse(pop, 0.625) == (pytest.approx(2.5, abs=1e-12), 1)
 
     def test_round_trip(self):
         rng = random.Random(1234)
         for _ in range(1000):
             pop = zipf_pmf(rng.randint(2, 10000), rng.uniform(0.0, 3.0))
             y = rng.random()
-            assert abs(tail_mass(pop, tail_inverse(pop, y)) - y) <= 1e-12
+            assert abs(tail_mass(pop, tail_inverse(pop, y)[0]) - y) <= 1e-12
 
     def test_strictly_decreasing_in_y(self):
         pop = zipf_pmf(40, 1.4)
         ys = [1e-6 + (1.0 - 2e-6) * i / 300 for i in range(301)]
-        xs = [tail_inverse(pop, y) for y in ys]
+        xs = [tail_inverse(pop, y)[0] for y in ys]
         assert all(a > b for a, b in zip(xs, xs[1:]))
 
     def test_negative_argument(self):
         with pytest.raises(DomainError):
             tail_inverse(zipf_pmf(4, 1.0), -1e-9)
+
+    @pytest.mark.parametrize("y", [-1e-9, math.nan])
+    @pytest.mark.parametrize("bracket", [(), (0, 50), (10, 11)])
+    def test_negative_or_nan_argument_on_any_bracket(self, y, bracket):
+        """A bracketed NaN once fell through both clamps and returned
+        (nan, L - 1)."""
+        with pytest.raises(DomainError, match="tail mass must be >= 0"):
+            tail_inverse(zipf_pmf(50, 1.0), y, *bracket)
 
     @pytest.mark.parametrize("L, tau", [(1, 1.0), (2, 0.0), (7, 0.7), (40, 1.4),
                                         (300, 2.5), (5000, 1.0), (5000, 3.0)])
@@ -320,7 +327,7 @@ class TestTailInverse:
         pop = zipf_pmf(L, tau)
         _, pmf, suffix = dense_zipf(L, tau)
         for y in breakpoint_arguments(pop):
-            assert tail_inverse(pop, y).hex() == reference_tail_inverse(suffix, pmf, y).hex(), y
+            assert tail_inverse(pop, y)[0].hex() == reference_tail_inverse(suffix, pmf, y).hex(), y
 
 
 class TestTailIndex:
@@ -338,8 +345,8 @@ class TestTailIndex:
                 continue
             # suffix is non-increasing: the ranks with suffix >= y are a prefix
             i = int(np.searchsorted(-suffix_mass, -y, side="right")) - 1
-            full = bracketed_tail_inverse(pop, y, 0, L)
-            assert full == (tail_inverse(pop, y), i)
+            full = tail_inverse(pop, y)
+            assert full[1] == i
             for a in range(i + 1):
                 for b in range(i + 1, L + 1):
-                    assert bracketed_tail_inverse(pop, y, a, b) == full, (y, a, b)
+                    assert tail_inverse(pop, y, a, b) == full, (y, a, b)

@@ -26,14 +26,13 @@ from d2d_cachescale import (
 )
 from d2d_cachescale.analysis import achievable_exponent
 from d2d_cachescale.hierarchy import capacity_envelope
-from d2d_cachescale.placement import relaxed_cache_load
+from d2d_cachescale.placement import relaxed_cache_load, solve_relaxed
 from d2d_cachescale.cli import main
 from d2d_cachescale.delivery import CHUNK_REQUESTS
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
     BLOCK_SHIFT,
     CHUNK_RANKS,
-    bracketed_tail_inverse,
     tail_inverse,
     threshold_indices,
 )
@@ -44,6 +43,7 @@ from reference import (
     memoryview_raw_thresholds,
     memoryview_tail_index,
     per_top_level_relaxations,
+    relaxed_solution_at,
     searchsorted_simulate,
     tail_mass,
     two_call_cluster_rate,
@@ -68,7 +68,7 @@ def test_chunked_build_bit_identical_to_dense(L, tau):
 def test_tail_inverse_undoes_tail_mass(L, tau, frac):
     pop = zipf_pmf(L, tau)
     x = 1.0 + frac * L
-    assert abs(tail_inverse(pop, tail_mass(pop, x)) - x) <= 1e-9 * L
+    assert abs(tail_inverse(pop, tail_mass(pop, x))[0] - x) <= 1e-9 * L
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,7 +97,7 @@ EDGES = (1, BLOCK_RANKS - 1, BLOCK_RANKS, BLOCK_RANKS + 1,
        L=st.one_of(st.sampled_from(EDGES), st.integers(min_value=1, max_value=3 * CHUNK_RANKS)),
        tau=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), taus))
 def test_block_reads_match_oracle_at_edges(data, L, tau):
-    """p(k), tail_mass and bracketed_tail_inverse give the dense oracle's bits
+    """p(k), tail_mass and tail_inverse give the dense oracle's bits
     at every block and chunk edge the library reaches, at ranks 0, L - 1
     and L, and at drawn ranks; p(0) is 0.0. Each rank k is read through
     tail_mass at k and inside its segment, and through the inverse at
@@ -126,11 +126,11 @@ def test_block_reads_match_oracle_at_edges(data, L, tau):
                 i = L - 1
             else:  # suffix is non-increasing: the ranks with suffix >= y are a prefix
                 i = int(np.searchsorted(-suffix, -y, side="right")) - 1
-            assert bracketed_tail_inverse(pop, y, 0, L) == (x_ref, i), (k, y)
+            assert tail_inverse(pop, y) == (x_ref, i), (k, y)
             if 0.0 < y < 1.0:
                 lo = data.draw(st.integers(min_value=0, max_value=i))
                 hi = data.draw(st.integers(min_value=i + 1, max_value=L))
-                x, j = bracketed_tail_inverse(pop, y, lo, hi)
+                x, j = tail_inverse(pop, y, lo, hi)
                 assert (x.hex(), j) == (x_ref.hex(), i), (k, y, lo, hi)
 
 
@@ -184,7 +184,7 @@ def test_searches_match_oracle_at_block_edges(data, L, tau, r):
             i = memoryview_tail_index(view, y, 0, L)
             want = (reference_tail_inverse(suffix, pmf, y).hex(), i)
             for lo, hi in edge_brackets(data, i, i + 1, L):
-                x, j = bracketed_tail_inverse(pop, y, lo, hi)
+                x, j = tail_inverse(pop, y, lo, hi)
                 assert (x.hex(), j) == want, (k, y, lo, hi)
         for c in (math.nextafter(s * r, 0.0), s * r, math.nextafter(s * r, math.inf)):
             if c <= 0.0:
@@ -214,7 +214,7 @@ steps = st.one_of(st.none(), st.integers(min_value=-1, max_value=1))
 @example(L=4, tau=0.0, k=2, step=1, u=0.0, lo_gap=1, hi_gap=1)
 @example(L=4, tau=0.0, k=2, step=0, u=0.0, lo_gap=0, hi_gap=0)  # hi == lo + 1
 def test_tail_index_matches_memoryview_search(L, tau, k, step, u, lo_gap, hi_gap):
-    """bracketed_tail_inverse reports the memoryview search's tail index, and
+    """tail_inverse reports the memoryview search's tail index, and
     the inverse of the full search, on every bracket a caller may vouch
     for, at breakpoints, their float neighbours and between them. The
     bracket [lo, hi] reaches lo_gap below and hi_gap above [i, i + 1]."""
@@ -225,9 +225,9 @@ def test_tail_index_matches_memoryview_search(L, tau, k, step, u, lo_gap, hi_gap
     assume(0.0 < y < 1.0)
     i = memoryview_tail_index(view, y, 0, L)
     lo, hi = max(i - lo_gap, 0), min(i + 1 + hi_gap, L)
-    x, j = bracketed_tail_inverse(pop, y, lo, hi)
+    x, j = tail_inverse(pop, y, lo, hi)
     assert j == memoryview_tail_index(view, y, lo, hi) == i
-    assert x.hex() == tail_inverse(pop, y).hex()
+    assert x.hex() == tail_inverse(pop, y)[0].hex()
 
 
 # A rate: drawn, the largest float, or (k, j, step): the breakpoint
@@ -502,6 +502,30 @@ def test_bracketed_rate_bisection_matches_full_search(m_levels, L, tau, alpha, k
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     lo = L * 4.0 ** (-m_levels)
     assert_relaxed_matches_reference(caps, zipf_pmf(L, tau), lo + (L - lo) * frac)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=10),
+       L=st.one_of(st.integers(min_value=1, max_value=16),
+                   st.integers(min_value=1, max_value=3 * CHUNK_RANKS)),
+       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.5, 4.0]),
+       kappa=st.sampled_from([0.0, 1.0]),
+       frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+# a budget 1e-12 above the least, where x[M] = L - f + 1.0 and (L + 1.0) - f differ
+@example(m_levels=1, L=17, tau=1.0, alpha=2.5, kappa=0.0, frac=1e-12 / (17 - 17 / 4))
+def test_occupancies_are_the_full_search_differences(m_levels, L, tau, alpha, kappa, frac):
+    """solve_relaxed's x* has, bit for bit, the occupancies of one full
+    tail_inverse search per level at its (m*, r*), though it takes them
+    from the rate solve's own evaluation at r*: pinned segments read once
+    and bracketed searches, whose block entries depend on the pow path."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    lo = L * 4.0 ** (-m_levels)
+    l_c = lo + (L - lo) * frac
+    assume(l_c < L)
+    pop = zipf_pmf(L, tau)
+    sol = solve_relaxed(caps, pop, l_c)
+    want = relaxed_solution_at(sol.m_star, sol.r_star, caps, pop)
+    assert [v.hex() for v in sol.x_star] == [v.hex() for v in want]
 
 
 @settings(max_examples=200, deadline=None)

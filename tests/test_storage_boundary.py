@@ -4,8 +4,9 @@ Only popularity.py may name the model's sampled carries, its edge masses,
 its block table or the method that fills a block (or the names of the
 block lists, fill method and per-rank arrays the model once kept), or
 build a memoryview: every other module reads popularity through p(k),
-suffix(k), tail_inverse and the model's searches, so the storage can
-change behind them without touching a solver.
+suffix(k) and the model's two searches, tail_inverse and
+threshold_indices, so the storage can change behind them without
+touching a solver.
 """
 
 import ast
