@@ -18,8 +18,10 @@ ends on the same bits. Once both ends agree on a level's index, that
 level is pinned: its segment's suffix and probability are read once, and
 every later step computes the level's inverse in closed form with the
 search's own float operations, so pinned levels run no search at all.
-Each level's inverse at the final rate is computed once, by the
-evaluation that set that rate; the snap and the occupancies read it.
+The rate bisection runs until its ends are adjacent floats, so the
+relaxed rate r* is the least float whose load meets the budget. Each
+level's inverse at r* is computed once, by the evaluation that set r*;
+the occupancies read it.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ from .errors import (
 from .hierarchy import MAX_LEVELS, LevelCapacities, NetworkGrid
 from .popularity import PopularityModel, tail_inverse
 
-
-# Relative width at which _solve_rate's bisection stops: a few ulps of the rate.
-_RATE_REL_TOL = 4e-16
 
 # A placement may exceed the per-node cache budget by this much and still fit.
 BUDGET_SLACK = 1e-12
@@ -183,7 +182,9 @@ def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
     With m_star in 0..M the lowest occupied level, every level above it
     holds exactly the files needed to keep its capacity ratio at r.
     Strictly increasing in r wherever some capacity-to-rate ratio is below
-    one, and saturating at L 4^{-m_star} as r grows.
+    one, and saturating at L 4^{-m_star} as r grows. The float value does
+    not decrease in r either, since each of its operations is monotone
+    under round-to-nearest; solve_relaxed defines r* on this float load.
     """
     M, L = caps.M, pop.L
     if not r > 0.0:
@@ -244,9 +245,10 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     its rate bracket, relaxed_cache_load(m, cbar[m+1]), is below the
     budget, or M (all files at the top level). That load does not increase
     with m, so the test "below the budget" is monotone and bisect_left
-    over range(M) finds m* with one probe per step. The rate solve then
-    meets the budget exactly in (cbar[m*+1], cbar[m*]]; the occupancies
-    are successive differences of its tail inverses at r*, so they sum to L.
+    over range(M) finds m* with one probe per step. The rate r* is then
+    the least float in (cbar[m*+1], cbar[m*]] whose load at m* meets the
+    budget; the occupancies are successive differences of the tail
+    inverses at r*, so they sum to L.
     """
     M, L = caps.M, pop.L
     _require_admissible(L, M, l_c)
@@ -272,15 +274,21 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
 
 def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
                 l_c: float) -> tuple[float, list[float]]:
-    """Rate r in (cbar[m*+1], cbar[m*]] at which the cache mass equals l_c,
-    given the m* search's guarantee that the load at cbar[m*+1] is below
-    l_c, and each level's tail inverse at r (indexed by level, as
+    """Least float r in (cbar[m*+1], cbar[m*]] whose cache mass reaches
+    l_c, given the m* search's guarantee that the load at cbar[m*+1] is
+    below l_c, and each level's tail inverse at r (indexed by level, as
     _bracketed_load returns them).
 
-    Plain bisection (the load is monotone in r) down to machine precision,
-    then a closed-form snap: once the bracket pins every tail inverse to a
-    single linear segment the load is affine in 1/r and the root is exact.
-    The snap is kept only when it actually reduces the residual.
+    The float load does not decrease in r: each operation in
+    _bracketed_load (the quotient cbar[m] / r, the tail search or the
+    pinned segment's line, the clamp, the weighted sum) is monotone. So a
+    plain bisection that keeps load(lo) < l_c <= load(hi), run until lo
+    and hi are adjacent floats, ends with hi the least float in the
+    bracket whose load meets the budget: that is r*. hi starts at
+    cbar[m*], where the m* search saw the level below meet the budget (an
+    infinite cbar[0] gives way to the first doubling of lo that meets it);
+    r* == cbar[m*], which rests on that, has not come up on any input. The
+    200-step cap only guards the loop.
 
     Each step searches level m's tail index between i_lo[m] and
     i_hi[m] + 1, the indices at the current lo and hi, as solve_exact does
@@ -291,10 +299,8 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     pinned for the rest of the bisection: `segments` keeps its segment
     after the first read, and each later step evaluates that segment's
     line in closed form instead of searching (on a sweep at M = 12 the
-    levels pin after about a third of the steps). The inverses at hi come
-    from the step or doubling that set hi, else from one more evaluation;
-    the snap reads its segments from them, and its residual from an
-    evaluation at r_snap, bracketed by i_hi only if r_snap <= hi.
+    levels pin after about a third of the steps). The inverses at r* come
+    from the step or doubling that set hi, else from one more evaluation.
     """
     M, L = caps.M, pop.L
     lo = caps.cbar[m_star + 1]
@@ -313,8 +319,6 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
             raise BracketError("cache load never reaches the budget")
     i_hi = i_top if at_hi is None else at_hi[2]
     for _ in range(200):
-        if hi - lo <= _RATE_REL_TOL * hi:
-            break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -325,27 +329,7 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
             hi, i_hi, at_hi = mid, at_mid[2], at_mid
     if at_hi is None:
         at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_hi, segments)
-    load_hi, x_hi, _ = at_hi
-    a = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
-    b = 0.0
-    for m in range(m_star + 1, M + 1):
-        y = caps.cbar[m] / hi
-        w = 3.0 * 4.0 ** (-m)
-        if y >= 1.0:
-            a += w  # ratio inactive on this segment: inverse pinned at 1
-            continue
-        k = min(int(x_hi[m]), L)  # past index + 1 where x rounds onto its segment's right end
-        p_k = pop.p(k)
-        a += w * (k + 1.0 + pop.suffix(k) / p_k)
-        b += w * caps.cbar[m] / p_k
-    if a - l_c > 0.0 and b > 0.0:
-        r_snap = b / (a - l_c)
-        if lo <= r_snap <= hi * (1.0 + 1e-12):
-            load, x_snap, _ = _bracketed_load(m_star, r_snap, caps, pop, i_lo,
-                                              i_hi if r_snap <= hi else i_top, segments)
-            if abs(load - l_c) <= abs(load_hi - l_c):
-                return r_snap, x_snap
-    return hi, x_hi
+    return hi, at_hi[1]
 
 
 def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:

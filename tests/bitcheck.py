@@ -11,9 +11,10 @@ and the benchmark's sweep_wide sweep at M = 12; an entry is the exit
 code, stdout, stderr and the --out file. `solver`:
 library calls made only through optimize_placement, solve_exact and
 brute_force, with the (grid, caps, pop, l_c) signature
-they share; an entry is the placement, the rate's hex and the guarantee
-floor's, the relaxed solve that optimize_placement returns (m*,
-r*.hex() and the x* hexes), or the refusal's exception type and message.
+they share; an entry is the placement and the rate's hex, the relaxed
+solve that optimize_placement returns (m*, r*.hex(), the x* hexes and
+the guarantee floor's hex, which is read off r*), or the refusal's
+exception type and message.
 `model`: Zipf models with L at the block and chunk edges; an entry is
 every p(k).hex() and suffix(k).hex(), k = 0..L, read only through those
 two accessors. `search`: direct calls of the two integer searches over
@@ -332,10 +333,10 @@ def run_solver_family(pkg):
         try:
             out = pkg.placement.optimize_placement(grid, caps, pop, l_c)
             sol, rep = out.relaxed, out.report
-            yield f"optimize_placement {key}", (out.placement.x, rep.rate.hex(),
-                                                rep.guarantee_floor.hex())
+            yield f"optimize_placement {key}", (out.placement.x, rep.rate.hex())
             yield f"relaxed {key}", (sol.m_star, sol.r_star.hex(),
-                                     tuple(v.hex() for v in sol.x_star))
+                                     tuple(v.hex() for v in sol.x_star),
+                                     rep.guarantee_floor.hex())
         except pkg.errors.CacheScaleError as exc:
             yield f"optimize_placement {key}", _refusal(exc)
         solvers = [("solve_exact", pkg.exact.solve_exact)]

@@ -36,8 +36,6 @@ from d2d_cachescale import placement
 from conftest import caps_for
 from reference import (
     check_optimality,
-    dense_suffix,
-    dense_zipf,
     relaxed_rate,
     relaxed_solution_at,
 )
@@ -97,9 +95,11 @@ def reference_lowest_level(caps, pop, l_c):
         m_star = (m_lo + m_hi) // 2
 
 
-def reference_rate_bracket(m_star, caps, pop, l_c):
-    """The rate bracket (lo, hi) at which _solve_rate's bisection stops, with
-    a full tail_inverse search per level at every step."""
+def reference_solve_rate(m_star, caps, pop, l_c):
+    """_solve_rate before its bracketed search: every bisection step runs a
+    full tail_inverse search per level, until lo and hi are adjacent floats,
+    and the rate is hi. The bracketed solver must visit the same rates and
+    return the same bits."""
     lo = caps.cbar[m_star + 1]
     hi = caps.cbar[m_star]
     if not math.isfinite(hi):
@@ -111,8 +111,6 @@ def reference_rate_bracket(m_star, caps, pop, l_c):
         else:
             raise BracketError("cache load never reaches the budget")
     for _ in range(200):
-        if hi - lo <= placement._RATE_REL_TOL * hi:
-            break
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -120,34 +118,6 @@ def reference_rate_bracket(m_star, caps, pop, l_c):
             lo = mid
         else:
             hi = mid
-    return lo, hi
-
-
-def reference_solve_rate(m_star, caps, pop, l_c):
-    """_solve_rate before its bracketed search: every bisection step runs a
-    full tail_inverse search per level. The bracketed solver must visit
-    the same rates and return the same bits."""
-    lo, hi = reference_rate_bracket(m_star, caps, pop, l_c)
-    a = (pop.L + 1.0) * 4.0 ** (-caps.M) - 4.0 ** (-m_star)
-    b = 0.0
-    pmf = dense_zipf(pop.L, pop.tau)[1]
-    for m in range(m_star + 1, caps.M + 1):
-        y = caps.cbar[m] / hi
-        w = 3.0 * 4.0 ** (-m)
-        if y >= 1.0:
-            a += w
-            continue
-        k = min(int(tail_inverse(pop, y)[0]), pop.L)
-        p_k = float(pmf[k])
-        a += w * (k + 1.0 + float(dense_suffix(pop.L, pop.tau)[k]) / p_k)
-        b += w * caps.cbar[m] / p_k
-    if a - l_c > 0.0 and b > 0.0:
-        r_snap = b / (a - l_c)
-        if lo <= r_snap <= hi * (1.0 + 1e-12):
-            err_snap = abs(reference_cache_load(m_star, r_snap, caps, pop) - l_c)
-            err_hi = abs(reference_cache_load(m_star, hi, caps, pop) - l_c)
-            if err_snap <= err_hi:
-                return r_snap
     return hi
 
 
@@ -501,25 +471,6 @@ class TestSolveRelaxed:
                     for l_c in (math.nextafter(probe, 0.0), probe,
                                 math.nextafter(probe, math.inf)):
                         assert_relaxed_matches_reference(caps, pop, l_c)
-
-    def test_snap_reads_the_segment_the_inverse_rounds_onto(self):
-        """At M = 1 and a budget that puts level 1's inverse on the integer k,
-        the bisection's last hi often has y just above suffix(k - 1), where
-        the line of segment k - 1 rounds onto its right end: tail_inverse
-        returns x = k with index k - 2. The snap reads segment min(int(x), L)
-        = k there, as the reference does, not index + 1 = k - 1; on about
-        half of these budgets the two segments give r* bits one ulp apart."""
-        grid, _, caps = caps_for(1, 0.0, 4.0)
-        right_ends = 0
-        for L, tau in ((3, 1.0), (5, 2.0), (10, 2.0), (10, 3.0), (20, 1.0)):
-            pop = zipf_pmf(L, tau)
-            for k in range(2, L + 1):
-                l_c = (L + 1) / 4.0 - 1.0 + 0.75 * k
-                hi = reference_rate_bracket(0, caps, pop, l_c)[1]
-                x, i = tail_inverse(pop, caps.cbar[1] / hi)
-                right_ends += int(x) == i + 2
-                assert_relaxed_matches_reference(caps, pop, l_c)
-        assert right_ends > 10
 
     def test_lowest_level_search_probes_at_most_log2_levels(self, monkeypatch):
         """The m* search makes at most ceil(log2(M + 1)) load probes; the

@@ -528,6 +528,64 @@ def test_occupancies_are_the_full_search_differences(m_levels, L, tau, alpha, ka
     assert [v.hex() for v in sol.x_star] == [v.hex() for v in want]
 
 
+def integer_inverse_examples(test):
+    """At M = 1, the budgets (L + 1) / 4 - 1 + 3 k / 4 that put level 1's
+    inverse on the integer k: the bisection's last hi often leaves the
+    inverse there on its segment's right end."""
+    for L, tau in ((3, 1.0), (5, 2.0), (10, 2.0), (10, 3.0), (20, 1.0)):
+        for k in range(2, L + 1):
+            test = example(m_levels=1, L=L, tau=tau, alpha=4.0, kappa=0.0, budget=k - 1)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=10),
+       L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
+       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
+       kappa=st.sampled_from([0.0, 0.5, 1.0]),
+       budget=st.one_of(
+           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           st.just("least"),
+           st.integers(min_value=0),
+           st.tuples(st.integers(min_value=0), st.sampled_from([0, 1]),
+                     st.integers(min_value=-2, max_value=2))))
+@integer_inverse_examples
+def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, alpha, kappa,
+                                                           budget):
+    """For m* < M, r* is the least float whose full-library load at m*
+    meets the budget: load(r*) >= l_c > load(nextafter(r*, 0)). The budget
+    is a fraction of [L 4^-M, L), 1e-12 above L 4^-M ("least"), the one
+    that puts level M's inverse on the integer 1 + budget % L when only
+    level M is active (an int), or the load at an end of a level's rate
+    bracket moved by up to two float steps (a tuple). r* == cbar[m*], where
+    no bisection step moves hi, would need that load to miss the budget
+    that the level below met at the same rate; no input has shown it. On
+    these budgets the solver also gives the full-search oracle's bits."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    pop = zipf_pmf(L, tau)
+    q = 4.0 ** (-m_levels)
+    if isinstance(budget, float):
+        l_c = L * q + (L - L * q) * budget
+    elif budget == "least":
+        l_c = L * q + 1e-12
+    elif isinstance(budget, int):
+        l_c = (L + 1) * q - 4.0 * q + 3.0 * (1 + budget % L) * q
+    else:
+        m, side, steps = budget
+        m %= m_levels
+        assume(math.isfinite(caps.cbar[m + side]))
+        l_c = relaxed_cache_load(m, caps.cbar[m + side], caps, pop)
+        for _ in range(abs(steps)):
+            l_c = math.nextafter(l_c, math.inf if steps > 0 else 0.0)
+    assume(L * q <= l_c < L)
+    assert_relaxed_matches_reference(caps, pop, l_c)
+    sol = solve_relaxed(caps, pop, l_c)
+    assume(sol.m_star < m_levels)
+    r = sol.r_star
+    assert relaxed_cache_load(sol.m_star, r, caps, pop) >= l_c
+    assert relaxed_cache_load(sol.m_star, math.nextafter(r, 0.0), caps, pop) < l_c
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m_levels=st.integers(min_value=2, max_value=8),
        alpha=st.sampled_from([2.2, 2.5, 3.0, 3.5, 4.0, 5.0]), kappa=st.sampled_from([0.0, 1.0]),
