@@ -36,7 +36,8 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     minimal integer threshold; thresholds must also be non-decreasing.
     Raising any threshold only increases the weighted cache mass, so the
     greedy componentwise minimum is feasible iff anything is. Returns None
-    when the budget is exceeded or level m_b would end up empty; the
+    when the budget is exceeded (before any search when even all L files
+    at level m_b exceed it) or level m_b would end up empty; the
     threshold scan stops at the first level whose threshold is L, because
     the top level is then empty whatever the later levels need.
     """
@@ -45,10 +46,22 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     if not 1 <= m_b <= caps.M:
         raise InvalidParameterError(f"top level must lie in 1..{caps.M}, got {m_b!r}")
     L = pop.L
-    level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
+    level_caps = _top_level_caps(caps, m_b, L, l_c)
+    if level_caps is None:
+        return None
     thresholds = threshold_indices(pop, r, level_caps, [0] * m_b, [L] * m_b)
     x = _staircase(thresholds, caps.M, L, l_c)
     return None if x is None else PlacementVector(x)
+
+
+def _top_level_caps(caps: LevelCapacities, m_b: int, L: int, l_c: float) -> list[float] | None:
+    """Level m's share cbar[m] / m_b of its capacity, m = 1..m_b, when m_b
+    levels are active; None when even the top-heavy placement, all L files
+    at level m_b, exceeds the budget l_c, so no placement topped out at m_b
+    fits."""
+    if L * 4.0 ** (-m_b) > l_c + BUDGET_SLACK:
+        return None
+    return [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
 
 
 def _staircase(thresholds: list[int], M: int, L: int, l_c: float) -> tuple[int, ...] | None:
@@ -100,9 +113,9 @@ def solve_exact(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
         return PlacementVector((L,) + (0,) * M), math.inf
     best: tuple[float, PlacementVector] | None = None
     for m_b in range(1, M + 1):
-        if L * 4.0 ** (-m_b) > l_c + BUDGET_SLACK:
-            continue  # even the top-heavy placement cannot fit
-        level_caps = [caps.cbar[m] / m_b for m in range(1, m_b + 1)]
+        level_caps = _top_level_caps(caps, m_b, L, l_c)
+        if level_caps is None:
+            continue
         lo = 0.0
         # min: when p(L) is subnormal the quotient overflows to inf
         hi = min(caps.cbar[1] / (m_b * pop.p(L)), sys.float_info.max)

@@ -6,26 +6,34 @@ a file at level m costs 4^{-m} of the per-node cache and is served over
 m tree edges. Given per-level capacities, a popularity model and a cache
 budget, the solver maximises the per-node throughput with a
 relax-round-rebalance recipe: an exact solution of the continuous
-relaxation by bisection over m* then r, a carry-based rounding that never
-overshoots the cache, and a local rebalancing loop that keeps shifting
-single files between levels while the bottleneck ratio improves.
+relaxation by a bisection over m* and then a bracket search over r, a
+carry-based rounding that never overshoots the cache, and a local
+rebalancing loop that keeps shifting single files between levels while
+the bottleneck ratio improves.
 
-Each rate bisection step searches level m's tail segment only between
-the segments at the ends of the rate bracket: cbar[m] / r does not
-increase with r, so the segment index does not decrease, and the index is
-unique, so every step sees the load of a full search and the bisection
-ends on the same bits. Once both ends agree on a level's index, that
-level is pinned: its segment's suffix and probability are read once, and
-every later step computes the level's inverse in closed form with the
-search's own float operations, so pinned levels run no search at all.
-The rate bisection runs until its ends are adjacent floats, so the
-relaxed rate r* is the least float whose load meets the budget. Each
-level's inverse at r* is computed once, by the evaluation that set r*;
-the occupancies read it.
+The relaxed rate r* is the least float whose load meets the budget. The
+rate search keeps a bracket with the load below the budget at its lower
+end and meeting it at its upper end, and stops when the ends are
+adjacent floats, so any pivot strictly inside the bracket leads to the
+same r*. Its pivots are secant steps on the load in 1/r, moved towards
+the midpoint and kept within a width budget as in the ITP method, so it
+takes at most three steps more than midpoint bisection and on smooth
+loads about a fifth as many.
+
+Each step searches level m's tail segment only between the segments at
+the ends of the rate bracket: cbar[m] / r does not increase with r, so
+the segment index does not decrease, and the index is unique, so every
+step sees the load of a full search. Once both ends agree on a level's
+index, that level is pinned: its segment's suffix and probability are
+read once, and every later step computes the level's inverse in closed
+form with the search's own float operations, so pinned levels run no
+search at all. Each level's inverse at r* is computed once, by the
+evaluation that set r*; the occupancies read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -48,6 +56,11 @@ BUDGET_SLACK = 1e-12
 # 4^{-m}, the per-node cache cost of a file at level m, for every level a
 # grid has (exact: a power of two).
 _QUARTER = tuple(4.0 ** -m for m in range(MAX_LEVELS + 1))
+
+# Steps after which the relaxed rate's search gives up with a BracketError;
+# it needs at most three more than a midpoint loop, which needs up to 54 on
+# a bracket within a factor of two of the rate.
+_RATE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -245,19 +258,21 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     its rate bracket, relaxed_cache_load(m, cbar[m+1]), is below the
     budget, or M (all files at the top level). That load does not increase
     with m, so the test "below the budget" is monotone and bisect_left
-    over range(M) finds m* with one probe per step. The rate r* is then
-    the least float in (cbar[m*+1], cbar[m*]] whose load at m* meets the
-    budget; the occupancies are successive differences of the tail
-    inverses at r*, so they sum to L.
+    over range(M) finds m* with one probe per step, and m* itself is one
+    of the probes. The rate r* is then the least float in (cbar[m*+1],
+    cbar[m*]] whose load at m* meets the budget, found by _solve_rate's
+    secant pivots from that probe's load; any pivot rule that stops on
+    adjacent floats gives the same r*. The occupancies are successive
+    differences of the tail inverses at r*, so they sum to L.
     """
     M, L = caps.M, pop.L
     _require_admissible(L, M, l_c)
     _require_below_library(L, l_c)
-    m_star = bisect_left(range(M), True,
-                         key=lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop) < l_c)
+    top_load = functools.cache(lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop))
+    m_star = bisect_left(range(M), True, key=lambda m: top_load(m) < l_c)
     if m_star == M:
         return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
-    r_star, finv = _solve_rate(m_star, caps, pop, l_c)
+    r_star, finv = _solve_rate(m_star, caps, pop, l_c, top_load(m_star))
     xs = [0.0] * (M + 1)
     xs[m_star] = finv[m_star + 1] - 1.0
     for m in range(m_star + 1, M):
@@ -273,22 +288,41 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
 
 
 def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
-                l_c: float) -> tuple[float, list[float]]:
+                l_c: float, load_lo: float) -> tuple[float, list[float]]:
     """Least float r in (cbar[m*+1], cbar[m*]] whose cache mass reaches
-    l_c, given the m* search's guarantee that the load at cbar[m*+1] is
-    below l_c, and each level's tail inverse at r (indexed by level, as
-    _bracketed_load returns them).
+    l_c, and each level's tail inverse at r (indexed by level, as
+    _bracketed_load returns them); load_lo < l_c is the m* search's load
+    at cbar[m*+1].
 
     The float load does not decrease in r: each operation in
     _bracketed_load (the quotient cbar[m] / r, the tail search or the
     pinned segment's line, the clamp, the weighted sum) is monotone. So a
-    plain bisection that keeps load(lo) < l_c <= load(hi), run until lo
-    and hi are adjacent floats, ends with hi the least float in the
-    bracket whose load meets the budget: that is r*. hi starts at
-    cbar[m*], where the m* search saw the level below meet the budget (an
-    infinite cbar[0] gives way to the first doubling of lo that meets it);
-    r* == cbar[m*], which rests on that, has not come up on any input. The
-    200-step cap only guards the loop.
+    search that keeps load(lo) < l_c <= load(hi) and stops when lo and hi
+    are adjacent floats ends with hi the least float in the bracket whose
+    load meets the budget, whichever rates inside the bracket it
+    evaluates: that is r*. hi starts at cbar[m*], where the load equals
+    the load of the level below, which the m* search found to meet the
+    budget (level m*'s term is exactly 3 4^-m* there). A table with a
+    finite cbar[0] has no level below m* = 0, and a load there that
+    misses the budget raises BracketError. An infinite cbar[0] gives way
+    to the first doubling of lo whose load meets the budget, and each
+    doubling that misses becomes lo.
+
+    Each step evaluates one pivot, chosen as in the ITP method (Oliveira
+    and Takahashi, ACM TOMS 47(1), 2021): the secant root through the
+    loads at lo and hi, taken in u = 1/r, where a pinned level's load is
+    affine; moved towards the midpoint by the largest of 0.1 w^2 / w0 (w
+    the bracket's width, w0 its first), the rise of r that one rounding
+    step of the load makes along that secant, and one ulp, so that it
+    lands past the root and the other end moves too; then projected into
+    [hi - reach, lo + reach], where reach starts at 4 w0 and halves each
+    step. After j steps the bracket is at most 4 w0 / 2^j wide, four times
+    a midpoint loop's, so the search closes at most two steps after a
+    midpoint loop from the same bracket would, and one more where rounding
+    leaves a float inside: at most three steps more than that loop, which
+    needs up to 54 on a bracket within a factor of two of r*. A bracket
+    still open after _RATE_STEPS steps raises BracketError rather than
+    return an hi not shown to be least.
 
     Each step searches level m's tail index between i_lo[m] and
     i_hi[m] + 1, the indices at the current lo and hi, as solve_exact does
@@ -296,40 +330,55 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     with r, so a rate in (lo, hi) has its index in that bracket, and the
     largest i with suffix(i) >= y is unique: each step computes the load
     of a full search bit for bit. Once i_lo[m] == i_hi[m] the level is
-    pinned for the rest of the bisection: `segments` keeps its segment
-    after the first read, and each later step evaluates that segment's
-    line in closed form instead of searching (on a sweep at M = 12 the
-    levels pin after about a third of the steps). The inverses at r* come
-    from the step or doubling that set hi, else from one more evaluation.
+    pinned for the rest of the search: `segments` keeps its segment after
+    the first read, and each later step evaluates that segment's line in
+    closed form instead of searching. The inverses at r* come from the
+    evaluation that set hi.
     """
     M, L = caps.M, pop.L
     lo = caps.cbar[m_star + 1]
     hi = caps.cbar[m_star]
     i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
     segments = [None] * (M + 1)
-    at_hi = None
-    if not math.isfinite(hi):
+    if math.isfinite(hi):
+        load_hi, inverse_hi, i_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
+        if not load_hi >= l_c:
+            raise BracketError(f"cache load at the top rate {hi} misses the budget {l_c}")
+    else:
         hi = max(lo, 1e-300)
         for _ in range(2100):
             hi *= 2.0
-            at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
-            if at_hi[0] >= l_c:
+            load_hi, inverse_hi, i_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top,
+                                                        segments)
+            if load_hi >= l_c:
                 break
+            lo, load_lo, i_lo = hi, load_hi, i_hi
         else:
             raise BracketError("cache load never reaches the budget")
-    i_hi = i_top if at_hi is None else at_hi[2]
-    for _ in range(200):
+    w0 = hi - lo
+    reach = 4.0 * w0
+    for step in range(_RATE_STEPS + 1):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        at_mid = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi, segments)
-        if at_mid[0] < l_c:
-            lo, i_lo = mid, at_mid[2]
+        if step == _RATE_STEPS:
+            raise BracketError(f"rate bracket ({lo!r}, {hi!r}) still open after "
+                               f"{_RATE_STEPS} steps")
+        reach *= 0.5
+        w, rise = hi - lo, load_hi - load_lo
+        r = lo * hi / (lo + (load_hi - l_c) / rise * w)  # the secant's root in 1/r
+        shift = mid - r
+        push = max(0.1 * w * w / w0, math.ulp(l_c) / rise * w, math.ulp(mid))
+        r = r + math.copysign(push, shift) if push < abs(shift) else mid
+        r = min(max(r, hi - reach), lo + reach)  # neither part wider than reach
+        if not lo < r < hi:
+            r = mid
+        load, inverse, index = _bracketed_load(m_star, r, caps, pop, i_lo, i_hi, segments)
+        if load < l_c:
+            lo, load_lo, i_lo = r, load, index
         else:
-            hi, i_hi, at_hi = mid, at_mid[2], at_mid
-    if at_hi is None:
-        at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_hi, segments)
-    return hi, at_hi[1]
+            hi, load_hi, inverse_hi, i_hi = r, load, inverse, index
+    return hi, inverse_hi
 
 
 def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:

@@ -239,8 +239,8 @@ def tail_inverse(model: PopularityModel, y: float, lo: int = 0,
     key operator.neg (exact) finds the first k in (lo, hi) with suffix(k)
     < y, one past the tail index, and p(k) is read inline. When the tail
     indices lo..hi-1 share a block, which is the usual case inside the
-    rate bisection, that is one bisect over the block; otherwise a bisect
-    over the block edges first picks the block whose span
+    relaxed rate's search, that is one bisect over the block; otherwise a
+    bisect over the block edges first picks the block whose span
     (b * BLOCK_RANKS, (b + 1) * BLOCK_RANKS] holds k.
     """
     if y >= 1.0:

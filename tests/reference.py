@@ -4,6 +4,7 @@ it), a model over a given suffix array, the popularity tail mass f(x) that
 tail_inverse inverts, the residuals of the relaxation's optimality system,
 the relaxed occupancies at a rate from one full tail_inverse search per
 level (solve_relaxed takes them from its rate solve's own inverses), the
+midpoint loop that the rate solve's secant pivots replaced, the
 threshold form of a placement, the relaxed rate of
 a fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
@@ -47,7 +48,8 @@ from d2d_cachescale.phy import (
     rate_hcoop,
     rate_multihop,
 )
-from d2d_cachescale.placement import RelaxedSolution, _load, round_to_feasible, solve_relaxed
+from d2d_cachescale.placement import (RelaxedSolution, _bracketed_load, _load, round_to_feasible,
+                                      solve_relaxed)
 from d2d_cachescale.popularity import (
     BLOCK_RANKS,
     BLOCK_SHIFT,
@@ -192,6 +194,45 @@ def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
         if v < 0.0:
             xs[m] = 0.0
     return xs
+
+
+def midpoint_solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
+                        l_c: float) -> tuple[float, list[float], int]:
+    """placement._solve_rate before its secant pivots: the same bracket and
+    doubling, but every step evaluates the load at the midpoint 0.5 (lo +
+    hi), until lo and hi are adjacent floats. Returns r*, the inverses at
+    r* and the number of midpoint steps. Any pivot rule inside the bracket
+    ends on the same least float, so _solve_rate must return these bits."""
+    M, L = caps.M, pop.L
+    lo = caps.cbar[m_star + 1]
+    hi = caps.cbar[m_star]
+    i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
+    segments = [None] * (M + 1)
+    at_hi = None
+    if not math.isfinite(hi):
+        hi = max(lo, 1e-300)
+        for _ in range(2100):
+            hi *= 2.0
+            at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
+            if at_hi[0] >= l_c:
+                break
+        else:
+            raise BracketError("cache load never reaches the budget")
+    i_hi = i_top if at_hi is None else at_hi[2]
+    steps = 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        steps += 1
+        at_mid = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi, segments)
+        if at_mid[0] < l_c:
+            lo, i_lo = mid, at_mid[2]
+        else:
+            hi, i_hi, at_hi = mid, at_mid[2], at_mid
+    if at_hi is None:
+        at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_hi, segments)
+    return hi, at_hi[1], steps
 
 
 @dataclass(frozen=True)

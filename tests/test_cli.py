@@ -16,6 +16,7 @@ from d2d_cachescale import (
     SizeGuardError,
     cli,
     hierarchy,
+    placement,
 )
 from d2d_cachescale.popularity import MAX_RANKS
 from d2d_cachescale.cli import _OPTIONS, _parse_range, _read_config_file, main
@@ -260,6 +261,15 @@ class TestLibraryErrors:
         monkeypatch.setattr(cli, "optimize_placement", fail)
         code, out, err = run_cli(capsys, "place", "--M", "2", "--l", "8", "--lc", "1.0")
         assert (code, out, err) == (2, "", line)
+
+    def test_rate_search_out_of_steps_exits_2(self, capsys, monkeypatch):
+        """A relaxed-rate search that runs out of steps ends in exit 2 with
+        one stderr line, not in a rate it has not shown to be least."""
+        monkeypatch.setattr(placement, "_RATE_STEPS", 2)
+        code, out, err = run_cli(capsys, "place", "--M", "2", "--l", "8", "--lc", "1.0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rate bracket (") and err.endswith(
+            "still open after 2 steps\n")
 
 
 class TestSimulate:

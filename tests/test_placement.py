@@ -1,5 +1,6 @@
 """Relaxed solver, optimality checks, rounding, rebalancing, evaluation."""
 
+import dataclasses
 import math
 import random
 
@@ -497,6 +498,40 @@ class TestSolveRelaxed:
             counts["probes"] = 0
             solve_relaxed(caps, pop, l_c)
             assert counts["probes"] <= math.ceil(math.log2(grid.M + 1))
+
+    def test_rate_search_that_runs_out_of_steps_raises(self, monkeypatch):
+        """A rate search still open after _RATE_STEPS steps raises
+        BracketError instead of returning an upper end it has not shown to
+        be the least float meeting the budget."""
+        grid, _, caps = caps_for(4, 0.0, 4.0)
+        pop = zipf_pmf(64, 1.0)
+        solve_relaxed(caps, pop, 4.0)
+        monkeypatch.setattr(placement, "_RATE_STEPS", 2)
+        with pytest.raises(BracketError, match="still open after 2 steps"):
+            solve_relaxed(caps, pop, 4.0)
+
+    def test_top_rate_load_is_the_level_below_at_that_rate(self):
+        """At r = cbar[m] the load at m equals, bit for bit, the load at m - 1
+        (level m's term is exactly 3 4^-m there), so the rate search's top
+        end meets every budget the m* search sends it."""
+        rng = random.Random(31)
+        for _ in range(40):
+            grid, caps, pop, _ = random_instance(rng, m_max=12, l_max=20000)
+            for m in range(1, grid.M):
+                r = caps.cbar[m]
+                assert (relaxed_cache_load(m, r, caps, pop)
+                        == relaxed_cache_load(m - 1, r, caps, pop))
+
+    def test_top_rate_that_misses_the_budget_raises(self):
+        """A capacity table with a finite cbar[0] can leave the budget out of
+        reach of every rate up to cbar[m*]: the rate search raises
+        BracketError instead of returning a rate whose load misses it."""
+        grid, _, caps = caps_for(4, 0.0, 4.0)
+        pop = zipf_pmf(64, 1.0)
+        capped = dataclasses.replace(caps, cbar=(2.0 * caps.cbar[1],) + caps.cbar[1:])
+        assert relaxed_cache_load(0, capped.cbar[0], capped, pop) < 60.0
+        with pytest.raises(BracketError, match="misses the budget"):
+            solve_relaxed(capped, pop, 60.0)
 
     def test_optimality_residuals_random(self):
         rng = random.Random(2024)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from d2d_cachescale import (
 )
 from d2d_cachescale.analysis import achievable_exponent
 from d2d_cachescale.hierarchy import capacity_envelope
+from d2d_cachescale import placement
 from d2d_cachescale.placement import relaxed_cache_load, solve_relaxed
 from d2d_cachescale.cli import main
 from d2d_cachescale.delivery import CHUNK_REQUESTS
@@ -42,6 +44,7 @@ from reference import (
     dense_zipf,
     memoryview_raw_thresholds,
     memoryview_tail_index,
+    midpoint_solve_rate,
     per_top_level_relaxations,
     relaxed_solution_at,
     searchsorted_simulate,
@@ -494,7 +497,7 @@ def test_lowest_level_bisection_matches_nested_search(data, m_levels, L, tau, al
        kappa=st.sampled_from([0.0, 1.0]),
        frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
 def test_bracketed_rate_bisection_matches_full_search(m_levels, L, tau, alpha, kappa, frac):
-    """solve_relaxed, whose rate bisection searches each level's tail index
+    """solve_relaxed, whose rate search looks up each level's tail index
     between the indices at the ends of the rate bracket, gives the x*, r*
     and m* bits of the solver that runs a full tail_inverse search per
     level at every step. Small L clamps levels at ratios >= 1 and sends
@@ -538,36 +541,28 @@ def integer_inverse_examples(test):
     return test
 
 
-@settings(max_examples=300, deadline=None)
-@given(m_levels=st.integers(min_value=1, max_value=10),
-       L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
-       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
-       kappa=st.sampled_from([0.0, 0.5, 1.0]),
-       budget=st.one_of(
-           st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-           st.just("least"),
-           st.integers(min_value=0),
-           st.tuples(st.integers(min_value=0), st.sampled_from([0, 1]),
-                     st.integers(min_value=-2, max_value=2))))
-@integer_inverse_examples
-def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, alpha, kappa,
-                                                           budget):
-    """For m* < M, r* is the least float whose full-library load at m*
-    meets the budget: load(r*) >= l_c > load(nextafter(r*, 0)). The budget
-    is a fraction of [L 4^-M, L), 1e-12 above L 4^-M ("least"), the one
-    that puts level M's inverse on the integer 1 + budget % L when only
-    level M is active (an int), or the load at an end of a level's rate
-    bracket moved by up to two float steps (a tuple). r* == cbar[m*], where
-    no bisection step moves hi, would need that load to miss the budget
-    that the level below met at the same rate; no input has shown it. On
-    these budgets the solver also gives the full-search oracle's bits."""
-    grid, _, caps = caps_for(m_levels, kappa, alpha)
-    pop = zipf_pmf(L, tau)
+# Budgets of the relaxed-rate properties: a fraction of [L 4^-M, L), 1e-12
+# above L 4^-M ("least"), one float below L ("below"), the budget that puts
+# level M's inverse on the integer 1 + budget % L when only level M is
+# active (an int), or the load at an end of a level's rate bracket moved by
+# up to two float steps (a tuple).
+rate_budgets = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from(["least", "below"]),
+    st.integers(min_value=0),
+    st.tuples(st.integers(min_value=0), st.sampled_from([0, 1]),
+              st.integers(min_value=-2, max_value=2)))
+
+
+def rate_budget(budget, m_levels, L, caps, pop):
+    """The budget l_c in [L 4^-M, L) that a draw of rate_budgets names."""
     q = 4.0 ** (-m_levels)
     if isinstance(budget, float):
         l_c = L * q + (L - L * q) * budget
     elif budget == "least":
         l_c = L * q + 1e-12
+    elif budget == "below":
+        l_c = math.nextafter(float(L), 0.0)
     elif isinstance(budget, int):
         l_c = (L + 1) * q - 4.0 * q + 3.0 * (1 + budget % L) * q
     else:
@@ -578,12 +573,84 @@ def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, al
         for _ in range(abs(steps)):
             l_c = math.nextafter(l_c, math.inf if steps > 0 else 0.0)
     assume(L * q <= l_c < L)
+    return l_c
+
+
+@settings(max_examples=300, deadline=None)
+@given(m_levels=st.integers(min_value=1, max_value=10),
+       L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
+       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
+       kappa=st.sampled_from([0.0, 0.5, 1.0]), budget=rate_budgets)
+@integer_inverse_examples
+def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, alpha, kappa,
+                                                           budget):
+    """For m* < M, r* is the least float whose full-library load at m*
+    meets the budget: load(r*) >= l_c > load(nextafter(r*, 0)), on the
+    budgets of rate_budgets. On these budgets the solver also gives the
+    full-search oracle's bits."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    pop = zipf_pmf(L, tau)
+    l_c = rate_budget(budget, m_levels, L, caps, pop)
     assert_relaxed_matches_reference(caps, pop, l_c)
     sol = solve_relaxed(caps, pop, l_c)
     assume(sol.m_star < m_levels)
     r = sol.r_star
     assert relaxed_cache_load(sol.m_star, r, caps, pop) >= l_c
     assert relaxed_cache_load(sol.m_star, math.nextafter(r, 0.0), caps, pop) < l_c
+
+
+# Steps the rate solve's secant pivots may take beyond the midpoint loop's:
+# two for the bracket allowed four times the midpoint loop's width, one
+# for a float that rounding leaves inside.
+EXTRA_RATE_STEPS = 3
+
+
+def rate_solve_input(m_levels, L, tau, alpha, kappa, budget):
+    """(caps, pop, l_c, m*, load at cbar[m*+1]) for placement._solve_rate,
+    with m* < M from solve_relaxed."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    pop = zipf_pmf(L, tau)
+    l_c = rate_budget(budget, m_levels, L, caps, pop)
+    m_star = solve_relaxed(caps, pop, l_c).m_star
+    assume(m_star < m_levels)
+    return caps, pop, l_c, m_star, relaxed_cache_load(m_star, caps.cbar[m_star + 1], caps, pop)
+
+
+rate_solve_instances = dict(
+    m_levels=st.integers(min_value=1, max_value=11),
+    L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
+    tau=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=12.0)),
+    alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]), kappa=st.sampled_from([0.0, 0.5, 1.0]),
+    budget=rate_budgets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**rate_solve_instances)
+@integer_inverse_examples
+def test_rate_pivots_end_on_the_midpoint_loops_bits(m_levels, L, tau, alpha, kappa, budget):
+    """_solve_rate's secant pivots return the r* and the inverses at r* of
+    the midpoint loop they replaced, bit for bit: both end on the least
+    float whose load meets the budget. tau reaches 12, and the budgets
+    just below L send m* = 0 through the doubling of an infinite top rate."""
+    caps, pop, l_c, m_star, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
+    r, inverses = placement._solve_rate(m_star, caps, pop, l_c, load_lo)
+    want, want_inverses, _ = midpoint_solve_rate(m_star, caps, pop, l_c)
+    assert (r.hex(), [v.hex() for v in inverses]) == (want.hex(), [v.hex() for v in want_inverses])
+
+
+@settings(max_examples=200, deadline=None)
+@given(**rate_solve_instances)
+@integer_inverse_examples
+def test_rate_pivots_take_at_most_three_steps_more_than_midpoints(m_levels, L, tau, alpha,
+                                                                  kappa, budget):
+    """_solve_rate closes its bracket within EXTRA_RATE_STEPS steps more
+    than the midpoint loop takes on the same input, which stays below the
+    step cap: with the cap set to that many steps it still returns."""
+    caps, pop, l_c, m_star, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
+    steps = midpoint_solve_rate(m_star, caps, pop, l_c)[2] + EXTRA_RATE_STEPS
+    assert steps < placement._RATE_STEPS
+    with mock.patch.object(placement, "_RATE_STEPS", steps):
+        placement._solve_rate(m_star, caps, pop, l_c, load_lo)
 
 
 @settings(max_examples=200, deadline=None)
