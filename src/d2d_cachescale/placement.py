@@ -6,17 +6,21 @@ a file at level m costs 4^{-m} of the per-node cache and is served over
 m tree edges. Given per-level capacities, a popularity model and a cache
 budget, the solver maximises the per-node throughput with a
 relax-round-rebalance recipe: an exact solution of the continuous
-relaxation by a bisection over m* and then a bracket search over r, a
-carry-based rounding that never overshoots the cache, and a local
-rebalancing loop that keeps shifting single files between levels while
-the bottleneck ratio improves.
+relaxation, a carry-based rounding that never overshoots the cache, and
+a local rebalancing loop that keeps shifting single files between levels
+while the bottleneck ratio improves.
 
-The relaxed rate r* is the least float whose load meets the budget. The
-rate search keeps a bracket with the load below the budget at its lower
-end and meeting it at its upper end, and stops when the ends are
-adjacent floats, so any pivot strictly inside the bracket leads to the
-same r*. Its pivots are secant steps on the load in 1/r, moved towards
-the midpoint and kept within a width budget as in the ITP method, so it
+The relaxation's cache load is one non-decreasing function of the rate
+r: a level whose capacity ratio cbar[m] / r is at least one constrains
+nothing, and its tail inverse stays at 1. A bisection over the capacity
+breakpoints cbar[m] finds the bracket (cbar[m*+1], cbar[m*]] that holds
+the relaxed rate r*, and m*, the lowest occupied level, is read off it.
+r* is the least float whose load meets the budget. The rate search
+keeps a bracket with the load below the budget at its lower end and
+meeting it at its upper end, and stops when the ends are adjacent
+floats, so any pivot strictly inside the bracket leads to the same r*.
+Its pivots are secant steps on the load in 1/r, moved towards the
+midpoint and kept within a width budget as in the ITP method, so it
 takes at most three steps more than midpoint bisection and on smooth
 loads about a fifth as many.
 
@@ -38,7 +42,6 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 from .errors import (
     BracketError,
@@ -188,53 +191,57 @@ def evaluate_throughput(x: PlacementVector, caps: LevelCapacities,
     return ThroughputReport(rate=best, binding_level=binding, per_level_slack=slack, m_b=m_b)
 
 
-def relaxed_cache_load(m_star: int, r: float, caps: LevelCapacities,
-                       pop: PopularityModel) -> float:
+def relaxed_cache_load(r: float, caps: LevelCapacities, pop: PopularityModel) -> float:
     """Cache mass of the balanced fractional solution at rate r > 0.
 
-    With m_star in 0..M the lowest occupied level, every level above it
-    holds exactly the files needed to keep its capacity ratio at r.
-    Strictly increasing in r wherever some capacity-to-rate ratio is below
-    one, and saturating at L 4^{-m_star} as r grows. The float value does
-    not decrease in r either, since each of its operations is monotone
-    under round-to-nearest; solve_relaxed defines r* on this float load.
+    Each level whose capacity ratio cbar[m] / r is below one carries
+    exactly the popularity tail that keeps its ratio at r. The files
+    cached below the lowest such level sit at the highest level whose
+    ratio is at least one (m* for a table that does not rise with the
+    level), the cheapest level that constrains nothing. The load rises
+    from L 4^{-M} at r <= cbar[M] to L at r = inf, strictly wherever some
+    ratio is below one. The float value does not decrease in r either,
+    since each of its operations is monotone under round-to-nearest;
+    solve_relaxed defines r* on this float load.
     """
-    M, L = caps.M, pop.L
     if not r > 0.0:
         raise InvalidParameterError(f"rate must be > 0, got {r!r}")
-    if not (isinstance(m_star, Integral) and 0 <= m_star <= M):
-        raise InvalidParameterError(
-            f"lowest occupied level must be an integer in 0..{M}, got {m_star!r}")
-    return _bracketed_load(m_star, r, caps, pop, [0] * (M + 1), [L - 1] * (M + 1),
-                           [None] * (M + 1))[0]
+    M, L = caps.M, pop.L
+    return _bracketed_load(r, caps, pop, [0] * (M + 1), [L - 1] * (M + 1), [None] * (M + 1))[0]
 
 
-def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: PopularityModel,
+def _bracketed_load(r: float, caps: LevelCapacities, pop: PopularityModel,
                     i_lo: list[int], i_hi: list[int], segments: list[tuple | None]
                     ) -> tuple[float, list[float], list[int]]:
     """relaxed_cache_load at r, with each level's tail inverse and tail index
-    there (0.0 and 0 at the levels up to m_star), searched in
-    [i_lo[m], i_hi[m] + 1]: i_lo[m] and i_hi[m] are level m's indices at two
-    rates around r, or the extremes 0 and L - 1.
+    there (1.0 and 0 at level 0), searched in [i_lo[m], i_hi[m] + 1]:
+    i_lo[m] and i_hi[m] are level m's indices at two rates around r, or
+    the extremes 0 and L - 1.
 
-    A level with i_lo[m] == i_hi[m] = i has index i at r, so its inverse
-    comes from segment k = i + 1 alone, by tail_inverse's float operations
-    in its order. segments[m] keeps that segment as the floats
-    (k, k + 1, suffix(k), p(k)) from its first read on, for later calls on
+    A level whose ratio y = cbar[m] / r is at least one has inverse 1.0
+    and index 0, as tail_inverse returns them, and adds exactly 3 4^{-m}.
+    The load starts from (L + 1) 4^{-M} - 1 and sums levels 1..M. Its
+    partial sums over the leading such levels are integer multiples of
+    4^{-M}, fewer than 2^53 of them while L + 1 and 4^M stay below 2^53,
+    so they are exact. A level with
+    i_lo[m] == i_hi[m] = i has index i at r, so its inverse comes from
+    segment k = i + 1 alone, by tail_inverse's float operations in its
+    order. segments[m] keeps that segment as the floats (k, k + 1,
+    suffix(k), p(k)) from its first read on, for later calls on
     narrowings of the same bracket.
     """
     M, L = caps.M, pop.L
     cbar = caps.cbar
-    inverse = [0.0] * (M + 1)
+    inverse = [1.0] * (M + 1)
     index = [0] * (M + 1)
-    total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
-    for m in range(m_star + 1, M + 1):
+    total = (L + 1.0) * 4.0 ** (-M) - 1.0
+    for m in range(1, M + 1):
         y = cbar[m] / r
         i = i_lo[m]
-        if i != i_hi[m]:
+        if y >= 1.0:
+            x, i = 1.0, 0
+        elif i != i_hi[m]:
             x, i = tail_inverse(pop, y, i, i_hi[m] + 1)
-        elif y >= 1.0:
-            x = 1.0
         elif y <= 0.0:
             x = L + 1.0
         else:
@@ -254,45 +261,41 @@ def _bracketed_load(m_star: int, r: float, caps: LevelCapacities, pop: Popularit
 def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> RelaxedSolution:
     """Exact solution of the continuous placement relaxation.
 
-    The lowest occupied level m* is the first m whose load at the top of
-    its rate bracket, relaxed_cache_load(m, cbar[m+1]), is below the
-    budget, or M (all files at the top level). That load does not increase
-    with m, so the test "below the budget" is monotone and bisect_left
-    over range(M) finds m* with one probe per step, and m* itself is one
-    of the probes. The rate r* is then the least float in (cbar[m*+1],
-    cbar[m*]] whose load at m* meets the budget, found by _solve_rate's
-    secant pivots from that probe's load; any pivot rule that stops on
-    adjacent floats gives the same r*. The occupancies are successive
-    differences of the tail inverses at r*, so they sum to L.
+    The load does not decrease with the rate, and cbar does not increase
+    with the level (a table where it does, or that holds a NaN, is
+    refused), so the test "the load at cbar[m+1] is below the budget" is
+    monotone in m. bisect_left over range(M) finds the first such m with
+    one probe per step, or M (all files at the top level), and m* itself
+    is one of the probes. m* is the lowest occupied level and
+    (cbar[m*+1], cbar[m*]] the bracket of the rate r*: the least float
+    there whose load meets the budget, found by _solve_rate's secant
+    pivots from that probe's load; any pivot rule that stops on adjacent
+    floats gives the same r*. The occupancies are successive differences
+    of the tail inverses at r*, with the inverse 1.0 at level 0, so they
+    sum to L. The inverses do not decrease with the level, since the
+    ratios cbar[m] / r* do not increase, so no occupancy is negative.
     """
     M, L = caps.M, pop.L
+    cbar = caps.cbar
     _require_admissible(L, M, l_c)
     _require_below_library(L, l_c)
-    top_load = functools.cache(lambda m: relaxed_cache_load(m, caps.cbar[m + 1], caps, pop))
+    if not all(hi >= lo for hi, lo in zip(cbar, cbar[1:])):
+        raise InvalidParameterError(
+            f"level capacities must be numbers that do not rise with the level, got {cbar!r}")
+    top_load = functools.cache(lambda m: relaxed_cache_load(cbar[m + 1], caps, pop))
     m_star = bisect_left(range(M), True, key=lambda m: top_load(m) < l_c)
     if m_star == M:
-        return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
-    r_star, finv = _solve_rate(m_star, caps, pop, l_c, top_load(m_star))
-    xs = [0.0] * (M + 1)
-    xs[m_star] = finv[m_star + 1] - 1.0
-    for m in range(m_star + 1, M):
-        xs[m] = finv[m + 1] - finv[m]
-    xs[M] = L - finv[M] + 1.0
-    for m, v in enumerate(xs):
-        if v < -1e-9:
-            raise BracketError(
-                f"negative occupancy x[{m}] = {v}: rate {r_star} outside its bracket")
-        if v < 0.0:
-            xs[m] = 0.0
+        return RelaxedSolution((0.0,) * M + (float(L),), cbar[M], M)
+    r_star, finv = _solve_rate(cbar[m_star + 1], cbar[m_star], caps, pop, l_c, top_load(m_star))
+    xs = [finv[m + 1] - finv[m] for m in range(M)] + [L - finv[M] + 1.0]
     return RelaxedSolution(tuple(xs), r_star, m_star)
 
 
-def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
+def _solve_rate(lo: float, hi: float, caps: LevelCapacities, pop: PopularityModel,
                 l_c: float, load_lo: float) -> tuple[float, list[float]]:
-    """Least float r in (cbar[m*+1], cbar[m*]] whose cache mass reaches
-    l_c, and each level's tail inverse at r (indexed by level, as
-    _bracketed_load returns them); load_lo < l_c is the m* search's load
-    at cbar[m*+1].
+    """Least float r in (lo, hi] whose cache mass reaches l_c, and each
+    level's tail inverse at r (indexed by level, as _bracketed_load
+    returns them); load_lo < l_c is the load at lo.
 
     The float load does not decrease in r: each operation in
     _bracketed_load (the quotient cbar[m] / r, the tail search or the
@@ -300,13 +303,12 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     search that keeps load(lo) < l_c <= load(hi) and stops when lo and hi
     are adjacent floats ends with hi the least float in the bracket whose
     load meets the budget, whichever rates inside the bracket it
-    evaluates: that is r*. hi starts at cbar[m*], where the load equals
-    the load of the level below, which the m* search found to meet the
-    budget (level m*'s term is exactly 3 4^-m* there). A table with a
-    finite cbar[0] has no level below m* = 0, and a load there that
-    misses the budget raises BracketError. An infinite cbar[0] gives way
-    to the first doubling of lo whose load meets the budget, and each
-    doubling that misses becomes lo.
+    evaluates: that is r*. solve_relaxed passes the bracket (cbar[m*+1],
+    cbar[m*]], whose top end's load the m* search found to meet the
+    budget, except at m* = 0, which has no probe at cbar[0]: there a
+    finite cbar[0] whose load misses the budget raises BracketError, and
+    an infinite one gives way to the first doubling of lo whose load
+    meets the budget, while each doubling that misses becomes lo.
 
     Each step evaluates one pivot, chosen as in the ITP method (Oliveira
     and Takahashi, ACM TOMS 47(1), 2021): the secant root through the
@@ -336,20 +338,17 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
     evaluation that set hi.
     """
     M, L = caps.M, pop.L
-    lo = caps.cbar[m_star + 1]
-    hi = caps.cbar[m_star]
     i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
     segments = [None] * (M + 1)
     if math.isfinite(hi):
-        load_hi, inverse_hi, i_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
+        load_hi, inverse_hi, i_hi = _bracketed_load(hi, caps, pop, i_lo, i_top, segments)
         if not load_hi >= l_c:
             raise BracketError(f"cache load at the top rate {hi} misses the budget {l_c}")
     else:
         hi = max(lo, 1e-300)
         for _ in range(2100):
             hi *= 2.0
-            load_hi, inverse_hi, i_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top,
-                                                        segments)
+            load_hi, inverse_hi, i_hi = _bracketed_load(hi, caps, pop, i_lo, i_top, segments)
             if load_hi >= l_c:
                 break
             lo, load_lo, i_lo = hi, load_hi, i_hi
@@ -373,7 +372,7 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
         r = min(max(r, hi - reach), lo + reach)  # neither part wider than reach
         if not lo < r < hi:
             r = mid
-        load, inverse, index = _bracketed_load(m_star, r, caps, pop, i_lo, i_hi, segments)
+        load, inverse, index = _bracketed_load(r, caps, pop, i_lo, i_hi, segments)
         if load < l_c:
             lo, load_lo, i_lo = r, load, index
         else:
@@ -384,10 +383,11 @@ def _solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
 def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:
     """Carry-based integer rounding of the fractional solution for budget l_c.
 
-    Level by level from m* upward, each level keeps the floor of its
+    Level by level from level 0 upward, each level keeps the floor of its
     target plus whatever cache the levels below released (rescaled to this
     level's per-file cost), and the level where the running total reaches
-    L absorbs the remainder; levels above it get nothing. Floors only ever
+    L absorbs the remainder; levels above it get nothing. The levels below
+    m* hold 0.0, so they keep and release nothing. Floors only ever
     release cache. A target within 1e-9 of an integer is rounded to it, and
     a round-up hands its cost to the levels above as a negative carry. The
     level that absorbs the remainder has no level above to hand a cost to,
@@ -400,7 +400,7 @@ def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:
     xo = [0] * (M + 1)
     carry = 0.0
     cum = 0
-    for m in range(sol.m_star, M + 1):
+    for m in range(M + 1):
         val = sol.x_star[m] + carry * 4.0 ** m
         near = round(val)
         xm = near if abs(val - near) < 1e-9 else math.floor(val)

@@ -2,11 +2,13 @@
 chunked build that kept every suffix mass (the checkpointed build replaced
 it), a model over a given suffix array, the popularity tail mass f(x) that
 tail_inverse inverts, the residuals of the relaxation's optimality system,
-the relaxed occupancies at a rate from one full tail_inverse search per
-level (solve_relaxed takes them from its rate solve's own inverses), the
-midpoint loop that the rate solve's secant pivots replaced, the
-threshold form of a placement, the relaxed rate of
-a fractional placement, the per-top-level relaxation that brackets the
+the relaxation's load in the form that took the lowest occupied level
+m* and summed only the levels above it (the load now reads the rate
+alone), the relaxed occupancies at a rate from one full tail_inverse
+search per level (solve_relaxed takes them from its rate solve's own
+inverses), the midpoint loop that the rate solve's secant pivots
+replaced, the threshold form of a placement, the relaxed rate of a
+fractional placement, the per-top-level relaxation that brackets the
 exact optimum, the memoryview searches the popularity model's searches
 replaced, the multihop baseline's scaling law that the achievable law
 at alpha = 3 replaced, the recursive enumeration of compositions that
@@ -168,35 +170,39 @@ def check_optimality(sol: RelaxedSolution, caps: LevelCapacities,
     return res
 
 
-def relaxed_solution_at(m_star: int, r: float, caps: LevelCapacities,
-                        pop: PopularityModel) -> list[float]:
+def lowest_level_load(m_star: int, r: float, caps: LevelCapacities,
+                      pop: PopularityModel) -> float:
+    """The relaxation's load at rate r in the form that took the lowest
+    occupied level m_star in 0..M: the dyadic head (L + 1) 4^-M - 4^-m_star
+    and the levels above m_star, each from one full tail_inverse search.
+    For r in m_star's bracket [cbar[m_star+1], cbar[m_star]] every level
+    up to m_star has ratio >= 1 and adds exactly 3 4^-m, so
+    relaxed_cache_load(r) must return these bits."""
+    M, L = caps.M, pop.L
+    total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
+    for m in range(m_star + 1, M + 1):
+        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r)[0] * 4.0 ** (-m)
+    return total
+
+
+def relaxed_solution_at(r: float, caps: LevelCapacities, pop: PopularityModel) -> list[float]:
     """Fractional placement solving the per-level balance equalities at rate r.
 
     Telescoping construction: level occupancies are successive differences
-    of tail inverses, each from a search over the whole library, so the
-    total is exactly L by construction. solve_relaxed must return these
-    bits at its (m*, r*).
+    of tail inverses, each from a search over the whole library, with the
+    inverse 1.0 at level 0, so the total is exactly L by construction.
+    solve_relaxed must return these bits at its r*.
     """
     M, L = caps.M, pop.L
-    xs = [0.0] * (M + 1)
-    if m_star >= M:
-        xs[M] = float(L)
-        return xs
-    finv = [tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(m_star + 1, M + 1)]
-    xs[m_star] = finv[0] - 1.0
-    for m in range(m_star + 1, M):
-        xs[m] = finv[m - m_star] - finv[m - 1 - m_star]
-    xs[M] = L - finv[M - 1 - m_star] + 1.0
+    finv = [1.0] + [tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(1, M + 1)]
+    xs = [finv[m + 1] - finv[m] for m in range(M)] + [L - finv[M] + 1.0]
     for m, v in enumerate(xs):
-        if v < -1e-9:
-            raise BracketError(
-                f"negative occupancy x[{m}] = {v}: rate {r} outside its bracket")
         if v < 0.0:
-            xs[m] = 0.0
+            raise BracketError(f"negative occupancy x[{m}] = {v} at rate {r}")
     return xs
 
 
-def midpoint_solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel,
+def midpoint_solve_rate(lo: float, hi: float, caps: LevelCapacities, pop: PopularityModel,
                         l_c: float) -> tuple[float, list[float], int]:
     """placement._solve_rate before its secant pivots: the same bracket and
     doubling, but every step evaluates the load at the midpoint 0.5 (lo +
@@ -204,8 +210,6 @@ def midpoint_solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel
     r* and the number of midpoint steps. Any pivot rule inside the bracket
     ends on the same least float, so _solve_rate must return these bits."""
     M, L = caps.M, pop.L
-    lo = caps.cbar[m_star + 1]
-    hi = caps.cbar[m_star]
     i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
     segments = [None] * (M + 1)
     at_hi = None
@@ -213,7 +217,7 @@ def midpoint_solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel
         hi = max(lo, 1e-300)
         for _ in range(2100):
             hi *= 2.0
-            at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_top, segments)
+            at_hi = _bracketed_load(hi, caps, pop, i_lo, i_top, segments)
             if at_hi[0] >= l_c:
                 break
         else:
@@ -225,13 +229,13 @@ def midpoint_solve_rate(m_star: int, caps: LevelCapacities, pop: PopularityModel
         if not lo < mid < hi:
             break
         steps += 1
-        at_mid = _bracketed_load(m_star, mid, caps, pop, i_lo, i_hi, segments)
+        at_mid = _bracketed_load(mid, caps, pop, i_lo, i_hi, segments)
         if at_mid[0] < l_c:
             lo, i_lo = mid, at_mid[2]
         else:
             hi, i_hi, at_hi = mid, at_mid[2], at_mid
     if at_hi is None:
-        at_hi = _bracketed_load(m_star, hi, caps, pop, i_lo, i_hi, segments)
+        at_hi = _bracketed_load(hi, caps, pop, i_lo, i_hi, segments)
     return hi, at_hi[1], steps
 
 

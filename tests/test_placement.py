@@ -37,6 +37,7 @@ from d2d_cachescale import placement
 from conftest import caps_for
 from reference import (
     check_optimality,
+    lowest_level_load,
     relaxed_rate,
     relaxed_solution_at,
 )
@@ -60,14 +61,9 @@ def random_feasible_placement(rng, m_levels, L):
     return PlacementVector(tuple(b - a for a, b in zip([0] + cuts, cuts + [L])))
 
 
-def reference_cache_load(m_star, r, caps, pop):
-    """relaxed_cache_load as one full tail_inverse search per level, the
-    form it had before the bracketed search."""
-    M, L = caps.M, pop.L
-    total = (L + 1.0) * 4.0 ** (-M) - 4.0 ** (-m_star)
-    for m in range(m_star + 1, M + 1):
-        total += 3.0 * tail_inverse(pop, caps.cbar[m] / r)[0] * 4.0 ** (-m)
-    return total
+def rate_bracket(r, caps):
+    """The level m whose bracket (cbar[m+1], cbar[m]] holds r, or M for r <= cbar[M]."""
+    return sum(c >= r for c in caps.cbar[1:])
 
 
 def reference_lowest_level(caps, pop, l_c):
@@ -78,16 +74,16 @@ def reference_lowest_level(caps, pop, l_c):
     must return the same level.
     """
     M = caps.M
-    if reference_cache_load(0, caps.cbar[1], caps, pop) < l_c:
+    if lowest_level_load(0, caps.cbar[1], caps, pop) < l_c:
         return 0
     if pop.L * 4.0 ** (-M) >= l_c:
         return M
     m_lo, m_hi = 0, M
     m_star = (m_lo + m_hi) // 2
     while True:
-        if reference_cache_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
+        if lowest_level_load(m_star, caps.cbar[m_star + 1], caps, pop) >= l_c:
             m_lo = m_star
-        elif reference_cache_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
+        elif lowest_level_load(m_star, caps.cbar[m_star], caps, pop) < l_c:
             m_hi = m_star
         else:
             return m_star
@@ -107,7 +103,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
         hi = max(lo, 1e-300)
         for _ in range(2100):
             hi *= 2.0
-            if reference_cache_load(m_star, hi, caps, pop) >= l_c:
+            if lowest_level_load(m_star, hi, caps, pop) >= l_c:
                 break
         else:
             raise BracketError("cache load never reaches the budget")
@@ -115,7 +111,7 @@ def reference_solve_rate(m_star, caps, pop, l_c):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if reference_cache_load(m_star, mid, caps, pop) < l_c:
+        if lowest_level_load(m_star, mid, caps, pop) < l_c:
             lo = mid
         else:
             hi = mid
@@ -135,10 +131,9 @@ def reference_solve_relaxed(caps, pop, l_c):
     if m_star == M:
         return RelaxedSolution((0.0,) * M + (float(L),), caps.cbar[M], M)
     r_star = caps.cbar[m_star + 1]
-    if reference_cache_load(m_star, r_star, caps, pop) < l_c:
+    if lowest_level_load(m_star, r_star, caps, pop) < l_c:
         r_star = reference_solve_rate(m_star, caps, pop, l_c)
-    return RelaxedSolution(tuple(relaxed_solution_at(m_star, r_star, caps, pop)),
-                           r_star, m_star)
+    return RelaxedSolution(tuple(relaxed_solution_at(r_star, caps, pop)), r_star, m_star)
 
 
 def _relaxed_outcome(solver, caps, pop, l_c):
@@ -212,73 +207,41 @@ class TestEvaluateThroughput:
 class TestRelaxedCacheLoad:
     def test_saturates_low_rate(self):
         """Rates below every capacity leave all inverses at 1: the telescoped
-        load is exactly L 4^{-M}."""
+        load is exactly L 4^{-M}. An infinite rate leaves every ratio at 0
+        and every inverse at L + 1: the load is L."""
         grid, _, caps = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(17, 1.3)
-        r = caps.cbar[3] * 0.5
-        for m_star in range(3):
-            assert relaxed_cache_load(m_star, r, caps, pop) \
-                == pytest.approx(17 * 4.0 ** -3, rel=1e-12)
+        assert relaxed_cache_load(caps.cbar[3] * 0.5, caps, pop) == 17 * 4.0 ** -3
+        assert relaxed_cache_load(math.inf, caps, pop) == 17.0
 
     def test_monotone_in_rate(self):
         rng = random.Random(42)
         for _ in range(200):
             grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=500)
-            m_star = rng.randint(0, grid.M - 1)
-            r1 = caps.cbar[m_star + 1] * rng.uniform(0.5, 4.0)
+            m = rng.randint(0, grid.M - 1)
+            r1 = caps.cbar[m + 1] * rng.uniform(0.5, 4.0)
             r2 = r1 * rng.uniform(1.0, 4.0)
-            assert relaxed_cache_load(m_star, r2, caps, pop) \
-                >= relaxed_cache_load(m_star, r1, caps, pop) - 1e-12
+            assert relaxed_cache_load(r2, caps, pop) >= relaxed_cache_load(r1, caps, pop) - 1e-12
 
-    def test_boundary_chain(self):
-        """Load at a level's own capacity equals the neighbour level's load
-        there bit for bit, and is at least the load at the next capacity
-        down.
-
-        At r = cbar[m] the quotient is exactly 1.0 and tail_inverse returns
-        1.0, so the two sides differ only in their dyadic head terms,
-        (L+1) 4^-M - 4^-m against (L+1) 4^-M - 4^-(m-1) + 3 4^-m, and both
-        are exact while L + 1 and 4^M stay below 2^53."""
-        rng = random.Random(43)
-        for _ in range(50):
-            grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=500)
-            for m in range(1, grid.M):
-                at_own = relaxed_cache_load(m, caps.cbar[m], caps, pop)
-                at_next = relaxed_cache_load(m, caps.cbar[m + 1], caps, pop)
-                assert at_own >= at_next
-                assert at_next == relaxed_cache_load(m + 1, caps.cbar[m + 1], caps, pop)
-                assert at_own == relaxed_cache_load(m - 1, caps.cbar[m], caps, pop)
-
-
-    @pytest.mark.parametrize("m_star, r", [
-        (0, 0.0), (1, -1.0), (1, -math.inf), (1, math.nan),
-        (9, 1.0), (4, 1.0), (-1, 1.0), (1.5, 1.0), (2.0, 1.0), ("1", 1.0), (None, 1.0),
-    ])
-    def test_bad_rate_or_level_is_refused(self, m_star, r):
-        """On M = 3 and L = 50 a zero rate once raised ZeroDivisionError, a
-        negative one returned 50.0, m_star = 9 returned 0.797 and 1.5 raised
-        TypeError."""
+    @pytest.mark.parametrize("r", [0.0, -1.0, -math.inf, math.nan])
+    def test_bad_rate_is_refused(self, r):
+        """On M = 3 and L = 50 a zero rate once raised ZeroDivisionError and
+        a negative one returned 50.0."""
         grid, _, caps = caps_for(3, 0.0, 4.0)
-        with pytest.raises(InvalidParameterError, match="rate must be > 0|lowest occupied"):
-            relaxed_cache_load(m_star, r, caps, zipf_pmf(50, 1.0))
-
-    def test_integer_levels_of_any_type_are_read(self):
-        grid, _, caps = caps_for(3, 0.0, 4.0)
-        pop = zipf_pmf(50, 1.0)
-        r = caps.cbar[2] * 1.5
-        assert relaxed_cache_load(np.int64(1), r, caps, pop) == relaxed_cache_load(1, r, caps, pop)
-        assert relaxed_cache_load(3, math.inf, caps, pop) == 50 * 4.0 ** -3
+        with pytest.raises(InvalidParameterError, match="rate must be > 0"):
+            relaxed_cache_load(r, caps, zipf_pmf(50, 1.0))
 
     def test_matches_full_search(self):
-        """Full brackets give the per-level tail_inverse sum bit for bit, on
-        rates that clamp every level, some levels or none."""
+        """Full brackets give the per-level tail_inverse sum of the form
+        that took the rate's bracket level bit for bit, on rates that clamp
+        every level, some levels or none."""
         rng = random.Random(44)
         for _ in range(300):
             grid, caps, pop, _ = random_instance(rng, m_max=8, l_max=3000)
-            m_star = rng.randint(0, grid.M - 1)
-            r = caps.cbar[m_star + 1] * rng.choice([0.5, 1.0, rng.uniform(1.0, 1e3)])
-            assert relaxed_cache_load(m_star, r, caps, pop) \
-                == reference_cache_load(m_star, r, caps, pop)
+            m = rng.randint(0, grid.M - 1)
+            r = caps.cbar[m + 1] * rng.choice([0.5, 1.0, rng.uniform(1.0, 1e3)])
+            assert relaxed_cache_load(r, caps, pop) \
+                == lowest_level_load(rate_bracket(r, caps), r, caps, pop)
 
     def test_indices_at_two_rates_bracket_the_search(self):
         """Each level's tail index is non-decreasing in the rate, and the
@@ -290,25 +253,25 @@ class TestRelaxedCacheLoad:
         pinned = searched = 0
         for trial in range(600):
             grid, caps, pop, _ = random_instance(rng, m_max=8, l_max=3000)
-            m_star = rng.randint(0, grid.M - 1)
+            m = rng.randint(0, grid.M - 1)
             full = [0] * (grid.M + 1), [pop.L - 1] * (grid.M + 1), [None] * (grid.M + 1)
             if trial % 2:
-                r1 = caps.cbar[m_star + 1] * 2.0 ** rng.uniform(0.0, 10.0)
+                r1 = caps.cbar[m + 1] * 2.0 ** rng.uniform(0.0, 10.0)
                 r1, r, r2 = sorted(r1 * (1.0 + 2.0 ** -rng.uniform(8.0, 50.0) * rng.random())
                                    for _ in range(3))
             else:
-                r1, r, r2 = sorted(caps.cbar[m_star + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
+                r1, r, r2 = sorted(caps.cbar[m + 1] * 2.0 ** rng.uniform(-1.0, 10.0)
                                    for _ in range(3))
-            (*_, i1), (*_, i2) = (placement._bracketed_load(m_star, q, caps, pop, *full)
+            (*_, i1), (*_, i2) = (placement._bracketed_load(q, caps, pop, *full)
                                   for q in (r1, r2))
-            load, inverse, index = placement._bracketed_load(m_star, r, caps, pop, *full)
+            load, inverse, index = placement._bracketed_load(r, caps, pop, *full)
             assert all(a <= i <= b for a, i, b in zip(i1, index, i2))
-            assert inverse == [0.0] * (m_star + 1) + [
-                tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(m_star + 1, grid.M + 1)]
+            assert inverse == [1.0] + [
+                tail_inverse(pop, caps.cbar[m] / r)[0] for m in range(1, grid.M + 1)]
             segments = [None] * (grid.M + 1)
-            assert placement._bracketed_load(m_star, r, caps, pop, i1, i2, segments) \
+            assert placement._bracketed_load(r, caps, pop, i1, i2, segments) \
                 == (load, inverse, index)
-            for m in range(m_star + 1, grid.M + 1):
+            for m in range(1, grid.M + 1):
                 y = caps.cbar[m] / r
                 if i1[m] == i2[m] and 0.0 < y < 1.0:
                     k = i1[m] + 1
@@ -318,8 +281,8 @@ class TestRelaxedCacheLoad:
                     assert segments[m] is None
                     searched += 1
             for q in (r1, r2, 0.5 * (r1 + r2)):
-                assert placement._bracketed_load(m_star, q, caps, pop, i1, i2, segments) \
-                    == placement._bracketed_load(m_star, q, caps, pop, *full)
+                assert placement._bracketed_load(q, caps, pop, i1, i2, segments) \
+                    == placement._bracketed_load(q, caps, pop, *full)
         assert pinned > 100 and searched > 100
 
     def test_pinned_level_at_a_ratio_of_one(self):
@@ -333,20 +296,19 @@ class TestRelaxedCacheLoad:
             assert 2.0 - (1.0 - pop.suffix(1)) / pop.p(1) > 1.0
             for m_levels in (1, 2, 3):
                 grid, _, caps = caps_for(m_levels, 0.0, 4.0)
-                for m_star in range(m_levels):
-                    m = m_star + 1
+                for m in range(1, m_levels + 1):
                     r2 = caps.cbar[m] * (1.0 + 2.0 ** -30)
                     for r in (caps.cbar[m], math.nextafter(caps.cbar[m], 0.0)):
                         assert caps.cbar[m] / r >= 1.0
                         full = [0] * (m_levels + 1), [L - 1] * (m_levels + 1)
                         (*_, i1), (*_, i2) = (
-                            placement._bracketed_load(m_star, q, caps, pop, *full,
+                            placement._bracketed_load(q, caps, pop, *full,
                                                       [None] * (m_levels + 1))
                             for q in (r, r2))
                         assert i1[m] == i2[m] == 0
                         assert placement._bracketed_load(
-                            m_star, r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
-                            == placement._bracketed_load(m_star, r, caps, pop, *full,
+                            r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
+                            == placement._bracketed_load(r, caps, pop, *full,
                                                          [None] * (m_levels + 1))
                         cases += 1
         assert cases == 60
@@ -358,7 +320,7 @@ class TestRelaxedCacheLoad:
         and only the clamp's lower bound lifts it back."""
         m_levels = 3
         grid, _, caps = caps_for(m_levels, 0.0, 4.0)
-        m_star, cbar = m_levels - 1, caps.cbar[m_levels]
+        cbar = caps.cbar[m_levels]
         lifted = 0
         for L, tau in ((50, 0.0), (300, 0.8)):
             pop = zipf_pmf(L, tau)
@@ -374,14 +336,11 @@ class TestRelaxedCacheLoad:
                     continue
                 r2 = math.nextafter(r, math.inf)
                 (*_, i1), (*_, i2) = (
-                    placement._bracketed_load(m_star, q, caps, pop, *full,
-                                              [None] * (m_levels + 1))
+                    placement._bracketed_load(q, caps, pop, *full, [None] * (m_levels + 1))
                     for q in (r, r2))
                 assert i1[m_levels] == i2[m_levels] == i
-                assert placement._bracketed_load(
-                    m_star, r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
-                    == placement._bracketed_load(m_star, r, caps, pop, *full,
-                                                 [None] * (m_levels + 1))
+                assert placement._bracketed_load(r, caps, pop, i1, i2, [None] * (m_levels + 1)) \
+                    == placement._bracketed_load(r, caps, pop, *full, [None] * (m_levels + 1))
                 lifted += (s - pop.suffix(i + 1)) / pop.p(i + 1) > 1.0
         assert lifted > 50
 
@@ -392,7 +351,7 @@ class TestRelaxedSolutionAt:
     def test_total_is_telescoped(self):
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(100, 1.5)
-        xs = relaxed_solution_at(1, caps.cbar[1] * 0.7, caps, pop)
+        xs = relaxed_solution_at(caps.cbar[1] * 0.7, caps, pop)
         assert math.fsum(xs) == pytest.approx(100.0, rel=1e-12)
         assert xs[0] == 0.0
 
@@ -400,7 +359,7 @@ class TestRelaxedSolutionAt:
         """Rates at or below the top capacity leave every inverse clamped at 1."""
         grid, _, caps = caps_for(3, 0.0, 4.0)
         pop = zipf_pmf(64, 0.5)
-        xs = relaxed_solution_at(0, caps.cbar[3] * 0.9, caps, pop)
+        xs = relaxed_solution_at(caps.cbar[3] * 0.9, caps, pop)
         assert xs[:3] == [0.0, 0.0, 0.0]
         assert xs[3] == pytest.approx(64.0, rel=1e-12)
 
@@ -410,11 +369,11 @@ class TestRelaxedSolutionAt:
         rng = random.Random(7)
         for _ in range(100):
             grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=2000)
-            m_star = rng.randint(0, grid.M - 1)
-            r = caps.cbar[m_star + 1] * rng.uniform(1.0001, 3.0)
-            xs = relaxed_solution_at(m_star, r, caps, pop)
+            m = rng.randint(0, grid.M - 1)
+            r = caps.cbar[m + 1] * rng.uniform(1.0001, 3.0)
+            xs = relaxed_solution_at(r, caps, pop)
             prefix = 0.0
-            for m in range(m_star + 1, grid.M + 1):
+            for m in range(1, grid.M + 1):
                 prefix += xs[m - 1]
                 lhs = tail_mass(pop, min(prefix + 1.0, pop.L + 1.0)) * r
                 if caps.cbar[m] / r < 1.0:  # active constraint only
@@ -468,7 +427,7 @@ class TestSolveRelaxed:
                 for r in (caps.cbar[m + 1], caps.cbar[m]):
                     if not math.isfinite(r):
                         continue
-                    probe = relaxed_cache_load(m, r, caps, pop)
+                    probe = relaxed_cache_load(r, caps, pop)
                     for l_c in (math.nextafter(probe, 0.0), probe,
                                 math.nextafter(probe, math.inf)):
                         assert_relaxed_matches_reference(caps, pop, l_c)
@@ -510,18 +469,6 @@ class TestSolveRelaxed:
         with pytest.raises(BracketError, match="still open after 2 steps"):
             solve_relaxed(caps, pop, 4.0)
 
-    def test_top_rate_load_is_the_level_below_at_that_rate(self):
-        """At r = cbar[m] the load at m equals, bit for bit, the load at m - 1
-        (level m's term is exactly 3 4^-m there), so the rate search's top
-        end meets every budget the m* search sends it."""
-        rng = random.Random(31)
-        for _ in range(40):
-            grid, caps, pop, _ = random_instance(rng, m_max=12, l_max=20000)
-            for m in range(1, grid.M):
-                r = caps.cbar[m]
-                assert (relaxed_cache_load(m, r, caps, pop)
-                        == relaxed_cache_load(m - 1, r, caps, pop))
-
     def test_top_rate_that_misses_the_budget_raises(self):
         """A capacity table with a finite cbar[0] can leave the budget out of
         reach of every rate up to cbar[m*]: the rate search raises
@@ -529,9 +476,22 @@ class TestSolveRelaxed:
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(64, 1.0)
         capped = dataclasses.replace(caps, cbar=(2.0 * caps.cbar[1],) + caps.cbar[1:])
-        assert relaxed_cache_load(0, capped.cbar[0], capped, pop) < 60.0
+        assert relaxed_cache_load(capped.cbar[0], capped, pop) < 60.0
         with pytest.raises(BracketError, match="misses the budget"):
             solve_relaxed(capped, pop, 60.0)
+
+    @pytest.mark.parametrize("l_c", [0.5, 2.0, 8.0, 20.0])
+    def test_capacities_that_rise_with_the_level_are_refused(self, l_c):
+        """The m* search and the rate-only load read cbar as non-increasing.
+        With cbar[2] and cbar[3] swapped at M = 4, L = 60 and tau = 1, every
+        one of these budgets once ended in a BracketError for a negative
+        occupancy x[2]; a NaN entry passes no order check either."""
+        grid, _, caps = caps_for(4, 0.0, 4.0)
+        pop = zipf_pmf(60, 1.0)
+        c = caps.cbar
+        for cbar in (c[:2] + (c[3], c[2]) + c[4:], c[:2] + (math.nan,) + c[3:]):
+            with pytest.raises(InvalidParameterError, match="do not rise with the level"):
+                solve_relaxed(dataclasses.replace(caps, cbar=cbar), pop, l_c)
 
     def test_optimality_residuals_random(self):
         rng = random.Random(2024)
@@ -710,7 +670,7 @@ class TestPipeline:
     (lambda grid, caps, pop: NetworkGrid(3, math.nan, 4.0), InvalidParameterError),
     (lambda grid, caps, pop: throughput_bounds(grid, PhyParams(4.0), pop, math.nan),
      InvalidParameterError),
-    (lambda grid, caps, pop: relaxed_cache_load(1, math.nan, caps, pop), InvalidParameterError),
+    (lambda grid, caps, pop: relaxed_cache_load(math.nan, caps, pop), InvalidParameterError),
     (lambda grid, caps, pop: feasible_for_rate(math.nan, 2, caps, pop, 5.0),
      InvalidParameterError),
 ], ids=["solve_exact", "brute_force", "optimize_placement", "validate", "tail_inverse",

@@ -42,6 +42,7 @@ from conftest import caps_for
 from reference import (
     baseline_exponent,
     dense_zipf,
+    lowest_level_load,
     memoryview_raw_thresholds,
     memoryview_tail_index,
     midpoint_solve_rate,
@@ -467,6 +468,37 @@ def test_bracketed_solver_matches_full_search(m_levels, L, tau, alpha, kappa, fr
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), m_levels=st.integers(min_value=1, max_value=11),
+       L=st.one_of(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=5000)),
+       tau=st.one_of(st.just(1.0), taus), alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
+       kappa=st.sampled_from([0.0, 0.5, 1.0]))
+def test_rate_only_load_is_the_lowest_level_form(data, m_levels, L, tau, alpha, kappa):
+    """relaxed_cache_load(r) has, bit for bit, the load of the form that
+    took the lowest occupied level m and summed only the levels above it,
+    at every rate in m's bracket [cbar[m+1], cbar[m]] for m = 0..M (with
+    cbar[M+1] read as the least positive float): at the finite ends, one
+    float inside each, and at drawn rates between. Over all those rates,
+    sorted, the load does not decrease, across the breakpoints too."""
+    grid, _, caps = caps_for(m_levels, kappa, alpha)
+    pop = zipf_pmf(L, tau)
+    cbar = caps.cbar + (math.ulp(0.0),)
+    loads = []
+    for m in range(m_levels + 1):
+        lo, hi = cbar[m + 1], cbar[m]
+        ends = [lo, math.nextafter(lo, math.inf)]
+        if math.isfinite(hi):
+            ends += [math.nextafter(hi, 0.0), hi]
+        drawn = data.draw(st.lists(
+            st.floats(min_value=lo, max_value=hi, allow_infinity=False), min_size=1, max_size=4))
+        for r in ends + drawn:
+            load = relaxed_cache_load(r, caps, pop)
+            assert load.hex() == lowest_level_load(m, r, caps, pop).hex(), (m, r)
+            loads.append((r, load))
+    loads.sort()
+    assert all(a[1] <= b[1] for a, b in zip(loads, loads[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m_levels=st.integers(min_value=1, max_value=11),
        L=st.integers(min_value=1, max_value=20000), tau=taus,
        alpha=st.sampled_from([2.2, 2.5, 3.0, 4.0, 5.0]),
        kappa=st.sampled_from([0.0, 0.5, 1.0]))
@@ -479,7 +511,7 @@ def test_lowest_level_bisection_matches_nested_search(data, m_levels, L, tau, al
     pop = zipf_pmf(L, tau)
     lo = L * 4.0 ** (-m_levels)
     m = data.draw(st.integers(min_value=0, max_value=m_levels - 1))
-    probe = relaxed_cache_load(m, caps.cbar[m + data.draw(st.sampled_from([0, 1]))], caps, pop)
+    probe = relaxed_cache_load(caps.cbar[m + data.draw(st.sampled_from([0, 1]))], caps, pop)
     l_c = data.draw(st.one_of(
         st.just(lo), st.just(probe),
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True).map(
@@ -527,7 +559,7 @@ def test_occupancies_are_the_full_search_differences(m_levels, L, tau, alpha, ka
     assume(l_c < L)
     pop = zipf_pmf(L, tau)
     sol = solve_relaxed(caps, pop, l_c)
-    want = relaxed_solution_at(sol.m_star, sol.r_star, caps, pop)
+    want = relaxed_solution_at(sol.r_star, caps, pop)
     assert [v.hex() for v in sol.x_star] == [v.hex() for v in want]
 
 
@@ -569,7 +601,7 @@ def rate_budget(budget, m_levels, L, caps, pop):
         m, side, steps = budget
         m %= m_levels
         assume(math.isfinite(caps.cbar[m + side]))
-        l_c = relaxed_cache_load(m, caps.cbar[m + side], caps, pop)
+        l_c = relaxed_cache_load(caps.cbar[m + side], caps, pop)
         for _ in range(abs(steps)):
             l_c = math.nextafter(l_c, math.inf if steps > 0 else 0.0)
     assume(L * q <= l_c < L)
@@ -584,9 +616,9 @@ def rate_budget(budget, m_levels, L, caps, pop):
 @integer_inverse_examples
 def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, alpha, kappa,
                                                            budget):
-    """For m* < M, r* is the least float whose full-library load at m*
-    meets the budget: load(r*) >= l_c > load(nextafter(r*, 0)), on the
-    budgets of rate_budgets. On these budgets the solver also gives the
+    """For m* < M, r* is the least float whose full-library load meets
+    the budget: load(r*) >= l_c > load(nextafter(r*, 0)), on the budgets
+    of rate_budgets. On these budgets the solver also gives the
     full-search oracle's bits."""
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     pop = zipf_pmf(L, tau)
@@ -595,8 +627,8 @@ def test_relaxed_rate_is_the_least_float_meeting_the_budget(m_levels, L, tau, al
     sol = solve_relaxed(caps, pop, l_c)
     assume(sol.m_star < m_levels)
     r = sol.r_star
-    assert relaxed_cache_load(sol.m_star, r, caps, pop) >= l_c
-    assert relaxed_cache_load(sol.m_star, math.nextafter(r, 0.0), caps, pop) < l_c
+    assert relaxed_cache_load(r, caps, pop) >= l_c
+    assert relaxed_cache_load(math.nextafter(r, 0.0), caps, pop) < l_c
 
 
 # Steps the rate solve's secant pivots may take beyond the midpoint loop's:
@@ -606,14 +638,15 @@ EXTRA_RATE_STEPS = 3
 
 
 def rate_solve_input(m_levels, L, tau, alpha, kappa, budget):
-    """(caps, pop, l_c, m*, load at cbar[m*+1]) for placement._solve_rate,
-    with m* < M from solve_relaxed."""
+    """(lo, hi, caps, pop, l_c, load at lo) for placement._solve_rate, with
+    (lo, hi] = (cbar[m*+1], cbar[m*]] for m* < M from solve_relaxed."""
     grid, _, caps = caps_for(m_levels, kappa, alpha)
     pop = zipf_pmf(L, tau)
     l_c = rate_budget(budget, m_levels, L, caps, pop)
     m_star = solve_relaxed(caps, pop, l_c).m_star
     assume(m_star < m_levels)
-    return caps, pop, l_c, m_star, relaxed_cache_load(m_star, caps.cbar[m_star + 1], caps, pop)
+    lo, hi = caps.cbar[m_star + 1], caps.cbar[m_star]
+    return lo, hi, caps, pop, l_c, relaxed_cache_load(lo, caps, pop)
 
 
 rate_solve_instances = dict(
@@ -632,9 +665,9 @@ def test_rate_pivots_end_on_the_midpoint_loops_bits(m_levels, L, tau, alpha, kap
     the midpoint loop they replaced, bit for bit: both end on the least
     float whose load meets the budget. tau reaches 12, and the budgets
     just below L send m* = 0 through the doubling of an infinite top rate."""
-    caps, pop, l_c, m_star, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
-    r, inverses = placement._solve_rate(m_star, caps, pop, l_c, load_lo)
-    want, want_inverses, _ = midpoint_solve_rate(m_star, caps, pop, l_c)
+    lo, hi, caps, pop, l_c, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
+    r, inverses = placement._solve_rate(lo, hi, caps, pop, l_c, load_lo)
+    want, want_inverses, _ = midpoint_solve_rate(lo, hi, caps, pop, l_c)
     assert (r.hex(), [v.hex() for v in inverses]) == (want.hex(), [v.hex() for v in want_inverses])
 
 
@@ -646,11 +679,11 @@ def test_rate_pivots_take_at_most_three_steps_more_than_midpoints(m_levels, L, t
     """_solve_rate closes its bracket within EXTRA_RATE_STEPS steps more
     than the midpoint loop takes on the same input, which stays below the
     step cap: with the cap set to that many steps it still returns."""
-    caps, pop, l_c, m_star, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
-    steps = midpoint_solve_rate(m_star, caps, pop, l_c)[2] + EXTRA_RATE_STEPS
+    lo, hi, caps, pop, l_c, load_lo = rate_solve_input(m_levels, L, tau, alpha, kappa, budget)
+    steps = midpoint_solve_rate(lo, hi, caps, pop, l_c)[2] + EXTRA_RATE_STEPS
     assert steps < placement._RATE_STEPS
     with mock.patch.object(placement, "_RATE_STEPS", steps):
-        placement._solve_rate(m_star, caps, pop, l_c, load_lo)
+        placement._solve_rate(lo, hi, caps, pop, l_c, load_lo)
 
 
 @settings(max_examples=200, deadline=None)
