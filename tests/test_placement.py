@@ -223,6 +223,27 @@ class TestRelaxedCacheLoad:
             r2 = r1 * rng.uniform(1.0, 4.0)
             assert relaxed_cache_load(r2, caps, pop) >= relaxed_cache_load(r1, caps, pop) - 1e-12
 
+    def test_boundary_chain(self):
+        """The load at a level's own capacity equals, bit for bit, both
+        level forms that meet there, and is at least the load at the next
+        capacity down.
+
+        At r = cbar[m] the quotient is exactly 1.0 and tail_inverse returns
+        1.0, so the two level forms differ only in their dyadic head terms,
+        (L+1) 4^-M - 4^-m against (L+1) 4^-M - 4^-(m-1) + 3 4^-m, and both
+        are exact while L + 1 and 4^M stay below 2^53."""
+        rng = random.Random(43)
+        for _ in range(50):
+            grid, caps, pop, _ = random_instance(rng, m_max=6, l_max=500)
+            for m in range(1, grid.M):
+                at_own = relaxed_cache_load(caps.cbar[m], caps, pop)
+                at_next = relaxed_cache_load(caps.cbar[m + 1], caps, pop)
+                assert at_own >= at_next
+                assert at_next == lowest_level_load(m, caps.cbar[m + 1], caps, pop) \
+                    == lowest_level_load(m + 1, caps.cbar[m + 1], caps, pop)
+                assert at_own == lowest_level_load(m, caps.cbar[m], caps, pop) \
+                    == lowest_level_load(m - 1, caps.cbar[m], caps, pop)
+
     @pytest.mark.parametrize("r", [0.0, -1.0, -math.inf, math.nan])
     def test_bad_rate_is_refused(self, r):
         """On M = 3 and L = 50 a zero rate once raised ZeroDivisionError and
@@ -468,6 +489,20 @@ class TestSolveRelaxed:
         monkeypatch.setattr(placement, "_RATE_STEPS", 2)
         with pytest.raises(BracketError, match="still open after 2 steps"):
             solve_relaxed(caps, pop, 4.0)
+
+    def test_top_rate_load_is_the_level_below_at_that_rate(self):
+        """At r = cbar[m] the load equals, bit for bit, the level-(m - 1)
+        form, and the level-m form too (level m's term is exactly 3 4^-m
+        there), so the rate search's top end meets every budget the m*
+        search sends it."""
+        rng = random.Random(31)
+        for _ in range(40):
+            grid, caps, pop, _ = random_instance(rng, m_max=12, l_max=20000)
+            for m in range(1, grid.M):
+                r = caps.cbar[m]
+                assert relaxed_cache_load(r, caps, pop) \
+                    == lowest_level_load(m - 1, r, caps, pop) \
+                    == lowest_level_load(m, r, caps, pop)
 
     def test_top_rate_that_misses_the_budget_raises(self):
         """A capacity table with a finite cbar[0] can leave the budget out of
