@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidParameterError
 from .hierarchy import CapacityEnvelope, NetworkGrid, capacity_envelope
 from .phy import PhyParams
-from .placement import _require_admissible, _require_below_library, guarantee_floor
+from .placement import _require_admissible, _require_below_library, _require_number, guarantee_floor
 from .popularity import PopularityModel
 
 
@@ -206,14 +206,17 @@ def achievable_exponent(beta1: float, beta2: float, a1: float, a2: float,
     At alpha = 3 it is the multihop/decode-and-forward baselines' law,
     whose branch point sits at 3/2 whatever the path loss. The converse
     ceiling is this law with the correction's sign flipped (an arbitrarily
-    small +epsilon), so its clean exponent is this one.
+    small +epsilon), so its clean exponent is this one. A NaN skewness, or
+    a path loss critical_skewness refuses (NaN included), raises
+    InvalidParameterError.
     """
+    _require_number("skewness", tau)
+    _, h = critical_skewness(alpha)
     regime = classify_regime(beta1, beta2, a1, a2)
     if regime == "I":
         if tau <= 1.0:
             return ScalingExponent("I", "tau<=1", 0.0, 0.0)
         return ScalingExponent("I", "tau>1", beta2 * (tau - 1.0), 0.0)
-    h = min(3.0, alpha) / 2.0
     eps = 0.0
     if alpha < 3.0 and m_levels is not None:
         eps = 1.0 / (math.sqrt(m_levels * math.log(4.0)) + 1.0)

@@ -24,7 +24,7 @@ from itertools import combinations
 from .errors import InfeasibleProblemError, InvalidParameterError, SizeGuardError
 from .hierarchy import LevelCapacities, NetworkGrid
 from .placement import (BUDGET_SLACK, PlacementVector, _load, _require_admissible,
-                        _require_budget, _require_depth, evaluate_throughput)
+                        _require_depth, _require_number, evaluate_throughput)
 from .popularity import PopularityModel, threshold_indices
 
 
@@ -41,8 +41,7 @@ def feasible_for_rate(r: float, m_b: int, caps: LevelCapacities,
     threshold scan stops at the first level whose threshold is L, because
     the top level is then empty whatever the later levels need.
     """
-    if math.isnan(r):
-        raise InvalidParameterError(f"rate must be a number, got {r!r}")
+    _require_number("rate", r)
     if not 1 <= m_b <= caps.M:
         raise InvalidParameterError(f"top level must lie in 1..{caps.M}, got {m_b!r}")
     L = pop.L
@@ -152,7 +151,7 @@ def brute_force(grid: NetworkGrid, caps: LevelCapacities, pop: PopularityModel,
     enumeration is ordered and replacement requires strict improvement).
     """
     _require_depth(grid, caps)
-    _require_budget(l_c)
+    _require_number("cache budget", l_c)
     M, L = caps.M, pop.L
     count = math.comb(L + M, M)
     if count > 10 ** 7:

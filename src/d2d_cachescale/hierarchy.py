@@ -89,10 +89,26 @@ class LevelCapacities:
     round-robin share over the M_b active levels. A level-m edge carries
     the traffic of 4^{m-1} nodes, so the solvers compare per-node traffic
     with cbar[m] / M_b.
+
+    A level's cluster rate falls with the cluster size, so every table
+    edge_capacities builds is +inf at level 0, then finite, > 0 and
+    falling. Each solver reads cbar that way, and the table is the one
+    place that checks it: a table whose cbar[0] is not +inf, or whose
+    cbar[1..M] are not finite, > 0 and non-increasing (a NaN is none of
+    these), raises InvalidParameterError where it is made, by a
+    dataclasses.replace too.
     """
 
     cbar: tuple[float, ...]
     rates: tuple[ClusterRate | None, ...]
+
+    def __post_init__(self) -> None:
+        c = self.cbar
+        # the pairs (c[1], c[2]), ..., (c[M], c[M]) test each level once
+        if not (c and c[0] == math.inf
+                and all(math.inf > hi >= lo > 0.0 for hi, lo in zip(c[1:], c[2:] + c[-1:]))):
+            raise InvalidParameterError("level capacities must be +inf at level 0, then finite, "
+                                        f"> 0 and not rising with the level, got {c!r}")
 
     @property
     def M(self) -> int:

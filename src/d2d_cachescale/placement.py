@@ -116,7 +116,7 @@ class PlacementVector:
 
     def validate(self, L: int, l_c: float) -> None:
         """Raise unless the vector places exactly L files within budget l_c."""
-        _require_budget(l_c)
+        _require_number("cache budget", l_c)
         self.check_shape(L, self.M)
         load = self.cache_load()
         if load > l_c + BUDGET_SLACK:
@@ -197,12 +197,13 @@ def relaxed_cache_load(r: float, caps: LevelCapacities, pop: PopularityModel) ->
     Each level whose capacity ratio cbar[m] / r is below one carries
     exactly the popularity tail that keeps its ratio at r. The files
     cached below the lowest such level sit at the highest level whose
-    ratio is at least one (m* for a table that does not rise with the
-    level), the cheapest level that constrains nothing. The load rises
-    from L 4^{-M} at r <= cbar[M] to L at r = inf, strictly wherever some
-    ratio is below one. The float value does not decrease in r either,
-    since each of its operations is monotone under round-to-nearest;
-    solve_relaxed defines r* on this float load.
+    ratio is at least one, the cheapest level that constrains nothing: m*,
+    since cbar does not rise with the level (LevelCapacities refuses a
+    table where it does). The load rises from L 4^{-M} at r <= cbar[M] to
+    L at r = inf, strictly wherever some ratio is below one. The float
+    value does not decrease in r either, since each of its operations is
+    monotone under round-to-nearest; solve_relaxed defines r* on this
+    float load.
     """
     if not r > 0.0:
         raise InvalidParameterError(f"rate must be > 0, got {r!r}")
@@ -228,7 +229,10 @@ def _bracketed_load(r: float, caps: LevelCapacities, pop: PopularityModel,
     segment k = i + 1 alone, by tail_inverse's float operations in its
     order. segments[m] keeps that segment as the floats (k, k + 1,
     suffix(k), p(k)) from its first read on, for later calls on
-    narrowings of the same bracket.
+    narrowings of the same bracket. A ratio of 0 (r = inf, or a quotient
+    that underflows) has index L - 1, so a pinned level reads segment L,
+    where suffix(L) = 0.0 and p(L) > 0 make the line exactly L + 1, the
+    inverse tail_inverse returns at 0.
     """
     M, L = caps.M, pop.L
     cbar = caps.cbar
@@ -242,8 +246,6 @@ def _bracketed_load(r: float, caps: LevelCapacities, pop: PopularityModel,
             x, i = 1.0, 0
         elif i != i_hi[m]:
             x, i = tail_inverse(pop, y, i, i_hi[m] + 1)
-        elif y <= 0.0:
-            x = L + 1.0
         else:
             seg = segments[m]
             if seg is None:
@@ -262,11 +264,12 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     """Exact solution of the continuous placement relaxation.
 
     The load does not decrease with the rate, and cbar does not increase
-    with the level (a table where it does, or that holds a NaN, is
-    refused), so the test "the load at cbar[m+1] is below the budget" is
-    monotone in m. bisect_left over range(M) finds the first such m with
-    one probe per step, or M (all files at the top level), and m* itself
-    is one of the probes. m* is the lowest occupied level and
+    with the level (LevelCapacities refuses a table where it does), so the
+    test "the load at cbar[m+1] is below the budget" is monotone in m.
+    bisect_left over range(M) finds the first such m with one probe per
+    step, or M (all files at the top level), and m* itself is one of the
+    probes; so is m* - 1 when m* >= 1, whose load at cbar[m*] met the
+    budget. m* is the lowest occupied level and
     (cbar[m*+1], cbar[m*]] the bracket of the rate r*: the least float
     there whose load meets the budget, found by _solve_rate's secant
     pivots from that probe's load; any pivot rule that stops on adjacent
@@ -279,9 +282,6 @@ def solve_relaxed(caps: LevelCapacities, pop: PopularityModel, l_c: float) -> Re
     cbar = caps.cbar
     _require_admissible(L, M, l_c)
     _require_below_library(L, l_c)
-    if not all(hi >= lo for hi, lo in zip(cbar, cbar[1:])):
-        raise InvalidParameterError(
-            f"level capacities must be numbers that do not rise with the level, got {cbar!r}")
     top_load = functools.cache(lambda m: relaxed_cache_load(cbar[m + 1], caps, pop))
     m_star = bisect_left(range(M), True, key=lambda m: top_load(m) < l_c)
     if m_star == M:
@@ -304,11 +304,13 @@ def _solve_rate(lo: float, hi: float, caps: LevelCapacities, pop: PopularityMode
     are adjacent floats ends with hi the least float in the bracket whose
     load meets the budget, whichever rates inside the bracket it
     evaluates: that is r*. solve_relaxed passes the bracket (cbar[m*+1],
-    cbar[m*]], whose top end's load the m* search found to meet the
-    budget, except at m* = 0, which has no probe at cbar[0]: there a
-    finite cbar[0] whose load misses the budget raises BracketError, and
-    an infinite one gives way to the first doubling of lo whose load
-    meets the budget, while each doubling that misses becomes lo.
+    cbar[m*]]. One loop opens it: it evaluates the load at hi, or at 2 lo
+    when hi is inf (m* = 0; cbar[0] is always inf), and doubles while the
+    load misses the budget, each miss becoming lo; a load that still
+    misses after 2100 doublings, more than the float range spans, raises
+    BracketError. For m* >= 1 the first evaluation meets the budget: the
+    m* search probed the same float function at the same rate cbar[m*]
+    and found that it does.
 
     Each step evaluates one pivot, chosen as in the ITP method (Oliveira
     and Takahashi, ACM TOMS 47(1), 2021): the secant root through the
@@ -340,20 +342,15 @@ def _solve_rate(lo: float, hi: float, caps: LevelCapacities, pop: PopularityMode
     M, L = caps.M, pop.L
     i_lo, i_top = [0] * (M + 1), [L - 1] * (M + 1)
     segments = [None] * (M + 1)
-    if math.isfinite(hi):
+    hi = hi if math.isfinite(hi) else 2.0 * lo
+    for _ in range(2100):
         load_hi, inverse_hi, i_hi = _bracketed_load(hi, caps, pop, i_lo, i_top, segments)
-        if not load_hi >= l_c:
-            raise BracketError(f"cache load at the top rate {hi} misses the budget {l_c}")
+        if load_hi >= l_c:
+            break
+        lo, load_lo, i_lo = hi, load_hi, i_hi
+        hi *= 2.0
     else:
-        hi = max(lo, 1e-300)
-        for _ in range(2100):
-            hi *= 2.0
-            load_hi, inverse_hi, i_hi = _bracketed_load(hi, caps, pop, i_lo, i_top, segments)
-            if load_hi >= l_c:
-                break
-            lo, load_lo, i_lo = hi, load_hi, i_hi
-        else:
-            raise BracketError("cache load never reaches the budget")
+        raise BracketError("cache load never reaches the budget")
     w0 = hi - lo
     reach = 4.0 * w0
     for step in range(_RATE_STEPS + 1):
@@ -393,8 +390,10 @@ def round_to_feasible(sol: RelaxedSolution, l_c: float) -> PlacementVector:
     level that absorbs the remainder has no level above to hand a cost to,
     so where the remainder would take the placement past l_c plus
     BUDGET_SLACK, be it by a round-up or by the rounding error of a target,
-    it keeps one file fewer and the next level absorbs that file.
+    it keeps one file fewer and the next level absorbs that file. A NaN
+    budget raises InvalidParameterError.
     """
+    _require_number("cache budget", l_c)
     M = len(sol.x_star) - 1
     L = round(math.fsum(sol.x_star))
     xo = [0] * (M + 1)
@@ -428,7 +427,10 @@ def rebalance(x: PlacementVector, caps: LevelCapacities, pop: PopularityModel,
     bottleneck capacity ratio strictly improves. Accepted moves strictly
     raise that ratio over a finite set of placements, so the loop
     terminates; the iteration cap only guards against implementation bugs.
+    A NaN budget, which every load test would let through, raises
+    InvalidParameterError.
     """
+    _require_number("cache budget", l_c)
     M = x.M
     xs = list(x.x)
     L = sum(xs)
@@ -473,15 +475,15 @@ def _lowest_multi(xs: list[int]) -> int | None:
     return None
 
 
-def _require_budget(l_c: float) -> None:
-    """Refuse a NaN cache budget, which every budget comparison would let through."""
-    if math.isnan(l_c):
-        raise InvalidParameterError(f"cache budget must be a number, got {l_c!r}")
+def _require_number(what: str, v: float) -> None:
+    """Refuse a NaN budget, rate or skewness, which every comparison would let through."""
+    if math.isnan(v):
+        raise InvalidParameterError(f"{what} must be a number, got {v!r}")
 
 
 def _require_admissible(L: int, M: int, l_c: float) -> None:
     """Refuse a NaN budget, or one below L 4^{-M}, the least that holds the library."""
-    _require_budget(l_c)
+    _require_number("cache budget", l_c)
     min_load = L * 4.0 ** (-M)
     if l_c < min_load - BUDGET_SLACK:
         raise InfeasibleProblemError(
@@ -526,9 +528,12 @@ def _bottleneck(xs: list[int], m_from: int, m_to: int, caps: LevelCapacities,
 
 def guarantee_floor(r_star: float, M: int, tau: float) -> float:
     """r_star / (M (1 + 2^tau)), the provable fraction of the relaxed optimum
-    that rounding preserves (r_star = 1 gives the factor); 0.0 once 2^tau overflows."""
+    that rounding preserves (r_star = 1 gives the factor); 0.0 once 2^tau overflows.
+    A NaN r_star or tau raises InvalidParameterError."""
     if not M >= 1:
         raise InvalidParameterError(f"level count must be >= 1, got {M!r}")
+    _require_number("rate", r_star)
+    _require_number("skewness", tau)
     try:
         return r_star / (M * (1.0 + 2.0 ** tau))
     except OverflowError:

@@ -45,7 +45,7 @@ BLOCK_RANKS = 1 << BLOCK_SHIFT
 _BLOCK_MASK = BLOCK_RANKS - 1
 
 # Largest library the model is built for: the build walks every rank once
-# (about 3 s at 2^27 ranks), and keeps 24 B per block plus the blocks read.
+# (about 2 s at 2^27 ranks), and keeps 24 B per block plus the blocks read.
 MAX_RANKS = 1 << 27
 
 

@@ -250,6 +250,15 @@ class TestScalingExponents:
         assert conv.regime == "I"
         assert conv.exponent == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("beta2, tau, alpha", [
+        (0.3, math.nan, 4.0), (0.9, math.nan, 4.0), (0.3, 1.2, math.nan), (0.3, 1.2, 2.0)])
+    def test_nan_skewness_or_path_loss_is_refused(self, beta2, tau, alpha):
+        """A NaN skewness gave exponent NaN under the tau>min(3,alpha)/2
+        label (regime II) or the tau>1 label (regime I), and a NaN path
+        loss answered as alpha >= 3, since min(3.0, nan) is 3.0."""
+        with pytest.raises(InvalidParameterError):
+            achievable_exponent(0.9, beta2, 2, 1, tau, alpha)
+
     def test_epsilon_term_reporting(self):
         with_m = achievable_exponent(0.9, 0.3, 1, 1, 0.5, 2.5, m_levels=11)
         s_m = math.sqrt(11 * math.log(4))

@@ -505,28 +505,38 @@ class TestSolveRelaxed:
                     == lowest_level_load(m, r, caps, pop)
 
     def test_top_rate_that_misses_the_budget_raises(self):
-        """A capacity table with a finite cbar[0] can leave the budget out of
-        reach of every rate up to cbar[m*]: the rate search raises
-        BracketError instead of returning a rate whose load misses it."""
+        """A capacity table with a finite cbar[0] could leave the budget out
+        of reach of every rate up to cbar[m*]: with 2 cbar[1] at level 0,
+        M = 4, L = 64 and tau = 1, the load at cbar[0] misses a budget of
+        60 and the rate search raised BracketError, while optimize_placement
+        answered on such a table at L = 60 and L_C = 8. The table is refused
+        where it is made."""
         grid, _, caps = caps_for(4, 0.0, 4.0)
-        pop = zipf_pmf(64, 1.0)
-        capped = dataclasses.replace(caps, cbar=(2.0 * caps.cbar[1],) + caps.cbar[1:])
-        assert relaxed_cache_load(capped.cbar[0], capped, pop) < 60.0
-        with pytest.raises(BracketError, match="misses the budget"):
-            solve_relaxed(capped, pop, 60.0)
+        with pytest.raises(InvalidParameterError, match="inf at level 0"):
+            dataclasses.replace(caps, cbar=(2.0 * caps.cbar[1],) + caps.cbar[1:])
 
     @pytest.mark.parametrize("l_c", [0.5, 2.0, 8.0, 20.0])
     def test_capacities_that_rise_with_the_level_are_refused(self, l_c):
-        """The m* search and the rate-only load read cbar as non-increasing.
-        With cbar[2] and cbar[3] swapped at M = 4, L = 60 and tau = 1, every
-        one of these budgets once ended in a BracketError for a negative
-        occupancy x[2]; a NaN entry passes no order check either."""
+        """Every solver reads cbar as +inf, then finite, > 0 and
+        non-increasing, and the table refuses anything else where it is
+        made. At M = 4, L = 60 and tau = 1, each of these budgets solves on
+        the built table, while on the table with cbar[2] and cbar[3]
+        swapped every one once ended in a BracketError for a negative
+        occupancy x[2]. The other tables once answered or failed deep
+        inside a solver (alpha = 4, L_C = 8): a NaN at cbar[2] gave
+        solve_exact (4, 0, 56, 0, 0), since the NaN level never binds, and
+        relaxed_cache_load a DomainError on the tail mass; a top level of
+        -1.0 an AttributeError in solve_exact; a top level of 0.0 the rate
+        0.0 from evaluate_throughput; an inf at cbar[2], which only
+        solve_relaxed refused, passed solve_exact as no constraint."""
         grid, _, caps = caps_for(4, 0.0, 4.0)
         pop = zipf_pmf(60, 1.0)
+        solve_relaxed(caps, pop, l_c)
         c = caps.cbar
-        for cbar in (c[:2] + (c[3], c[2]) + c[4:], c[:2] + (math.nan,) + c[3:]):
-            with pytest.raises(InvalidParameterError, match="do not rise with the level"):
-                solve_relaxed(dataclasses.replace(caps, cbar=cbar), pop, l_c)
+        for cbar in (c[:2] + (c[3], c[2]) + c[4:], c[:2] + (math.nan,) + c[3:],
+                     c[:4] + (0.0,), c[:4] + (-1.0,), c[:2] + (math.inf,) + c[3:]):
+            with pytest.raises(InvalidParameterError, match="not rising with the level"):
+                dataclasses.replace(caps, cbar=cbar)
 
     def test_optimality_residuals_random(self):
         rng = random.Random(2024)
@@ -708,16 +718,27 @@ class TestPipeline:
     (lambda grid, caps, pop: relaxed_cache_load(math.nan, caps, pop), InvalidParameterError),
     (lambda grid, caps, pop: feasible_for_rate(math.nan, 2, caps, pop, 5.0),
      InvalidParameterError),
+    (lambda grid, caps, pop: round_to_feasible(solve_relaxed(caps, pop, 2.0), math.nan),
+     InvalidParameterError),
+    (lambda grid, caps, pop: rebalance(PlacementVector((5, 5, 5, 5)), caps, pop, math.nan),
+     InvalidParameterError),
+    (lambda grid, caps, pop: guarantee_floor(math.nan, 3, 1.0), InvalidParameterError),
+    (lambda grid, caps, pop: guarantee_floor(1.0, 3, math.nan), InvalidParameterError),
 ], ids=["solve_exact", "brute_force", "optimize_placement", "validate", "tail_inverse",
-        "NetworkGrid", "throughput_bounds", "relaxed_cache_load", "feasible_for_rate"])
+        "NetworkGrid", "throughput_bounds", "relaxed_cache_load", "feasible_for_rate",
+        "round_to_feasible", "rebalance", "guarantee_floor_rate", "guarantee_floor_tau"])
 def test_nan_is_refused_up_front(call, error):
     """A NaN passes every `x < bound` check, so each entry point tests its
-    budget, rate, tail mass or area exponent so that NaN fails, and raises
-    at once: at M = 3 and L = 20 a NaN budget used to give exact a finite
-    rate, brute force an unbounded one, the pipeline a BracketError only
-    after 2,100 doublings, and the bounds and the relaxed load NaN. A NaN
-    rate fails every comparison of the threshold search, so feasible_for_rate
-    would return a placement whose rate is NaN."""
+    budget, rate, skewness, tail mass or area exponent so that NaN fails,
+    and raises at once: at M = 3 and L = 20 a NaN budget used to give exact
+    a finite rate, brute force an unbounded one, the pipeline a BracketError
+    only after 2,100 doublings, and the bounds and the relaxed load NaN. A
+    NaN rate fails every comparison of the threshold search, so
+    feasible_for_rate would return a placement whose rate is NaN. With a
+    NaN budget every load test of rounding and rebalancing is False, so
+    rebalance moved (5, 5, 5, 25) at M = 3, L = 40 to (4, 36, 0, 0), which
+    needs 13.0 of cache per node; the guarantee floor of a NaN rate or
+    skewness was NaN."""
     grid, _, caps = caps_for(3, 0.0, 4.0)
     with pytest.raises(error):
         call(grid, caps, zipf_pmf(20, 1.0))

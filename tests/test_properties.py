@@ -346,7 +346,9 @@ def test_capacity_table_matches_the_two_call_mode_choice(m_levels, alpha, kappa,
                                                         multihop_only):
     """edge_capacities gives the cbar bits and stage counts of the two-call
     form: optimal_stages, then rate_hcoop at s* evaluated again, and
-    multihop_only's early return before the scan."""
+    multihop_only's early return before the scan. Its tables fall strictly
+    from +inf to a positive top level, so LevelCapacities' check never
+    refuses one."""
     grid, params = NetworkGrid(m_levels, kappa, alpha), PhyParams(alpha, rc_fraction)
     caps = edge_capacities(grid, params, multihop_only=multihop_only)
     rates = [two_call_cluster_rate(4 ** m, grid, params, multihop_only=multihop_only)
@@ -354,6 +356,7 @@ def test_capacity_table_matches_the_two_call_mode_choice(m_levels, alpha, kappa,
     assert [c.hex() for c in caps.cbar[1:]] == [(4.0 * r.rate / 3.0).hex() for r in rates]
     assert [r.stages for r in caps.rates[1:]] == [r.stages for r in rates]
     assert caps.cbar[0] == math.inf and caps.rates[0] is None
+    assert all(hi > lo for hi, lo in zip(caps.cbar, caps.cbar[1:])) and caps.cbar[-1] > 0.0
 
 
 def _law(fn, *args):
